@@ -248,6 +248,32 @@ def predict_x0(x_t, eps_hat, t: int, schedule: NoiseSchedule):
     return (x_t - math.sqrt(1.0 - bar) * eps_hat) / math.sqrt(bar)
 
 
+def _quantile_last_axis(v, q: float) -> np.ndarray:
+    """np.quantile(v, q, axis=-1, keepdims=True), bit for bit, for a scalar q.
+
+    Sorts once and interpolates between the two order statistics around the
+    virtual index (d - 1) * q with numpy's linear-method lerp, skipping the
+    general quantile machinery that dominates the cost for small arrays.
+    """
+    s = np.sort(v, axis=-1)
+    d = s.shape[-1]
+    pos = (d - 1) * q
+    if pos >= d - 1:
+        # numpy points both neighbours at index -1 and keeps interpolating.
+        below = above = s[..., -1:]
+        g = pos + 1
+    else:
+        lo = math.floor(pos)
+        below, above = s[..., lo:lo + 1], s[..., lo + 1:lo + 2]
+        g = pos - lo
+    diff = above - below
+    out = above - diff * (1 - g) if g >= 0.5 else below + diff * g
+    last = s[..., -1:]
+    if np.isnan(last).any():
+        out = np.where(np.isnan(last), np.nan, out)
+    return out
+
+
 def dynamic_threshold(x0, percentile: float = 0.99):
     """Rescale x0 into [-s, s] -> [-1, 1] where s is the given percentile of
     the absolute entries, never below 1. Entries beyond s are clipped first,
@@ -258,7 +284,7 @@ def dynamic_threshold(x0, percentile: float = 0.99):
         raise ConfigurationError("cannot threshold an empty array")
     if not (0.0 < percentile <= 1.0):
         raise ConfigurationError(f"percentile must lie in (0, 1], got {percentile}")
-    s = np.quantile(np.abs(x0), percentile, axis=-1, keepdims=True)
+    s = _quantile_last_axis(np.abs(x0), percentile)
     s = np.maximum(s, 1.0)
     return np.clip(x0, -s, s) / s
 
@@ -270,7 +296,7 @@ def training_loss(model, x0_batch, y_batch, schedule: NoiseSchedule, rng,
 
     Draws per-row timesteps uniformly from 1..T and fresh Gaussian noise from
     rng, and independently replaces each row's conditioning with the null
-    tokens (zero vector for y, minus-one vector for a) with the given
+    tokens (null_id_token for y, null_attr_token for a) with the given
     probability. The loss is the squared error between the true and predicted
     noise, averaged over both batch and data dimensions.
     """
@@ -287,12 +313,12 @@ def training_loss(model, x0_batch, y_batch, schedule: NoiseSchedule, rng,
     x_t = q_sample(x0_batch, t, noise, schedule)
 
     drop_y = rng.random(n) < dropout_prob
-    y_in = np.where(drop_y[:, None], 0.0, y_batch)
+    y_in = np.where(drop_y[:, None], null_id_token(y_batch.shape[1]), y_batch)
     a_in = None
     if a_batch is not None:
         a_batch = np.asarray(a_batch, dtype=np.float64)
         drop_a = rng.random(n) < dropout_prob
-        a_in = np.where(drop_a[:, None], -1.0, a_batch)
+        a_in = np.where(drop_a[:, None], null_attr_token(a_batch.shape[1]), a_batch)
 
     eps_pred = model.forward(x_t, y_in, t, a=a_in)
     resid = eps_pred - noise
@@ -380,13 +406,29 @@ def _reverse_step_coeffs(schedule: NoiseSchedule, i: int):
     return coef_x0, coef_xt
 
 
+def _shared_or_rows(v, dim: int, n: int, name: str) -> np.ndarray:
+    """A conditioning input as one shared (dim,) vector or (n, dim) rows.
+
+    A shared vector stays 1-D so the model computes its condition once; a
+    scalar counts as a shared vector when dim is 1.
+    """
+    v = np.asarray(v, dtype=np.float64)
+    if v.ndim == 0:
+        v = v.reshape(1)
+    if v.shape != (dim,) and v.shape != (n, dim):
+        raise ShapeError(f"{name} must broadcast to ({n}, {dim})")
+    return v
+
+
 def sample_batch(model, y, schedule: NoiseSchedule, config: SampleConfig,
                  n: int, a=None) -> np.ndarray:
     """Draw n pre-images of y by running the guided reverse process.
 
     The model must be fitted. y (and a, if given) may be a single vector
-    shared by all rows or one row per sample. Deterministic for a fixed
-    (model, y, a, config) including bitwise reproducibility of the result.
+    shared by all rows or one row per sample. A shared vector and the null
+    tokens of the unconditional branch reach the model as 1-D, so it computes
+    their condition once per step. Deterministic for a fixed (model, y, a,
+    config) including bitwise reproducibility of the result.
     """
     if not getattr(model, "fitted", False):
         raise StateError("model has not been fitted; train it or load a checkpoint")
@@ -399,27 +441,21 @@ def sample_batch(model, y, schedule: NoiseSchedule, config: SampleConfig,
         steps = max(1, schedule.n_steps // 4)
     sub = respace(schedule, steps)
 
-    y = np.asarray(y, dtype=np.float64)
-    y_rows = np.tile(y, (n, 1)) if y.ndim == 1 else np.asarray(y, dtype=np.float64)
-    if y_rows.shape != (n, model.id_dim):
-        raise ShapeError(f"y must broadcast to ({n}, {model.id_dim})")
-    y_null = np.zeros_like(y_rows)
-    a_rows = a_null = None
+    y = _shared_or_rows(y, model.id_dim, n, "y")
+    y_null = null_id_token(model.id_dim)
+    a_null = None
     if a is not None:
         if model.attr_dim is None:
             raise ConfigurationError("model was built without attribute conditioning")
-        a = np.asarray(a, dtype=np.float64)
-        a_rows = np.tile(a, (n, 1)) if a.ndim == 1 else a
-        if a_rows.shape != (n, model.attr_dim):
-            raise ShapeError(f"a must broadcast to ({n}, {model.attr_dim})")
-        a_null = -np.ones_like(a_rows)
+        a = _shared_or_rows(a, model.attr_dim, n, "a")
+        a_null = null_attr_token(model.attr_dim)
 
     rng = np.random.default_rng(cfg.seed)
     x = rng.standard_normal((n, model.data_dim))
     scale = cfg.guidance_scale
     for i in range(sub.n_steps, 0, -1):
         t_orig = int(sub.timestep_map[i - 1])
-        eps_cond = model.forward(x, y_rows, t_orig, a=a_rows)
+        eps_cond = model.forward(x, y, t_orig, a=a)
         if scale == 1.0:
             eps_hat = eps_cond
         else:

@@ -8,7 +8,7 @@ diffusion sampler is judged against both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -88,14 +88,8 @@ def guidance_sweep(model, schedule, embedder, targets, scales, n_per_target: int
     for i, s in enumerate(scales):
         errs, divs = [], []
         for j, y in enumerate(targets):
-            cfg = SampleConfig(
-                seed=_cell_seed(base_config.seed, i, j),
-                guidance_scale=float(s),
-                respace_steps=base_config.respace_steps,
-                threshold=base_config.threshold,
-                threshold_percentile=base_config.threshold_percentile,
-                variance_mode=base_config.variance_mode,
-            )
+            cfg = replace(base_config, seed=_cell_seed(base_config.seed, i, j),
+                          guidance_scale=float(s))
             a = None if attrs is None else np.asarray(attrs)[j]
             xs = sample_batch(model, y, schedule, cfg, n_per_target, a=a)
             errs.append(identity_error(xs, y, embedder))

@@ -17,22 +17,35 @@ MAX_PERIOD = 10000.0
 
 
 def sigmoid(x):
-    """Numerically stable logistic function for scalars or arrays."""
+    """Logistic function 0.5 * (1 + tanh(x / 2)) for scalars or arrays.
+
+    The tanh form needs one transcendental per entry and no branch, and it
+    saturates to exactly 0 and 1 in the tails instead of overflowing.
+    """
     x = np.asarray(x, dtype=np.float64)
-    z = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+    out = np.multiply(x, 0.5, out=np.empty_like(x))
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
+    return out
 
 
 def silu(x):
     """SiLU activation x * sigmoid(x)."""
-    return np.asarray(x, dtype=np.float64) * sigmoid(x)
+    out = sigmoid(x)
+    out *= x
+    return out
 
 
 def silu_grad(x):
     """Derivative of SiLU: sigmoid(x) * (1 + x * (1 - sigmoid(x)))."""
     x = np.asarray(x, dtype=np.float64)
     s = sigmoid(x)
-    return s * (1.0 + x * (1.0 - s))
+    out = 1.0 - s
+    out *= x
+    out += 1.0
+    out *= s
+    return out
 
 
 def sinusoidal_embed(t, dim: int) -> np.ndarray:
@@ -87,7 +100,9 @@ class LinearLayer:
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise ShapeError(f"expected input of shape (n, {self.in_dim}), got {x.shape}")
         self._input = x
-        return x @ self.weight.T + self.bias
+        out = x @ self.weight.T
+        out += self.bias
+        return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._input is None:
@@ -233,21 +248,25 @@ class ConditionalDenoiser:
 
     # -- forward / backward ----------------------------------------------
 
-    def _check_cond_input(self, arr, dim, n, name):
+    def _check_cond_input(self, arr, dim, n, rows, name):
         arr = np.asarray(arr, dtype=np.float64)
-        if arr.ndim == 1:
-            arr = np.tile(arr, (n, 1))
-        if arr.ndim != 2 or arr.shape != (n, dim):
-            raise ShapeError(f"{name} must have shape ({n}, {dim}), got {arr.shape}")
-        return arr
+        out = np.tile(arr, (rows, 1)) if arr.ndim == 1 else arr
+        if out.shape != (rows, dim):
+            raise ShapeError(f"{name} must have shape ({dim},) or ({n}, {dim}), got {arr.shape}")
+        return out
 
     def forward(self, x_t, y, t, a=None) -> np.ndarray:
         """Predict the noise in x_t given target embedding y at timestep t.
 
-        x_t may be (d,) or (n, d); y and a broadcast from (k,)/(m,) to the
-        batch; t is a scalar or per-row array of timesteps >= 1. A model built
-        with attr_dim set still accepts a=None, which leaves the attribute
-        pathway off the compute path entirely.
+        x_t may be (d,) or (n, d); y and a are one (k,)/(m,) vector shared by
+        the batch or one row per sample; t is a scalar or per-row array of
+        timesteps >= 1. A model built with attr_dim set still accepts a=None,
+        which leaves the attribute pathway off the compute path entirely.
+
+        When y (and a, if given) is a single vector and t a scalar, as in
+        sampling, the condition and its projections are computed once, on one
+        row, and broadcast over the batch. Any per-row y, a or t, as in
+        training, computes the condition for every row.
         """
         x_t = np.asarray(x_t, dtype=np.float64)
         single = x_t.ndim == 1
@@ -256,34 +275,39 @@ class ConditionalDenoiser:
         if x_t.ndim != 2 or x_t.shape[1] != self.data_dim:
             raise ShapeError(f"x_t must have shape (n, {self.data_dim}), got {x_t.shape}")
         n = x_t.shape[0]
-        y = self._check_cond_input(y, self.id_dim, n, "y")
+        t_arr = np.asarray(t, dtype=np.float64)
+        shared = np.ndim(y) == 1 and (a is None or np.ndim(a) == 1) and t_arr.ndim == 0
+        rows = 1 if shared else n
+        y = self._check_cond_input(y, self.id_dim, n, rows, "y")
         if a is not None:
             if self.attr_proj is None:
                 raise ConfigurationError("model was built without attribute conditioning")
-            a = self._check_cond_input(a, self.attr_dim, n, "a")
+            a = self._check_cond_input(a, self.attr_dim, n, rows, "a")
 
-        t_arr = np.asarray(t, dtype=np.float64)
         if t_arr.ndim == 0:
-            t_arr = np.full(n, float(t_arr))
-        if t_arr.shape != (n,):
+            t_arr = np.full(rows, float(t_arr))
+        if t_arr.shape != (rows,):
             raise ShapeError(f"t must be a scalar or shape ({n},), got {t_arr.shape}")
         if np.any(t_arr < 0):
             raise ConfigurationError("timesteps must be nonnegative")
 
-        cond = sinusoidal_embed(t_arr, self.time_embed_dim) + self.id_proj.forward(y)
+        cond = sinusoidal_embed(t_arr, self.time_embed_dim)
+        cond += self.id_proj.forward(y)
         if a is not None:
-            cond = cond + self.attr_proj.forward(a)
+            cond += self.attr_proj.forward(a)
 
         zs = []
         h = x_t
         for i, h_dim in enumerate(self.hidden_dims):
             main = self.input_proj if i == 0 else self.hidden[i - 1]
-            z = main.forward(h) + self.inject[i].forward(cond)
+            z = main.forward(h)
+            z += self.inject[i].forward(cond)
             zs.append(z)
             h = silu(z)
         eps = self.output.forward(h)
 
-        self._cache = {"zs": zs, "a_given": a is not None, "single": single}
+        self._cache = {"zs": zs, "a_given": a is not None, "single": single,
+                       "shared": shared}
         return eps[0] if single else eps
 
     def backward(self, grad_out) -> np.ndarray:
@@ -291,6 +315,8 @@ class ConditionalDenoiser:
 
         grad_out is the loss gradient with respect to the predicted noise.
         Returns the gradient with respect to x_t. Consumes the forward cache.
+        A condition computed on one row receives the batch sum of its
+        gradient.
         """
         if self._cache is None:
             raise StateError("backward called without a matching forward")
@@ -304,8 +330,9 @@ class ConditionalDenoiser:
         dh = self.output.backward(grad_out)
         dcond = None
         for i in reversed(range(len(self.hidden_dims))):
-            dz = dh * silu_grad(cache["zs"][i])
-            dc = self.inject[i].backward(dz)
+            dz = silu_grad(cache["zs"][i])
+            dz *= dh
+            dc = self.inject[i].backward(dz.sum(axis=0, keepdims=True) if cache["shared"] else dz)
             dcond = dc if dcond is None else dcond + dc
             main = self.input_proj if i == 0 else self.hidden[i - 1]
             dh = main.backward(dz)

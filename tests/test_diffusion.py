@@ -1,6 +1,11 @@
 """Unit tests for schedules, corruption, guidance, respacing, and sampling."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +20,8 @@ from preimage.diffusion import (
     dynamic_threshold,
     make_cosine_schedule,
     make_linear_schedule,
+    null_attr_token,
+    null_id_token,
     predict_x0,
     q_sample,
     respace,
@@ -31,6 +38,7 @@ from preimage.errors import (
     ShapeError,
     StateError,
 )
+from preimage.diffusion import _quantile_last_axis
 from preimage.nn import ConditionalDenoiser
 
 
@@ -257,6 +265,28 @@ class TestDynamicThreshold:
         with pytest.raises(ConfigurationError):
             dynamic_threshold(np.ones(3), 0.0)
 
+    def test_quantile_bitwise_equal_to_numpy(self):
+        rng = np.random.default_rng(12)
+        for i in range(600):
+            n, d = int(rng.integers(1, 5)), int(rng.integers(1, 10))
+            v = np.abs(rng.normal(size=(n, d))) * 10.0 ** rng.uniform(-3, 3)
+            if i % 3 == 1:
+                v = np.round(v)  # ties
+            elif i % 3 == 2:
+                v = rng.integers(0, 3, size=(n, d)).astype(np.float64)
+            if i % 5 == 0:
+                v = v[0]
+            q = (1.0, 0.99, 0.5, 0.25, float(rng.uniform(0.01, 1.0)))[i % 5]
+            expected = np.quantile(v, q, axis=-1, keepdims=True)
+            got = _quantile_last_axis(v, q)
+            assert got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes(), (v, q)
+
+    def test_quantile_propagates_nan_like_numpy(self):
+        v = np.array([[np.nan, 1.0, 2.0, 3.0], [4.0, 5.0, 6.0, 7.0]])
+        np.testing.assert_array_equal(_quantile_last_axis(v, 0.5),
+                                      np.quantile(v, 0.5, axis=-1, keepdims=True))
+
 
 class TestRespace:
     def test_full_length_is_identity(self):
@@ -450,6 +480,97 @@ class TestSampler:
                            SampleConfig(seed=2), 2, a=np.array([0.5]))
         assert out.shape == (2, 2)
         assert np.isfinite(out).all()
+
+    @pytest.mark.parametrize("y", [np.array(1.0), np.array([1.0]), np.ones((3, 1))])
+    def test_accepted_target_shapes(self, y):
+        cfg = SampleConfig(seed=2)
+        out = sample_batch(self.model, y, self.sched, cfg, 3)
+        assert out.shape == (3, 2)
+        if y.ndim < 2:
+            np.testing.assert_array_equal(
+                out, sample_batch(self.model, np.array([1.0]), self.sched, cfg, 3))
+
+    @pytest.mark.parametrize("y", [np.ones((1, 1)), np.ones(2), np.ones((3, 2)), np.ones((2, 1))])
+    def test_rejected_target_shapes(self, y):
+        with pytest.raises(ShapeError):
+            sample_batch(self.model, y, self.sched, SampleConfig(seed=2), 3)
+
+    def test_attr_shapes(self):
+        model = fitted_toy_model(seed=8, attr_dim=1)
+        for a in (np.array(0.5), np.array([0.5]), np.full((3, 1), 0.5)):
+            out = sample_batch(model, np.array([1.0]), self.sched, SampleConfig(seed=2), 3, a=a)
+            assert out.shape == (3, 2)
+        with pytest.raises(ShapeError):
+            sample_batch(model, np.array([1.0]), self.sched, SampleConfig(seed=2), 3,
+                         a=np.full((1, 1), 0.5))
+
+    def test_shared_target_matches_tiled_rows(self):
+        model = fitted_toy_model(seed=8, attr_dim=1)
+        cfg = SampleConfig(seed=4, guidance_scale=2.0)
+        y, a = np.array([0.8]), np.array([0.3])
+        shared = sample_batch(model, y, self.sched, cfg, 5, a=a)
+        rows = sample_batch(model, np.tile(y, (5, 1)), self.sched, cfg, 5, a=np.tile(a, (5, 1)))
+        np.testing.assert_allclose(shared, rows, rtol=1e-9, atol=1e-12)
+
+    def test_shared_target_and_null_tokens_reach_model_as_vectors(self):
+        class Recorder:
+            fitted = True
+            data_dim = 2
+            id_dim = 1
+            attr_dim = 2
+
+            def __init__(self):
+                self.calls = []
+
+            def forward(self, x_t, y, t, a=None):
+                self.calls.append((np.array(y), np.array(a)))
+                return np.zeros_like(x_t)
+
+        stub = Recorder()
+        sample_batch(stub, np.array([0.7]), self.sched,
+                     SampleConfig(seed=0, guidance_scale=2.0, respace_steps=1), 4,
+                     a=np.array([0.1, 0.2]))
+        (y_cond, a_cond), (y_null, a_null) = stub.calls
+        np.testing.assert_array_equal(y_cond, [0.7])
+        np.testing.assert_array_equal(a_cond, [0.1, 0.2])
+        np.testing.assert_array_equal(y_null, null_id_token(1))
+        np.testing.assert_array_equal(a_null, null_attr_token(2))
+
+
+_THREAD_SAMPLER = textwrap.dedent("""
+    import hashlib
+    import numpy as np
+    from preimage.diffusion import SampleConfig, make_cosine_schedule, sample_batch
+    from preimage.nn import ConditionalDenoiser
+
+    model = ConditionalDenoiser(2, 1, hidden_dims=(64, 64), time_embed_dim=16, seed=0)
+    rng = np.random.default_rng(100)
+    for _, p in model.parameters():
+        p[...] = rng.normal(scale=0.2, size=p.shape)
+    model.fitted = True
+    sched = make_cosine_schedule(20)
+    cfg = SampleConfig(seed=7, guidance_scale=2.0)
+    for n in (1, 64, 2048):
+        out = sample_batch(model, np.array([1.0]), sched, cfg, n)
+        print(n, hashlib.sha256(out.tobytes()).hexdigest())
+    gallery = rng.uniform(0.5, 1.5, size=(2048, 1))
+    out = sample_batch(model, gallery, sched, cfg, 2048)
+    print("gallery", hashlib.sha256(out.tobytes()).hexdigest())
+""")
+
+
+def test_sampling_bitwise_equal_across_blas_thread_counts():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", _THREAD_SAMPLER], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        digests.append(proc.stdout)
+    assert digests[0].count("\n") == 4
+    assert digests[0] == digests[1]
 
 
 class TestTrainDriver:

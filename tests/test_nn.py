@@ -117,6 +117,19 @@ class TestSilu:
         assert sigmoid(800.0) == 1.0
         assert sigmoid(-800.0) == 0.0
 
+    def test_sigmoid_matches_logistic_reference(self):
+        # The tanh form against the branchwise exp form of 1 / (1 + e^-x).
+        x = np.linspace(-40.0, 40.0, 4001)
+        z = np.exp(-np.abs(x))
+        reference = np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+        np.testing.assert_allclose(sigmoid(x), reference, rtol=0, atol=4e-16)
+
+    def test_sigmoid_leaves_input_untouched(self):
+        x = np.array([-1.0, 0.0, 2.0])
+        silu(x)
+        silu_grad(x)
+        np.testing.assert_array_equal(x, [-1.0, 0.0, 2.0])
+
 
 class TestLinearLayer:
     def test_forward_affine(self):
@@ -295,6 +308,75 @@ class TestDenoiserBackward:
                 - np.sum(model.forward(xm, y, 6) * upstream)
             ) / (2 * h)
             assert dx[j] == pytest.approx(numeric, rel=1e-5, abs=1e-8)
+
+
+class TestSharedCondition:
+    """A single y/a vector with a scalar t is computed on one row and
+    broadcast; it must agree with the same condition tiled to every row."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(40)
+        self.model = small_model(seed=6)
+        randomize_params(self.model, 41)
+        self.x = rng.normal(size=(7, 3))
+        self.y = rng.normal(size=2)
+        self.a = rng.normal(size=2)
+        self.upstream = rng.normal(size=(7, 3))
+
+    def tiled(self, v):
+        return np.tile(v, (len(self.x), 1))
+
+    @pytest.mark.parametrize("with_attr", [False, True])
+    def test_forward_matches_tiled_rows(self, with_attr):
+        a = self.a if with_attr else None
+        a_rows = self.tiled(self.a) if with_attr else None
+        shared = self.model.forward(self.x, self.y, 5, a=a)
+        rows = self.model.forward(self.x, self.tiled(self.y), np.full(7, 5), a=a_rows)
+        np.testing.assert_allclose(shared, rows, rtol=1e-12)
+
+    @pytest.mark.parametrize("with_attr", [False, True])
+    def test_gradients_match_tiled_rows(self, with_attr):
+        def grads(y, t, a):
+            self.model.zero_grad()
+            self.model.forward(self.x, y, t, a=a)
+            dx = self.model.backward(self.upstream)
+            return dx, {name: g.copy() for name, g in self.model.gradients()}
+
+        a = self.a if with_attr else None
+        a_rows = self.tiled(self.a) if with_attr else None
+        dx_shared, g_shared = grads(self.y, 5, a)
+        dx_rows, g_rows = grads(self.tiled(self.y), np.full(7, 5), a_rows)
+        np.testing.assert_allclose(dx_shared, dx_rows, rtol=1e-12)
+        for name, g in g_rows.items():
+            np.testing.assert_allclose(g_shared[name], g, rtol=1e-10, atol=1e-14,
+                                       err_msg=name)
+
+    def test_gradcheck_on_shared_condition(self):
+        _, max_rel = finite_difference_grads(self.model, self.x, self.y, 5, self.a,
+                                             self.upstream)
+        assert max_rel < 1e-5
+
+    def test_mixed_per_row_and_shared_inputs(self):
+        rng = np.random.default_rng(42)
+        y_rows = rng.normal(size=(7, 2))
+        null_a = -np.ones(2)
+        np.testing.assert_allclose(
+            self.model.forward(self.x, y_rows, 5, a=null_a),
+            self.model.forward(self.x, y_rows, 5, a=self.tiled(null_a)),
+            rtol=1e-12,
+        )
+        t_rows = rng.integers(1, 10, size=7)
+        np.testing.assert_allclose(
+            self.model.forward(self.x, self.y, t_rows, a=self.a),
+            self.model.forward(self.x, self.tiled(self.y), t_rows, a=self.tiled(self.a)),
+            rtol=1e-12,
+        )
+
+    def test_shared_input_of_wrong_length_rejected(self):
+        with pytest.raises(ShapeError):
+            self.model.forward(self.x, np.ones(3), 5)
+        with pytest.raises(ShapeError):
+            self.model.forward(self.x, self.y, 5, a=np.ones(3))
 
 
 class TestAdam:
