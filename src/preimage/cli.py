@@ -12,7 +12,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -65,7 +65,6 @@ class RunConfig:
     time_embed_dim: int = 64
     train: TrainConfig | None = None
     output_dir: str = "."
-    raw: dict = field(default_factory=dict)
 
 
 def _take(d: dict, section: str, allowed: set) -> dict:
@@ -123,7 +122,7 @@ def load_run_config(path: str) -> RunConfig:
         train_cfg.validate()
 
     cfg = RunConfig(dataset, embedder_info, hidden_dims, time_embed_dim,
-                    train_cfg, raw.get("output_dir", "."), raw)
+                    train_cfg, raw.get("output_dir", "."))
 
     # Every dimension inconsistency is rejected here, before any compute.
     if embedder_info.input_dim != dataset.input_dim:
@@ -155,17 +154,14 @@ def _parse_vector(text: str, flag: str) -> np.ndarray:
         raise _UsageError(f"{flag} expects comma-separated floats, got {text!r}") from None
 
 
-def _sample_config(args, threshold_flag: str | None = None) -> SampleConfig:
-    threshold: bool | str = "auto"
-    if threshold_flag == "on":
-        threshold = True
-    elif threshold_flag == "off":
-        threshold = False
+def _sample_config(args) -> SampleConfig:
+    """The SampleConfig of a sampling subcommand's flags. Only sample has
+    --threshold; sweep has no --guidance, since each of its cells sets one."""
     return SampleConfig(
         seed=args.seed,
-        guidance_scale=args.guidance,
+        guidance_scale=getattr(args, "guidance", SampleConfig.guidance_scale),
         respace_steps=args.steps,
-        threshold=threshold,
+        threshold={"on": True, "off": False}.get(getattr(args, "threshold", "auto"), "auto"),
         variance_mode=args.variance,
     )
 
@@ -261,7 +257,7 @@ def cmd_sample(args) -> int:
         if a is not None:
             print("attribute-conditioned model: sampling with the "
                   "no-preference token (pass --attr to condition)")
-    cfg = _sample_config(args, args.threshold)
+    cfg = _sample_config(args)
     xs = sample_batch(model, y, ckpt.schedule, cfg, args.n, a=a)
     dists = _identity_distances(embedder, xs, y)
     out = _resolve_out(args.out, ".")
@@ -285,14 +281,13 @@ def cmd_interpolate(args) -> int:
         )
     blend = slerp if args.mode == "slerp" else lerp
     taus = np.linspace(0.0, 1.0, args.grid)
+    base = _sample_config(args)
     header = ["tau"] + [f"x_{j}" for j in range(model.data_dim)] + ["identity_distance"]
     rows = []
     for idx, tau in enumerate(taus):
         y_tau = blend(y1, y2, float(tau))
         seed = int(np.random.SeedSequence((args.seed, idx)).generate_state(1)[0])
-        cfg = SampleConfig(seed=seed, guidance_scale=args.guidance,
-                           respace_steps=args.steps, variance_mode=args.variance)
-        xs = sample_batch(model, y_tau, ckpt.schedule, cfg, args.n_per,
+        xs = sample_batch(model, y_tau, ckpt.schedule, replace(base, seed=seed), args.n_per,
                           a=_default_attr(model))
         dists = _identity_distances(embedder, xs, y_tau)
         for x_row, dist in zip(xs, dists):
@@ -375,8 +370,7 @@ def cmd_sweep(args) -> int:
             raise ConfigurationError(
                 f"each target must have {model.id_dim} entries, got {len(t)}"
             )
-    base = SampleConfig(seed=args.seed, respace_steps=args.steps,
-                        variance_mode=args.variance)
+    base = _sample_config(args)
     attr = _default_attr(model)
     attrs = None if attr is None else np.tile(attr, (len(targets), 1))
     rows = guidance_sweep(model, ckpt.schedule, embedder, np.stack(targets),
@@ -442,9 +436,7 @@ def cmd_oracle_compare(args) -> int:
             f"--target-y has {len(y)} entries but the model expects {model.id_dim}"
         )
 
-    sample_cfg = SampleConfig(seed=args.seed, guidance_scale=args.guidance,
-                              respace_steps=args.steps, variance_mode=args.variance)
-    xs = sample_batch(model, y, ckpt.schedule, sample_cfg, args.n,
+    xs = sample_batch(model, y, ckpt.schedule, _sample_config(args), args.n,
                       a=_default_attr(model))
 
     def draw(rng, count):

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import (
     ConfigurationError,
+    DivergenceError,
     NumericalDomainError,
     SamplingError,
     ShapeError,
@@ -340,7 +341,7 @@ class TrainResult:
     def ema_model(self) -> ConditionalDenoiser:
         """The model with EMA weights substituted; used for sampling."""
         shadow = self.model.clone()
-        self.ema.copy_to([p for _, p in shadow.parameters()])
+        shadow.set_params_flat(self.ema.shadow)
         return shadow
 
 
@@ -350,7 +351,9 @@ def train(x0s, ys, config: TrainConfig, attrs=None, hidden_dims=(128, 128, 128),
     """Fit a ConditionalDenoiser to (x, y[, a]) pairs.
 
     Batches are drawn with replacement from the dataset; the whole run is a
-    deterministic function of the inputs and config.seed.
+    deterministic function of the inputs and config.seed. Non-finite inputs
+    raise NumericalDomainError up front; a loss that goes non-finite raises
+    DivergenceError naming the batch, before the update it would poison.
     """
     config.validate()
     x0s = np.asarray(x0s, dtype=np.float64)
@@ -361,6 +364,9 @@ def train(x0s, ys, config: TrainConfig, attrs=None, hidden_dims=(128, 128, 128),
         attrs = np.asarray(attrs, dtype=np.float64)
         if attrs.ndim != 2 or len(attrs) != len(x0s):
             raise ShapeError("attrs must be 2-D with one row per sample")
+    for name, arr in (("x0s", x0s), ("ys", ys), ("attrs", attrs)):
+        if arr is not None and not np.isfinite(arr).all():
+            raise NumericalDomainError(f"{name} holds non-finite values")
 
     schedule = make_schedule(config.schedule, config.timesteps)
     model = ConditionalDenoiser(
@@ -371,10 +377,8 @@ def train(x0s, ys, config: TrainConfig, attrs=None, hidden_dims=(128, 128, 128),
         attr_dim=None if attrs is None else attrs.shape[1],
         seed=config.seed if model_seed is None else model_seed,
     )
-    params = [p for _, p in model.parameters()]
-    grads = [g for _, g in model.gradients()]
-    opt = Adam(params, lr=config.learning_rate)
-    ema = EmaParams(params, rate=config.ema_rate)
+    opt = Adam(model.params, lr=config.learning_rate)
+    ema = EmaParams(model.params, rate=config.ema_rate)
 
     rng = np.random.default_rng(config.seed)
     result = TrainResult(model, ema, schedule, config)
@@ -385,8 +389,13 @@ def train(x0s, ys, config: TrainConfig, attrs=None, hidden_dims=(128, 128, 128),
             a_batch=None if attrs is None else attrs[idx],
             dropout_prob=config.cond_dropout,
         )
-        opt.step(params, grads)
-        ema.update(params)
+        if not math.isfinite(loss):
+            raise DivergenceError(
+                f"training loss went non-finite at batch {step + 1}/{config.total_batches}",
+                result.loss_history + [loss],
+            )
+        opt.step(model.params, model.grads)
+        ema.update(model.params)
         result.loss_history.append(loss)
         if log_every and (step + 1) % log_every == 0:
             recent = np.mean(result.loss_history[-log_every:])

@@ -39,7 +39,7 @@ class AcceptanceStarvationError(PreimageError, RuntimeError):
 
 
 class DivergenceError(PreimageError, RuntimeError):
-    """Gradient-descent inversion diverged; carries the loss trace."""
+    """Training or gradient-descent inversion diverged; carries the loss trace."""
 
     def __init__(self, message: str, loss_trace):
         super().__init__(message)

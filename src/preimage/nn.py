@@ -119,9 +119,25 @@ class LinearLayer:
         self._input = None
         return grad_in
 
-    def zero_grad(self) -> None:
-        self.weight_grad[...] = 0.0
-        self.bias_grad[...] = 0.0
+
+def _layer_dims(topo: dict) -> list:
+    """(name, in_dim, out_dim) of every layer of a denoiser topology, in the
+    order the layers draw their initial weights and lie in the flat store."""
+    hidden, emb = tuple(topo["hidden_dims"]), topo["time_embed_dim"]
+    dims = [("input_proj", topo["data_dim"], hidden[0])]
+    dims += [(f"hidden_{i}", a, b) for i, (a, b) in enumerate(zip(hidden, hidden[1:]))]
+    dims.append(("id_proj", topo["id_dim"], emb))
+    if topo["attr_dim"]:
+        dims.append(("attr_proj", topo["attr_dim"], emb))
+    dims += [(f"inject_{i}", emb, h) for i, h in enumerate(hidden)]
+    dims.append(("output", hidden[-1], topo["data_dim"]))
+    return dims
+
+
+def param_count(topo: dict) -> int:
+    """Length of the flat parameter vector of a denoiser topology; allocates
+    nothing, so it can vet an untrusted topology."""
+    return sum(out_dim * (in_dim + 1) for _, in_dim, out_dim in _layer_dims(topo))
 
 
 class ConditionalDenoiser:
@@ -132,6 +148,9 @@ class ConditionalDenoiser:
     attribute vector a). It is injected additively into every hidden
     pre-activation through a per-layer learned projection. The output layer is
     zero-initialized so the untrained model predicts zero noise.
+
+    params and grads are the flat store, laid out layer by layer as weight
+    then bias; every layer's weight, bias and their grads are views of them.
     """
 
     def __init__(
@@ -161,64 +180,57 @@ class ConditionalDenoiser:
         self.fitted = False
 
         rng = np.random.default_rng(seed)
-        self.input_proj = LinearLayer(data_dim, hidden_dims[0], rng)
-        self.hidden = [
-            LinearLayer(hidden_dims[i - 1], hidden_dims[i], rng)
-            for i in range(1, len(hidden_dims))
-        ]
-        self.id_proj = LinearLayer(id_dim, time_embed_dim, rng)
-        self.attr_proj = LinearLayer(attr_dim, time_embed_dim, rng) if attr_dim else None
-        self.inject = [LinearLayer(time_embed_dim, h, rng) for h in hidden_dims]
-        self.output = LinearLayer(hidden_dims[-1], data_dim, zero_init=True)
+        self._layers = [(name, LinearLayer(i, o, rng, zero_init=name == "output"))
+                        for name, i, o in _layer_dims(self.topology())]
+        by_name = dict(self._layers)
+        self.input_proj = by_name["input_proj"]
+        self.hidden = [by_name[f"hidden_{i}"] for i in range(len(hidden_dims) - 1)]
+        self.id_proj = by_name["id_proj"]
+        self.attr_proj = by_name.get("attr_proj")
+        self.inject = [by_name[f"inject_{i}"] for i in range(len(hidden_dims))]
+        self.output = by_name["output"]
+
+        # Rebind every layer array as a view of one params and one grads vector.
+        slots = [(layer, attr) for _, layer in self._layers for attr in ("weight", "bias")]
+        self.params = np.concatenate([getattr(layer, attr).ravel() for layer, attr in slots])
+        self.grads = np.zeros_like(self.params)
+        offset = 0
+        for layer, attr in slots:
+            shape = getattr(layer, attr).shape
+            end = offset + math.prod(shape)
+            setattr(layer, attr, self.params[offset:end].reshape(shape))
+            setattr(layer, f"{attr}_grad", self.grads[offset:end].reshape(shape))
+            offset = end
 
         self._cache = None
 
     # -- parameter bookkeeping -------------------------------------------
 
-    def _named_layers(self):
-        layers = [("input_proj", self.input_proj)]
-        layers += [(f"hidden_{i}", l) for i, l in enumerate(self.hidden)]
-        layers += [("id_proj", self.id_proj)]
-        if self.attr_proj is not None:
-            layers.append(("attr_proj", self.attr_proj))
-        layers += [(f"inject_{i}", l) for i, l in enumerate(self.inject)]
-        layers.append(("output", self.output))
-        return layers
-
     def parameters(self):
-        """Ordered (name, array) pairs; arrays are the live parameters."""
-        out = []
-        for name, layer in self._named_layers():
-            out.append((f"{name}.weight", layer.weight))
-            out.append((f"{name}.bias", layer.bias))
-        return out
+        """Ordered (name, array) pairs; arrays are views of params."""
+        return [(f"{name}.{attr}", getattr(layer, attr))
+                for name, layer in self._layers for attr in ("weight", "bias")]
 
     def gradients(self):
-        """Ordered (name, array) pairs mirroring parameters()."""
-        out = []
-        for name, layer in self._named_layers():
-            out.append((f"{name}.weight", layer.weight_grad))
-            out.append((f"{name}.bias", layer.bias_grad))
-        return out
+        """Ordered (name, array) pairs mirroring parameters(); views of grads."""
+        return [(f"{name}.{attr}", getattr(layer, f"{attr}_grad"))
+                for name, layer in self._layers for attr in ("weight", "bias")]
 
     def zero_grad(self) -> None:
-        for _, layer in self._named_layers():
-            layer.zero_grad()
+        self.grads.fill(0.0)
 
     def n_params(self) -> int:
-        return sum(a.size for _, a in self.parameters())
+        return self.params.size
 
     def params_flat(self) -> np.ndarray:
-        return np.concatenate([a.ravel() for _, a in self.parameters()])
+        """A copy of the parameter vector."""
+        return self.params.copy()
 
     def set_params_flat(self, flat: np.ndarray) -> None:
         flat = np.asarray(flat, dtype=np.float64)
-        if flat.shape != (self.n_params(),):
+        if flat.shape != self.params.shape:
             raise ShapeError(f"expected flat vector of length {self.n_params()}, got {flat.shape}")
-        offset = 0
-        for _, arr in self.parameters():
-            arr[...] = flat[offset : offset + arr.size].reshape(arr.shape)
-            offset += arr.size
+        self.params[...] = flat
 
     def topology(self) -> dict:
         return {
@@ -231,18 +243,11 @@ class ConditionalDenoiser:
 
     @classmethod
     def from_topology(cls, topo: dict, seed: int = 0) -> "ConditionalDenoiser":
-        return cls(
-            data_dim=topo["data_dim"],
-            id_dim=topo["id_dim"],
-            hidden_dims=topo["hidden_dims"],
-            time_embed_dim=topo["time_embed_dim"],
-            attr_dim=topo["attr_dim"],
-            seed=seed,
-        )
+        return cls(**topo, seed=seed)
 
     def clone(self) -> "ConditionalDenoiser":
         other = ConditionalDenoiser.from_topology(self.topology(), seed=self.seed)
-        other.set_params_flat(self.params_flat())
+        other.params[...] = self.params
         other.fitted = self.fitted
         return other
 
@@ -344,7 +349,8 @@ class ConditionalDenoiser:
 
 
 class Adam:
-    """Adam optimizer with bias correction; state mirrors parameter shapes."""
+    """Adam with bias correction over one flat parameter vector. step runs in
+    place through two scratch buffers, in the textbook per-entry order."""
 
     def __init__(self, params, lr: float = 1e-4, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
@@ -357,43 +363,57 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self.m = np.zeros(np.shape(params))
+        self.v = np.zeros_like(self.m)
+        self._a = np.empty_like(self.m)
+        self._b = np.empty_like(self.m)
 
     def step(self, params, grads) -> None:
         """Update params in place from grads, then zero the grads."""
-        if len(params) != len(self.m) or len(grads) != len(self.m):
-            raise ShapeError("parameter/gradient lists do not match optimizer state")
+        if params.shape != self.m.shape or grads.shape != self.m.shape:
+            raise ShapeError("parameter/gradient vectors do not match optimizer state")
         self.step_count += 1
         bc1 = 1.0 - self.beta1 ** self.step_count
         bc2 = 1.0 - self.beta2 ** self.step_count
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            m[...] = self.beta1 * m + (1.0 - self.beta1) * g
-            v[...] = self.beta2 * v + (1.0 - self.beta2) * g * g
-            p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            g[...] = 0.0
+        m, v, a, b = self.m, self.v, self._a, self._b
+        # m = beta1 * m + (1 - beta1) * g
+        m *= self.beta1
+        np.multiply(grads, 1.0 - self.beta1, out=a)
+        m += a
+        # v = beta2 * v + ((1 - beta2) * g) * g
+        v *= self.beta2
+        np.multiply(grads, 1.0 - self.beta2, out=a)
+        a *= grads
+        v += a
+        # p -= (lr * (m / bc1)) / (sqrt(v / bc2) + eps)
+        np.divide(m, bc1, out=a)
+        a *= self.lr
+        np.divide(v, bc2, out=b)
+        np.sqrt(b, out=b)
+        b += self.eps
+        a /= b
+        params -= a
+        grads.fill(0.0)
 
 
 class EmaParams:
-    """Exponential moving average shadow of a parameter list."""
+    """Exponential moving average shadow of a flat parameter vector."""
 
     def __init__(self, params, rate: float = 0.9999):
         if not (0.0 <= rate <= 1.0):
             raise ConfigurationError(f"ema rate must lie in [0, 1], got {rate}")
         self.rate = rate
-        self.shadow = [np.array(p, dtype=np.float64, copy=True) for p in params]
+        self.shadow = np.array(params, dtype=np.float64, copy=True)
+        self._scratch = np.empty_like(self.shadow)
 
     def update(self, params) -> None:
-        if len(params) != len(self.shadow):
-            raise ShapeError("parameter list does not match shadow state")
-        for s, p in zip(self.shadow, params):
-            s[...] = self.rate * s + (1.0 - self.rate) * p
-
-    def copy_to(self, params) -> None:
-        if len(params) != len(self.shadow):
-            raise ShapeError("parameter list does not match shadow state")
-        for p, s in zip(params, self.shadow):
-            p[...] = s
+        """shadow = rate * shadow + (1 - rate) * params, in place."""
+        if np.shape(params) != self.shadow.shape:
+            raise ShapeError("parameter vector does not match shadow state")
+        self.shadow *= self.rate
+        np.multiply(params, 1.0 - self.rate, out=self._scratch)
+        self.shadow += self._scratch
 
     def flat(self) -> np.ndarray:
-        return np.concatenate([s.ravel() for s in self.shadow])
+        """A copy of the shadow vector."""
+        return self.shadow.copy()

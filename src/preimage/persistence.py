@@ -18,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import NoiseSchedule, TrainConfig, schedule_from_betas
+from .diffusion import NoiseSchedule, TrainConfig, TrainResult, schedule_from_betas
 from .embedders import EmbedderInfo
 from .errors import CheckpointFormatError, ConfigurationError, PreimageError, ShapeError
-from .nn import ConditionalDenoiser, EmaParams
+from .nn import ConditionalDenoiser, EmaParams, param_count
 
 MAGIC = b"IDPM"
 VERSION = 1
@@ -50,8 +50,10 @@ def _atomic_write_bytes(path: str, data: bytes) -> None:
 
 @dataclass
 class Checkpoint:
-    """Everything needed to resume or sample: the live model, its EMA shadow,
-    the training schedule, the embedder descriptor, and the training config."""
+    """The live model, its EMA shadow, the training schedule, the embedder
+    descriptor, and the training config: all that sampling needs. Resuming
+    training bit for bit would also need the Adam moments, the step count and
+    the training RNG state, which are not saved."""
 
     model: ConditionalDenoiser
     ema: EmaParams
@@ -64,10 +66,15 @@ class Checkpoint:
         return cls(result.model, result.ema, result.schedule, embedder_info,
                    result.config)
 
-    def ema_model(self) -> ConditionalDenoiser:
-        shadow = self.model.clone()
-        self.ema.copy_to([p for _, p in shadow.parameters()])
-        return shadow
+    # Same model and ema fields as a TrainResult, so the same definition.
+    ema_model = TrainResult.ema_model
+
+
+def _check_finite(params, ema_flat) -> None:
+    """Neither save nor load passes a model with a NaN or inf weight."""
+    for field, vec in (("parameters", params), ("ema parameters", ema_flat)):
+        if not np.isfinite(vec).all():
+            raise CheckpointFormatError(f"{field} are not finite")
 
 
 def _encode(ckpt: Checkpoint) -> bytes:
@@ -79,10 +86,11 @@ def _encode(ckpt: Checkpoint) -> bytes:
         raise ConfigurationError(
             f"schedule has {ckpt.schedule.n_steps} steps but config says {cfg.timesteps}"
         )
-    params = model.params_flat()
-    ema_flat = ckpt.ema.flat()
+    params = model.params
+    ema_flat = ckpt.ema.shadow
     if ema_flat.shape != params.shape:
         raise ShapeError("EMA payload does not match the model's parameter count")
+    _check_finite(params, ema_flat)
 
     buf = bytearray()
     buf += MAGIC
@@ -189,15 +197,9 @@ def load_checkpoint(path: str) -> Checkpoint:
     batch_size = r.u64("batch_size", _MAX_DIM)
     train_seed = r.u64("train_seed", (1 << 64) - 1)
 
-    model = ConditionalDenoiser(
-        data_dim=data_dim,
-        id_dim=id_dim,
-        hidden_dims=hidden_dims,
-        time_embed_dim=time_embed_dim,
-        attr_dim=None if attr_dim == 0 else attr_dim,
-        seed=0,
-    )
-    n_params = model.n_params()
+    topo = {"data_dim": data_dim, "id_dim": id_dim, "attr_dim": attr_dim or None,
+            "time_embed_dim": time_embed_dim, "hidden_dims": hidden_dims}
+    n_params = param_count(topo)
     expected = 8 * (3 + n_steps + 2 * n_params)
     remaining = len(data) - r.off
     if remaining != expected:
@@ -209,6 +211,7 @@ def load_checkpoint(path: str) -> Checkpoint:
     betas = r.f64s(n_steps, "betas")
     params = r.f64s(n_params, "parameters")
     ema_flat = r.f64s(n_params, "ema parameters")
+    _check_finite(params, ema_flat)
 
     try:
         schedule = schedule_from_betas(betas)
@@ -217,14 +220,10 @@ def load_checkpoint(path: str) -> Checkpoint:
     if not (0.0 <= ema_rate <= 1.0):
         raise CheckpointFormatError(f"ema_rate {ema_rate} is out of range")
 
+    model = ConditionalDenoiser.from_topology(topo)
     model.set_params_flat(params)
     model.fitted = True
-    live = [p for _, p in model.parameters()]
-    ema = EmaParams(live, rate=ema_rate)
-    offset = 0
-    for shadow in ema.shadow:
-        shadow[...] = ema_flat[offset : offset + shadow.size].reshape(shadow.shape)
-        offset += shadow.size
+    ema = EmaParams(ema_flat, rate=ema_rate)
 
     train_config = TrainConfig(
         seed=train_seed,

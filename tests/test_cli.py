@@ -170,6 +170,16 @@ class TestSample:
         assert main(["sample", "--checkpoint", str(tmp_path / "nope.ckpt"),
                      "--target-y", "1.0", "--seed", "1"]) == 2
 
+    def test_header_bomb_checkpoint_is_runtime_error(self, workspace, tmp_path, capsys):
+        # The two hidden dims (bytes 48-64 of the header) set to 2^20 would ask
+        # for terabytes if the model were built before the payload was checked.
+        data = open(workspace["checkpoint"], "rb").read()
+        path = tmp_path / "bomb.ckpt"
+        path.write_bytes(data[:48] + (1 << 20).to_bytes(8, "little") * 2 + data[64:])
+        assert main(["sample", "--checkpoint", str(path),
+                     "--target-y", "1.0", "--seed", "1"]) == 2
+        assert "payload length" in capsys.readouterr().err
+
     def test_attr_model_defaults_to_no_preference_token(self, workspace, tmp_path,
                                                         monkeypatch, capsys):
         monkeypatch.setenv("PREIMAGE_OUT", str(tmp_path))

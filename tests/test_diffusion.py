@@ -33,6 +33,7 @@ from preimage.diffusion import (
 )
 from preimage.errors import (
     ConfigurationError,
+    DivergenceError,
     NumericalDomainError,
     SamplingError,
     ShapeError,
@@ -605,6 +606,32 @@ class TestTrainDriver:
         result = train(x, y, cfg, hidden_dims=(8,), time_embed_dim=8)
         assert not np.array_equal(result.ema_model().params_flat(),
                                   result.model.params_flat())
+
+    @pytest.mark.parametrize("field", ["x0s", "ys", "attrs"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_inputs_rejected_up_front(self, field, bad):
+        rng = np.random.default_rng(6)
+        data = {"x0s": rng.normal(size=(32, 2)), "ys": rng.normal(size=(32, 1)),
+                "attrs": rng.normal(size=(32, 1))}
+        data[field][7, 0] = bad
+        cfg = TrainConfig(seed=0, timesteps=10, total_batches=5, batch_size=8)
+        with pytest.raises(NumericalDomainError, match=field):
+            train(data["x0s"], data["ys"], cfg, attrs=data["attrs"],
+                  hidden_dims=(8,), time_embed_dim=8)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_loss_names_the_batch(self):
+        # A learning rate of 1e200 throws the weights to ~1e200 in one step,
+        # so the second batch's forward pass overflows.
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=(64, 2))
+        y = x[:, :1].copy()
+        cfg = TrainConfig(seed=1, timesteps=10, total_batches=20, batch_size=8,
+                          learning_rate=1e200)
+        with pytest.raises(DivergenceError, match="batch 2/20") as exc:
+            train(x, y, cfg, hidden_dims=(8, 8), time_embed_dim=8)
+        trace = exc.value.loss_trace
+        assert len(trace) == 2 and math.isfinite(trace[0]) and not math.isfinite(trace[1])
 
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):

@@ -5,17 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from preimage.diffusion import TrainResult
 from preimage.errors import ConfigurationError, ShapeError, StateError
 from preimage.nn import (
     Adam,
     ConditionalDenoiser,
     EmaParams,
     LinearLayer,
+    param_count,
     sigmoid,
     silu,
     silu_grad,
     sinusoidal_embed,
 )
+from preimage.persistence import Checkpoint
 
 
 def finite_difference_grads(model, x, y, t, a, upstream, h=1e-6):
@@ -379,64 +382,145 @@ class TestSharedCondition:
             self.model.forward(self.x, self.y, 5, a=np.ones(3))
 
 
+class TestFlatStore:
+    def test_layer_arrays_view_the_store(self):
+        model = small_model(seed=1)
+        for (_, p), (_, g) in zip(model.parameters(), model.gradients()):
+            assert np.shares_memory(p, model.params)
+            assert np.shares_memory(g, model.grads)
+        np.testing.assert_array_equal(
+            np.concatenate([p.ravel() for _, p in model.parameters()]), model.params)
+        assert model.params.size == model.n_params() == param_count(model.topology())
+
+    def test_writes_show_through_both_sides(self):
+        model = small_model(seed=2)
+        model.id_proj.bias[...] = 7.0
+        assert np.count_nonzero(model.params == 7.0) == model.id_proj.bias.size
+        model.params[:] = 0.0
+        assert not model.input_proj.weight.any()
+
+    def test_zero_grad_clears_every_gradient(self):
+        model = small_model(seed=3)
+        randomize_params(model, 3)
+        rng = np.random.default_rng(3)
+        model.forward(rng.normal(size=(4, 3)), rng.normal(size=(4, 2)),
+                      np.array([1, 2, 3, 4]), a=rng.normal(size=(4, 2)))
+        model.backward(rng.normal(size=(4, 3)))
+        assert all(g.any() for _, g in model.gradients())
+        model.zero_grad()
+        assert not model.grads.any()
+        assert not any(g.any() for _, g in model.gradients())
+
+    def test_clone_is_independent_of_its_source(self):
+        model = small_model(seed=4)
+        randomize_params(model, 4)
+        model.fitted = True
+        other = model.clone()
+        np.testing.assert_array_equal(other.params, model.params)
+        assert other.fitted
+        assert not np.shares_memory(other.params, model.params)
+        before = model.params.copy()
+        other.params += 1.0
+        other.grads += 1.0
+        np.testing.assert_array_equal(model.params, before)
+        assert not model.grads.any()
+        assert np.shares_memory(other.output.weight, other.params)
+
+    def test_params_flat_is_a_copy(self):
+        model = small_model(seed=5)
+        flat = model.params_flat()
+        flat += 1.0
+        assert not np.array_equal(flat, model.params)
+
+    def test_set_params_flat_rejects_wrong_length(self):
+        model = small_model()
+        with pytest.raises(ShapeError):
+            model.set_params_flat(np.zeros(model.n_params() + 1))
+
+
 class TestAdam:
     def test_single_step_matches_closed_form(self):
         # Bias-corrected first step moves by lr / (1 + eps), just under lr.
         p = np.array([0.0])
         g = np.array([1.0])
-        opt = Adam([p], lr=0.1)
-        opt.step([p], [g])
+        opt = Adam(p, lr=0.1)
+        opt.step(p, g)
         assert p[0] == pytest.approx(-0.1, abs=1e-8)
         assert p[0] > -0.1
 
     def test_zero_grad_no_movement(self):
         p = np.array([1.5, -2.0])
-        opt = Adam([p], lr=0.1)
-        opt.step([p], [np.zeros(2)])
+        opt = Adam(p, lr=0.1)
+        opt.step(p, np.zeros(2))
         np.testing.assert_array_equal(p, [1.5, -2.0])
 
     def test_grads_zeroed_after_step(self):
         p = np.array([0.0])
         g = np.array([1.0])
-        Adam([p], lr=0.1).step([p], [g])
+        Adam(p, lr=0.1).step(p, g)
         assert g[0] == 0.0
 
-    def test_state_shapes_mirror_params(self):
-        p1, p2 = np.zeros((3, 4)), np.zeros(5)
-        opt = Adam([p1, p2])
-        assert opt.m[0].shape == (3, 4) and opt.v[1].shape == (5,)
+    def test_state_has_the_vector_shape(self):
+        p = np.zeros(7)
+        opt = Adam(p)
+        assert opt.m.shape == (7,) and opt.v.shape == (7,)
+        assert not opt.m.any() and not opt.v.any()
+
+    def test_mismatched_vectors_rejected(self):
+        opt = Adam(np.zeros(3))
+        with pytest.raises(ShapeError):
+            opt.step(np.zeros(4), np.zeros(4))
+        with pytest.raises(ShapeError):
+            opt.step(np.zeros(3), np.zeros(2))
 
     def test_constant_grad_keeps_direction(self):
         p = np.array([0.0])
-        opt = Adam([p], lr=0.01)
+        opt = Adam(p, lr=0.01)
         prev = 0.0
         for _ in range(5):
-            opt.step([p], [np.array([1.0])])
+            opt.step(p, np.array([1.0]))
             assert p[0] < prev
             prev = p[0]
 
+    def test_bitwise_equal_to_textbook_expressions(self):
+        rng = np.random.default_rng(0)
+        lr, b1, b2, eps = 3e-3, 0.9, 0.999, 1e-8
+        p = rng.normal(size=1000)
+        opt = Adam(p, lr=lr, beta1=b1, beta2=b2, eps=eps)
+        ref_p, m, v = p.copy(), np.zeros(1000), np.zeros(1000)
+        for k in range(1, 26):
+            g = rng.normal(scale=10.0 ** rng.integers(-6, 3), size=1000)
+            m = b1 * m + (1.0 - b1) * g
+            v = b2 * v + (1.0 - b2) * g * g
+            ref_p = ref_p - lr * (m / (1.0 - b1 ** k)) / (np.sqrt(v / (1.0 - b2 ** k)) + eps)
+            opt.step(p, g)
+            assert not g.any()
+            np.testing.assert_array_equal(opt.m, m)
+            np.testing.assert_array_equal(opt.v, v)
+            np.testing.assert_array_equal(p, ref_p)
+
     def test_bad_lr_rejected(self):
         with pytest.raises(ConfigurationError):
-            Adam([np.zeros(1)], lr=0.0)
+            Adam(np.zeros(1), lr=0.0)
 
 
 class TestEma:
     def test_rate_zero_tracks_exactly(self):
         p = np.array([3.0, -1.0])
-        ema = EmaParams([np.zeros(2)], rate=0.0)
-        ema.update([p])
-        np.testing.assert_array_equal(ema.shadow[0], p)
+        ema = EmaParams(np.zeros(2), rate=0.0)
+        ema.update(p)
+        np.testing.assert_array_equal(ema.shadow, p)
 
     def test_rate_one_frozen(self):
         start = np.array([2.0])
-        ema = EmaParams([start], rate=1.0)
-        ema.update([np.array([100.0])])
-        np.testing.assert_array_equal(ema.shadow[0], [2.0])
+        ema = EmaParams(start, rate=1.0)
+        ema.update(np.array([100.0]))
+        np.testing.assert_array_equal(ema.shadow, [2.0])
 
     def test_midpoint(self):
-        ema = EmaParams([np.array([0.0])], rate=0.5)
-        ema.update([np.array([2.0])])
-        assert ema.shadow[0][0] == 1.0
+        ema = EmaParams(np.array([0.0]), rate=0.5)
+        ema.update(np.array([2.0]))
+        assert ema.shadow[0] == 1.0
 
     @given(st.floats(0.0, 1.0), st.integers(1, 40))
     @settings(max_examples=40, deadline=None)
@@ -444,18 +528,51 @@ class TestEma:
         # n updates toward a constant p from shadow s0 give
         # rate^n * s0 + (1 - rate^n) * p.
         s0, p = 4.0, -2.0
-        ema = EmaParams([np.array([s0])], rate=rate)
+        ema = EmaParams(np.array([s0]), rate=rate)
         for _ in range(n):
-            ema.update([np.array([p])])
+            ema.update(np.array([p]))
         expected = rate**n * s0 + (1 - rate**n) * p
-        assert ema.shadow[0][0] == pytest.approx(expected, abs=1e-10)
+        assert ema.shadow[0] == pytest.approx(expected, abs=1e-10)
 
-    def test_copy_to(self):
-        target = np.zeros(2)
-        ema = EmaParams([np.array([5.0, 6.0])], rate=0.9)
-        ema.copy_to([target])
-        np.testing.assert_array_equal(target, [5.0, 6.0])
+    def test_shadow_is_a_copy(self):
+        p = np.array([1.0, 2.0])
+        ema = EmaParams(p, rate=0.5)
+        p += 10.0
+        np.testing.assert_array_equal(ema.shadow, [1.0, 2.0])
+        flat = ema.flat()
+        flat += 1.0
+        np.testing.assert_array_equal(ema.shadow, [1.0, 2.0])
+
+    def test_update_bitwise_equal_to_textbook_expression(self):
+        rng = np.random.default_rng(1)
+        rate = 0.999
+        ema = EmaParams(rng.normal(size=1000), rate=rate)
+        ref = ema.shadow.copy()
+        for _ in range(25):
+            p = rng.normal(scale=10.0 ** rng.integers(-6, 3), size=1000)
+            ref = rate * ref + (1.0 - rate) * p
+            ema.update(p)
+            np.testing.assert_array_equal(ema.shadow, ref)
+
+    def test_wrong_shape_rejected(self):
+        ema = EmaParams(np.zeros(3))
+        with pytest.raises(ShapeError):
+            ema.update(np.zeros(4))
+
+    def test_ema_model_carries_the_shadow(self):
+        model = small_model(seed=6)
+        randomize_params(model, 6)
+        model.fitted = True
+        ema = EmaParams(np.random.default_rng(6).normal(size=model.n_params()))
+        live = model.params.copy()
+        for holder in (TrainResult(model, ema, None, None),
+                       Checkpoint(model, ema, None, None, None)):
+            shadow = holder.ema_model()
+            np.testing.assert_array_equal(shadow.params, ema.shadow)
+            assert shadow.fitted and shadow.topology() == model.topology()
+            assert not np.shares_memory(shadow.params, ema.shadow)
+            np.testing.assert_array_equal(model.params, live)
 
     def test_bad_rate_rejected(self):
         with pytest.raises(ConfigurationError):
-            EmaParams([np.zeros(1)], rate=1.5)
+            EmaParams(np.zeros(1), rate=1.5)

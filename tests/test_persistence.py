@@ -1,6 +1,8 @@
 """Unit tests for checkpoint, CSV, and SVG serialization."""
 
 import os
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +10,10 @@ import pytest
 from preimage.diffusion import SampleConfig, TrainConfig, sample_batch, train
 from preimage.embedders import EmbedderInfo, RadiusEmbedder
 from preimage.errors import CheckpointFormatError, ShapeError
+from preimage.nn import ConditionalDenoiser, EmaParams
 from preimage.persistence import (
+    MAGIC,
+    VERSION,
     Checkpoint,
     load_checkpoint,
     read_csv,
@@ -142,6 +147,59 @@ class TestCheckpointValidation:
             fh.write(data[:8] + (2**40).to_bytes(8, "little") + data[16:])
         with pytest.raises(CheckpointFormatError, match="data_dim"):
             load_checkpoint(path)
+
+
+def crafted_header(hidden_dims, payload_floats=0) -> bytes:
+    """A checkpoint header for a 2-D radius model with the given hidden dims,
+    followed by payload_floats zero floats."""
+    u64s = [2, 1, 0, 64, len(hidden_dims), *hidden_dims, 100, 0]
+    name = b"radius"
+    head = MAGIC + struct.pack("<I", VERSION) + struct.pack(f"<{len(u64s)}Q", *u64s)
+    head += struct.pack("<Q", len(name)) + name + struct.pack("<6Q", 2, 1, 0, 10, 64, 0)
+    return head + bytes(8 * payload_floats)
+
+
+class TestHostileCheckpoints:
+    @pytest.mark.parametrize("hidden", [(4096, 4096, 4096), (1 << 20, 1 << 20, 1 << 20)])
+    def test_header_bomb_rejected_before_any_allocation(self, hidden, tmp_path,
+                                                         monkeypatch):
+        path = tmp_path / "bomb.ckpt"
+        path.write_bytes(crafted_header(hidden, payload_floats=8))
+
+        def constructor_ran(*args, **kwargs):
+            raise AssertionError("the model was built before the payload was checked")
+
+        monkeypatch.setattr(ConditionalDenoiser, "__init__", constructor_ran)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointFormatError, match="payload length"):
+                load_checkpoint(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("vector", ["model", "ema"])
+    def test_save_refuses_non_finite_parameters(self, trained, vector, tmp_path):
+        ckpt = Checkpoint(trained.model.clone(), EmaParams(trained.ema.shadow),
+                          trained.schedule, trained.embedder_info, trained.train_config)
+        (ckpt.model.params if vector == "model" else ckpt.ema.shadow)[3] = np.nan
+        path = tmp_path / "nan.ckpt"
+        with pytest.raises(CheckpointFormatError, match="not finite"):
+            save_checkpoint(str(path), ckpt)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("vector", ["parameters", "ema parameters"])
+    def test_load_refuses_non_finite_parameters(self, trained, vector, tmp_path):
+        path = tmp_path / "nan.ckpt"
+        save_checkpoint(str(path), trained)
+        data = bytearray(path.read_bytes())
+        # The payload ends with the live parameters, then the EMA parameters.
+        end = len(data) - (8 * trained.model.n_params() if vector == "parameters" else 0)
+        data[end - 8:end] = struct.pack("<d", np.nan)
+        path.write_bytes(bytes(data))
+        with pytest.raises(CheckpointFormatError, match=f"^{vector} are not finite"):
+            load_checkpoint(str(path))
 
 
 class TestCsv:
