@@ -20,7 +20,6 @@ from preimage import (
     percentile_split,
     project_first_k,
     slerp,
-    stack_samples,
     traverse,
 )
 
@@ -29,14 +28,14 @@ def main():
     spec = DatasetSpec(distribution="annulus", input_dim=2, n_samples=2000, seed=0)
     embedder = make_embedder(
         EmbedderInfo(name="frozen-mlp", input_dim=2, output_dim=8, seed=0))
-    samples = generate_dataset(spec, embedder)
-    xs, ys, _ = stack_samples(samples)
+    ds = generate_dataset(spec, embedder)
+    ys = ds.y
     print(f"corpus: {len(ys)} unit-norm embeddings in {ys.shape[1]}-D "
           f"(mean norm {mean_norm(ys):.3f})")
 
     print("\n-- spherical interpolation between two group means")
-    upper = np.stack([s.y for s in samples if s.metadata["upper"] == 1.0])
-    lower = np.stack([s.y for s in samples if s.metadata["upper"] == 0.0])
+    upper = ys[ds.metadata["upper"] == 1.0]
+    lower = ys[ds.metadata["upper"] == 0.0]
     m1 = upper.mean(axis=0)
     m2 = lower.mean(axis=0)
     m1 /= np.linalg.norm(m1)
@@ -58,14 +57,11 @@ def main():
         print(f"   keeping {k} axes: reconstruction error {err:.4f}")
 
     print("\n-- semantic directions from labeled splits")
-    lo, hi = percentile_split(samples, "upper")
-    d_upper = custom_direction(np.stack([s.y for s in lo]),
-                               np.stack([s.y for s in hi]),
-                               label="upper", provenance="binary-split")
-    lo, hi = percentile_split(samples, "radius")
-    d_radius = custom_direction(np.stack([s.y for s in lo]),
-                                np.stack([s.y for s in hi]),
-                                label="radius", provenance="percentile-split")
+    lo, hi = percentile_split(ds.metadata["upper"])
+    d_upper = custom_direction(ys[lo], ys[hi], label="upper", provenance="binary-split")
+    lo, hi = percentile_split(ds.metadata["radius"])
+    d_radius = custom_direction(ys[lo], ys[hi], label="radius",
+                                provenance="percentile-split")
     overlap = abs(float(d_upper.vector @ d_radius.vector))
     print(f"   'upper' and 'radius' directions overlap |cos| = {overlap:.3f} "
           "(near-independent controls)")

@@ -23,12 +23,11 @@ def main():
                        n_samples=2000, seed=0)
     embedder = make_embedder(
         EmbedderInfo(name="frozen-mlp", input_dim=4, output_dim=16, seed=0))
-    samples = generate_dataset(spec, embedder)
+    ds = generate_dataset(spec, embedder)
 
-    by_identity = {}
-    for s in samples:
-        by_identity.setdefault(int(s.metadata["identity"]), []).append(s.y)
-    print(f"corpus: {len(samples)} samples across {len(by_identity)} identities")
+    identity = ds.metadata["identity"]
+    by_identity = {int(i): ds.y[identity == i] for i in np.unique(identity)}
+    print(f"corpus: {len(ds.y)} samples across {len(by_identity)} identities")
 
     rng = np.random.default_rng(7)
     pairs = []

@@ -23,10 +23,10 @@ from .diffusion import (
     training_loss,
 )
 from .embedders import (
+    Dataset,
     DatasetSpec,
     EmbedderInfo,
     FrozenMlpEmbedder,
-    LabeledSample,
     LinearEmbedder,
     RadiusEmbedder,
     angular_distance,

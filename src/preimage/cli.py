@@ -23,7 +23,6 @@ from .embedders import (
     draw_points,
     generate_dataset,
     make_embedder,
-    stack_samples,
 )
 from .errors import ConfigurationError, PreimageError
 from .evaluation import (
@@ -182,22 +181,14 @@ def _identity_distances(embedder, xs, target_y):
 
 def cmd_dataset(args) -> int:
     cfg = load_run_config(args.config)
-    embedder = make_embedder(cfg.embedder)
-    samples = generate_dataset(cfg.dataset, embedder)
-    xs, ys, attrs = stack_samples(samples)
-    meta_keys = sorted(samples[0].metadata)
+    ds = generate_dataset(cfg.dataset, make_embedder(cfg.embedder))
+    blocks = {name: b for name, b in (("x", ds.x), ("y", ds.y), ("a", ds.a)) if b is not None}
+    meta_keys = sorted(ds.metadata)
     header = (["sample_id"]
-              + [f"x_{j}" for j in range(xs.shape[1])]
-              + [f"y_{j}" for j in range(ys.shape[1])]
-              + ([f"a_{j}" for j in range(attrs.shape[1])] if attrs is not None else [])
+              + [f"{name}_{j}" for name, block in blocks.items() for j in range(block.shape[1])]
               + meta_keys)
-    rows = []
-    for i, s in enumerate(samples):
-        row = [i, *s.x, *s.y]
-        if attrs is not None:
-            row += list(s.a)
-        row += [s.metadata[k] for k in meta_keys]
-        rows.append(row)
+    table = np.column_stack([*blocks.values(), *(ds.metadata[k] for k in meta_keys)])
+    rows = [[i, *row] for i, row in enumerate(table.tolist())]
     out = _resolve_out(args.out, cfg.output_dir)
     write_csv(out, header, rows)
     print(f"wrote {len(rows)} samples to {out}")
@@ -210,11 +201,9 @@ def cmd_train(args) -> int:
         raise ConfigurationError("config has no 'train' section")
     train_cfg = cfg.train
     if args.seed is not None:
-        train_cfg = TrainConfig(**{**train_cfg.__dict__, "seed": args.seed})
-    embedder = make_embedder(cfg.embedder)
-    samples = generate_dataset(cfg.dataset, embedder)
-    xs, ys, attrs = stack_samples(samples)
-    result = train(xs, ys, train_cfg, attrs=attrs, hidden_dims=cfg.hidden_dims,
+        train_cfg = replace(train_cfg, seed=args.seed)
+    ds = generate_dataset(cfg.dataset, make_embedder(cfg.embedder))
+    result = train(ds.x, ds.y, train_cfg, attrs=ds.a, hidden_dims=cfg.hidden_dims,
                    time_embed_dim=cfg.time_embed_dim,
                    log_every=args.log_every)
     out = _resolve_out(args.out, cfg.output_dir)
@@ -298,28 +287,25 @@ def cmd_interpolate(args) -> int:
     return 0
 
 
-def _dataset_rows_from_csv(path):
-    """Rebuild (y vectors, metadata dicts) from a dataset CSV."""
+def _dataset_columns_from_csv(path):
+    """The y matrix and the named metadata columns of a dataset CSV."""
     header, rows = read_csv(path)
     y_cols = [i for i, h in enumerate(header) if h.startswith("y_")]
-    known = {h for h in header
-             if h == "sample_id" or h.startswith(("x_", "y_", "a_"))}
-    meta_cols = [(i, h) for i, h in enumerate(header) if h not in known]
     if not y_cols:
         raise ConfigurationError(f"{path} has no y_* columns")
-    ys = np.array([[float(r[i]) for i in y_cols] for r in rows])
-    metas = [{h: float(r[i]) for i, h in meta_cols} for r in rows]
-    return ys, metas
-
-
-class _Record:
-    def __init__(self, y, metadata):
-        self.y = y
-        self.metadata = metadata
+    try:
+        table = np.array(rows, dtype=np.float64).reshape(len(rows), len(header))
+    except ValueError:
+        raise ConfigurationError(f"{path} is not a table of numbers") from None
+    known = {h for h in header
+             if h == "sample_id" or h.startswith(("x_", "y_", "a_"))}
+    metadata = {h: table[:, i] for i, h in enumerate(header) if h not in known}
+    # Row-major, like the dataset's own y: PCA's sums follow the memory layout.
+    return np.ascontiguousarray(table[:, y_cols]), metadata
 
 
 def cmd_direction(args) -> int:
-    ys, metas = _dataset_rows_from_csv(args.data)
+    ys, metadata = _dataset_columns_from_csv(args.data)
     k = ys.shape[1]
     header = ["label", "provenance", "weight"] + [f"v_{j}" for j in range(k)]
     rows = []
@@ -333,10 +319,10 @@ def cmd_direction(args) -> int:
     else:
         if args.feature is None:
             raise _UsageError(f"--feature is required for --mode {args.mode}")
-        records = [_Record(y, m) for y, m in zip(ys, metas)]
-        distinct = len({m[args.feature] for m in metas if args.feature in m})
-        if args.feature not in metas[0]:
+        if args.feature not in metadata:
             raise ConfigurationError(f"feature {args.feature!r} not found in {args.data}")
+        values = metadata[args.feature]
+        distinct = len(np.unique(values))
         if args.mode == "binary" and distinct != 2:
             raise ConfigurationError(
                 f"--mode binary needs exactly 2 distinct values, found {distinct}"
@@ -345,12 +331,10 @@ def cmd_direction(args) -> int:
             raise ConfigurationError(
                 f"--mode percentile needs a continuous feature, found {distinct} values"
             )
-        lo, hi = percentile_split(records, args.feature)
+        lo, hi = percentile_split(values)
         provenance = "binary-split" if args.mode == "binary" else "percentile-split"
-        direction = custom_direction(
-            np.stack([r.y for r in lo]), np.stack([r.y for r in hi]),
-            label=args.feature, provenance=provenance,
-        )
+        direction = custom_direction(ys[lo], ys[hi], label=args.feature,
+                                     provenance=provenance)
         rows.append([direction.label, direction.provenance, 0.0, *direction.vector])
     out = _resolve_out(args.out, ".")
     write_csv(out, header, rows)

@@ -166,8 +166,10 @@ class DatasetSpec:
 
 
 @dataclass(frozen=True)
-class LabeledSample:
-    """One training record: the point, its embedding, and generative metadata."""
+class Dataset:
+    """A labeled corpus as columns: the points x (n, d), their embeddings
+    y (n, k), the conditioning attribute a (n, m) or None, and metadata, the
+    generative factors as named (n,) float columns."""
 
     x: np.ndarray
     y: np.ndarray
@@ -175,7 +177,7 @@ class LabeledSample:
     metadata: dict
 
 
-def _draw_annulus(spec: DatasetSpec, rng, n: int) -> tuple[np.ndarray, list]:
+def _draw_annulus(spec: DatasetSpec, rng, n: int) -> tuple[np.ndarray, dict]:
     if spec.input_dim != 2:
         raise ConfigurationError("the annulus distribution is two-dimensional")
     r_min = spec.params.get("r_min", 0.5)
@@ -185,18 +187,15 @@ def _draw_annulus(spec: DatasetSpec, rng, n: int) -> tuple[np.ndarray, list]:
     radii = rng.uniform(r_min, r_max, size=n)
     angles = rng.uniform(0.0, 2.0 * np.pi, size=n)
     xs = np.stack([radii * np.cos(angles), radii * np.sin(angles)], axis=1)
-    meta = [
-        {
-            "radius": float(radii[i]),
-            "angle": float(np.arctan2(xs[i, 1], xs[i, 0])),
-            "upper": 1.0 if xs[i, 1] > 0 else 0.0,
-        }
-        for i in range(n)
-    ]
+    meta = {
+        "radius": radii,
+        "angle": np.arctan2(xs[:, 1], xs[:, 0]),
+        "upper": (xs[:, 1] > 0).astype(np.float64),
+    }
     return xs, meta
 
 
-def _draw_gaussian_mixture(spec: DatasetSpec, rng, n: int) -> tuple[np.ndarray, list]:
+def _draw_gaussian_mixture(spec: DatasetSpec, rng, n: int) -> tuple[np.ndarray, dict]:
     k = int(spec.params.get("n_components", 4))
     spread = float(spec.params.get("spread", 2.0))
     comp_std = float(spec.params.get("component_std", 0.5))
@@ -205,11 +204,10 @@ def _draw_gaussian_mixture(spec: DatasetSpec, rng, n: int) -> tuple[np.ndarray, 
     centers = rng.normal(scale=spread, size=(k, spec.input_dim))
     comp = rng.integers(0, k, size=n)
     xs = centers[comp] + comp_std * rng.standard_normal((n, spec.input_dim))
-    meta = [{"component": float(comp[i])} for i in range(n)]
-    return xs, meta
+    return xs, {"component": comp.astype(np.float64)}
 
 
-def _draw_clustered_identities(spec: DatasetSpec, rng, n: int) -> tuple[np.ndarray, list]:
+def _draw_clustered_identities(spec: DatasetSpec, rng, n: int) -> tuple[np.ndarray, dict]:
     k = int(spec.params.get("n_identities", 10))
     cluster_std = float(spec.params.get("cluster_std", 0.1))
     center_scale = float(spec.params.get("center_scale", 1.0))
@@ -218,8 +216,7 @@ def _draw_clustered_identities(spec: DatasetSpec, rng, n: int) -> tuple[np.ndarr
     centers = center_scale * rng.standard_normal((k, spec.input_dim))
     ident = rng.integers(0, k, size=n)
     xs = centers[ident] + cluster_std * rng.standard_normal((n, spec.input_dim))
-    meta = [{"identity": float(ident[i])} for i in range(n)]
-    return xs, meta
+    return xs, {"identity": ident.astype(np.float64)}
 
 
 _DISTRIBUTIONS = {
@@ -237,11 +234,12 @@ def draw_points(spec: DatasetSpec, rng, n: int) -> np.ndarray:
     return xs
 
 
-def generate_dataset(spec: DatasetSpec, embedder) -> list[LabeledSample]:
+def generate_dataset(spec: DatasetSpec, embedder) -> Dataset:
     """Draw points, embed them, and attach metadata.
 
-    The stored y is exactly embed(x), bit for bit. A fixed seed reproduces the
-    dataset exactly.
+    The stored y is exactly embed(x), bit for bit, and a is the metadata
+    column that spec.attribute names. A fixed seed reproduces the dataset
+    exactly.
     """
     if spec.n_samples < 1:
         raise ConfigurationError(f"n_samples must be >= 1, got {spec.n_samples}")
@@ -253,33 +251,20 @@ def generate_dataset(spec: DatasetSpec, embedder) -> list[LabeledSample]:
         raise ConfigurationError(f"unknown distribution {spec.distribution!r}")
     rng = np.random.default_rng(spec.seed)
     xs, meta = _DISTRIBUTIONS[spec.distribution](spec, rng, spec.n_samples)
-    ys = embedder.embed(xs)
-    samples = []
-    for i in range(spec.n_samples):
-        if spec.attribute is not None:
-            if spec.attribute not in meta[i]:
-                raise ConfigurationError(
-                    f"attribute {spec.attribute!r} is not a metadata key of "
-                    f"{spec.distribution!r}"
-                )
-            a = np.array([meta[i][spec.attribute]])
-        else:
-            a = None
-        samples.append(LabeledSample(xs[i], ys[i], a, meta[i]))
-    return samples
-
-
-def stack_samples(samples) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-    """Dense (X, Y, A) arrays from a list of LabeledSamples; A is None when
-    no sample carries an attribute."""
-    if not samples:
-        raise ConfigurationError("cannot stack an empty sample list")
-    xs = np.stack([s.x for s in samples])
-    ys = np.stack([s.y for s in samples])
     a = None
-    if samples[0].a is not None:
-        a = np.stack([s.a for s in samples])
-    return xs, ys, a
+    if spec.attribute is not None:
+        if spec.attribute not in meta:
+            raise ConfigurationError(
+                f"attribute {spec.attribute!r} is not a metadata key of "
+                f"{spec.distribution!r}"
+            )
+        a = meta[spec.attribute][:, None]
+    return Dataset(xs, embedder.embed(xs), a, meta)
+
+
+def stack_samples(ds: Dataset) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """The (X, Y, A) arrays of a dataset; A is None without an attribute."""
+    return ds.x, ds.y, ds.a
 
 
 # -- embedding-space distances ---------------------------------------------

@@ -129,14 +129,17 @@ def verification_accuracy(pairs) -> VerificationResult:
         (uniq[:-1] + uniq[1:]) / 2.0,
         [uniq[-1] + 1.0],
     ))
-    best_acc = -1.0
-    best_thr = candidates[0]
-    for thr in candidates:
-        acc = float(np.mean((dists < thr) == labels))
-        if acc > best_acc:
-            best_acc = acc
-            best_thr = float(thr)
-    return VerificationResult(best_thr, best_acc, len(pairs))
+    # Sorting the distances makes the pairs called "same" at each candidate a
+    # prefix, so the correct calls are cumulative counts; argmax takes the
+    # first, smallest, of equally good thresholds.
+    order = np.argsort(dists, kind="stable")
+    below = np.searchsorted(dists[order], candidates)
+    below[np.isnan(candidates)] = 0  # no distance is below a NaN cut
+    same_below = np.concatenate(([0], np.cumsum(labels[order])))[below]
+    correct = 2 * same_below - below + np.count_nonzero(~labels)
+    best = int(np.argmax(correct))
+    return VerificationResult(float(candidates[best]), int(correct[best]) / len(pairs),
+                              len(pairs))
 
 
 def rejection_oracle(embedder, target_y, epsilon: float, draw, n: int, rng,

@@ -143,36 +143,26 @@ def custom_direction(group_a, group_b, label: str = "custom",
     return Direction(vector=diff / norm, label=label, provenance=provenance)
 
 
-def percentile_split(samples, feature: str, lower: float = 10.0, upper: float = 90.0):
-    """Split labeled samples into low/high groups along a metadata feature.
+def percentile_split(values, lower: float = 10.0, upper: float = 90.0):
+    """Masks of the low and high groups of a 1-D feature column.
 
     A feature taking exactly two distinct values is treated as binary and
     split directly into its two groups (low value first). Otherwise the
-    groups are the samples at or below the lower percentile and at or above
-    the upper percentile of the feature's values, with percentiles computed
-    by linear interpolation.
+    groups are the entries at or below the lower percentile and at or above
+    the upper percentile of the values, with percentiles computed by linear
+    interpolation.
     """
-    if not samples:
-        raise ConfigurationError("cannot split an empty sample list")
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 1 or values.size == 0:
+        raise ConfigurationError(f"expected a nonempty 1-D column, got shape {values.shape}")
     if not (0.0 <= lower < upper <= 100.0):
         raise ConfigurationError(f"need 0 <= lower < upper <= 100, got ({lower}, {upper})")
-    try:
-        values = np.array([float(s.metadata[feature]) for s in samples])
-    except KeyError:
-        raise ConfigurationError(f"feature {feature!r} is not a metadata key") from None
     distinct = np.unique(values)
     if len(distinct) < 2:
-        raise ConfigurationError(f"feature {feature!r} is constant; no split exists")
+        raise ConfigurationError("the feature is constant; no split exists")
     if len(distinct) == 2:
-        lo_v, hi_v = distinct
-        group_a = [s for s, v in zip(samples, values) if v == lo_v]
-        group_b = [s for s, v in zip(samples, values) if v == hi_v]
-        return group_a, group_b
-    lo_cut = np.percentile(values, lower)
-    hi_cut = np.percentile(values, upper)
-    group_a = [s for s, v in zip(samples, values) if v <= lo_cut]
-    group_b = [s for s, v in zip(samples, values) if v >= hi_cut]
-    return group_a, group_b
+        return values == distinct[0], values == distinct[1]
+    return values <= np.percentile(values, lower), values >= np.percentile(values, upper)
 
 
 def traverse(y, direction: Direction, alpha: float, corpus_norm: float) -> np.ndarray:

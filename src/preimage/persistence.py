@@ -220,7 +220,10 @@ def load_checkpoint(path: str) -> Checkpoint:
     if not (0.0 <= ema_rate <= 1.0):
         raise CheckpointFormatError(f"ema_rate {ema_rate} is out of range")
 
-    model = ConditionalDenoiser.from_topology(topo)
+    try:
+        model = ConditionalDenoiser.from_topology(topo)
+    except ConfigurationError as exc:
+        raise CheckpointFormatError(f"topology is not a valid model: {exc}") from exc
     model.set_params_flat(params)
     model.fitted = True
     ema = EmaParams(ema_flat, rate=ema_rate)

@@ -11,7 +11,9 @@ import sys
 import numpy as np
 import pytest
 
-from preimage.cli import main
+from preimage.cli import _dataset_columns_from_csv, load_run_config, main
+from preimage.embedders import generate_dataset, make_embedder
+from preimage.nn import param_count
 from preimage.persistence import load_checkpoint, read_csv
 
 TINY_CONFIG = {
@@ -98,6 +100,37 @@ class TestDataset:
     def test_missing_config_file_is_runtime_error(self, tmp_path):
         assert main(["dataset", "--config", str(tmp_path / "absent.json")]) == 2
 
+    @pytest.mark.parametrize("dataset, embedder", [
+        ({"distribution": "annulus", "input_dim": 2},
+         {"name": "radius", "input_dim": 2}),
+        ({"distribution": "annulus", "input_dim": 2, "attribute": "angle"},
+         {"name": "frozen-mlp", "input_dim": 2, "output_dim": 3}),
+        ({"distribution": "gaussian-mixture", "input_dim": 3, "attribute": "component"},
+         {"name": "frozen-mlp", "input_dim": 3, "output_dim": 4, "seed": 2}),
+        ({"distribution": "clustered-identities", "input_dim": 4},
+         {"name": "linear", "input_dim": 4, "output_dim": 2, "seed": 1}),
+    ])
+    def test_csv_reads_back_bit_for_bit(self, dataset, embedder, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "dataset": {**dataset, "n_samples": 200, "seed": 5},
+            "embedder": embedder, "output_dir": str(tmp_path)}))
+        assert main(["dataset", "--config", str(path), "--out", "data.csv"]) == 0
+        cfg = load_run_config(str(path))
+        ds = generate_dataset(cfg.dataset, make_embedder(cfg.embedder))
+        ys, metadata = _dataset_columns_from_csv(str(tmp_path / "data.csv"))
+        assert ys.shape == ds.y.shape and ys.tobytes() == ds.y.tobytes()
+        assert ys.flags["C_CONTIGUOUS"]  # as ds.y, so fit_pca sums in the same order
+        assert sorted(metadata) == sorted(ds.metadata)
+        for key, column in ds.metadata.items():
+            assert metadata[key].tobytes() == column.tobytes()
+
+    def test_ragged_dataset_csv_is_configuration_error(self, tmp_path, capsys):
+        path = tmp_path / "ragged.csv"
+        path.write_text("sample_id,y_0,upper\n0,0.5,1.0\n1,0.7\n")
+        assert main(["direction", "--data", str(path), "--mode", "pca"]) == 1
+        assert "not a table of numbers" in capsys.readouterr().err
+
 
 class TestTrain:
     def test_checkpoint_loads_and_is_fitted(self, workspace):
@@ -179,6 +212,20 @@ class TestSample:
         assert main(["sample", "--checkpoint", str(path),
                      "--target-y", "1.0", "--seed", "1"]) == 2
         assert "payload length" in capsys.readouterr().err
+
+    def test_topology_the_model_refuses_is_runtime_error(self, workspace, tmp_path, capsys):
+        # time_embed_dim (bytes 32-40 of the header) set to 7, and the zeroed
+        # parameter payload resized to match, passes every length check.
+        model = load_checkpoint(workspace["checkpoint"]).model
+        data = open(workspace["checkpoint"], "rb").read()
+        params_at = len(data) - 16 * model.n_params()
+        n_params = param_count({**model.topology(), "time_embed_dim": 7})
+        path = tmp_path / "odd.ckpt"
+        path.write_bytes(data[:32] + (7).to_bytes(8, "little") + data[40:params_at]
+                         + bytes(16 * n_params))
+        assert main(["sample", "--checkpoint", str(path),
+                     "--target-y", "1.0", "--seed", "1"]) == 2
+        assert "time_embed_dim must be even" in capsys.readouterr().err
 
     def test_attr_model_defaults_to_no_preference_token(self, workspace, tmp_path,
                                                         monkeypatch, capsys):

@@ -134,31 +134,45 @@ class TestGenerateDataset:
         return DatasetSpec(**base)
 
     def test_annulus_radii_in_range(self):
-        samples = generate_dataset(self.annulus_spec(), RadiusEmbedder(2))
-        radii = np.array([np.linalg.norm(s.x) for s in samples])
+        ds = generate_dataset(self.annulus_spec(), RadiusEmbedder(2))
+        radii = np.linalg.norm(ds.x, axis=1)
         assert np.all(radii >= 0.5) and np.all(radii <= 1.5)
+        np.testing.assert_allclose(ds.metadata["radius"], radii, rtol=1e-12)
 
     def test_labels_are_exact_embeddings(self):
         emb = RadiusEmbedder(2)
-        for s in generate_dataset(self.annulus_spec(n_samples=50), emb):
-            np.testing.assert_array_equal(s.y, emb.embed(s.x))
+        ds = generate_dataset(self.annulus_spec(n_samples=50), emb)
+        for x, y in zip(ds.x, ds.y):
+            np.testing.assert_array_equal(y, emb.embed(x))
 
     def test_fixed_seed_reproducible(self):
         emb = RadiusEmbedder(2)
-        a = generate_dataset(self.annulus_spec(), emb)
-        b = generate_dataset(self.annulus_spec(), emb)
-        for sa, sb in zip(a, b):
-            np.testing.assert_array_equal(sa.x, sb.x)
+        a = generate_dataset(self.annulus_spec(attribute="angle"), emb)
+        b = generate_dataset(self.annulus_spec(attribute="angle"), emb)
+        for name in ("x", "y", "a"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+        assert a.metadata.keys() == b.metadata.keys()
+        for key in a.metadata:
+            np.testing.assert_array_equal(a.metadata[key], b.metadata[key])
+
+    def test_columns_have_one_row_per_sample(self):
+        ds = generate_dataset(self.annulus_spec(n_samples=30), RadiusEmbedder(2))
+        assert ds.x.shape == (30, 2) and ds.y.shape == (30, 1) and ds.a is None
+        assert sorted(ds.metadata) == ["angle", "radius", "upper"]
+        assert all(col.shape == (30,) and col.dtype == np.float64
+                   for col in ds.metadata.values())
 
     def test_angle_attribute_is_atan2(self):
-        samples = generate_dataset(self.annulus_spec(attribute="angle"), RadiusEmbedder(2))
-        for s in samples[:20]:
-            assert s.a[0] == np.arctan2(s.x[1], s.x[0])
+        ds = generate_dataset(self.annulus_spec(attribute="angle"), RadiusEmbedder(2))
+        assert ds.a.shape == (200, 1)
+        np.testing.assert_array_equal(ds.a[:, 0], ds.metadata["angle"])
+        for x, a in zip(ds.x[:20], ds.a[:20]):
+            assert a[0] == np.arctan2(x[1], x[0])
 
     def test_binary_metadata_matches_halfplane(self):
-        samples = generate_dataset(self.annulus_spec(), RadiusEmbedder(2))
-        for s in samples[:50]:
-            assert s.metadata["upper"] == (1.0 if s.x[1] > 0 else 0.0)
+        ds = generate_dataset(self.annulus_spec(), RadiusEmbedder(2))
+        for x, upper in zip(ds.x[:50], ds.metadata["upper"][:50]):
+            assert upper == (1.0 if x[1] > 0 else 0.0)
 
     def test_unknown_attribute_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -176,20 +190,17 @@ class TestGenerateDataset:
     def test_gaussian_mixture_components_labeled(self):
         spec = DatasetSpec("gaussian-mixture", input_dim=3, n_samples=100, seed=2,
                            params={"n_components": 3})
-        samples = generate_dataset(spec, FrozenMlpEmbedder(3, 2, seed=0))
-        comps = {s.metadata["component"] for s in samples}
-        assert comps <= {0.0, 1.0, 2.0}
+        ds = generate_dataset(spec, FrozenMlpEmbedder(3, 2, seed=0))
+        assert set(ds.metadata) == {"component"}
+        assert set(ds.metadata["component"]) <= {0.0, 1.0, 2.0}
 
     def test_clustered_identities_cluster_tightly(self):
         spec = DatasetSpec("clustered-identities", input_dim=4, n_samples=300, seed=3,
                            params={"n_identities": 5, "cluster_std": 0.01})
-        samples = generate_dataset(spec, FrozenMlpEmbedder(4, 3, seed=1))
-        by_id = {}
-        for s in samples:
-            by_id.setdefault(s.metadata["identity"], []).append(s.x)
-        for pts in by_id.values():
-            pts = np.array(pts)
-            assert np.linalg.norm(pts.std(axis=0)) < 0.05
+        ds = generate_dataset(spec, FrozenMlpEmbedder(4, 3, seed=1))
+        ident = ds.metadata["identity"]
+        for i in np.unique(ident):
+            assert np.linalg.norm(ds.x[ident == i].std(axis=0)) < 0.05
 
     def test_unknown_distribution_rejected(self):
         spec = DatasetSpec("doughnut", input_dim=2, n_samples=10, seed=0)
@@ -199,14 +210,15 @@ class TestGenerateDataset:
     def test_draw_points_matches_dataset_distribution(self):
         spec = self.annulus_spec(n_samples=50)
         pts = draw_points(spec, np.random.default_rng(spec.seed), 50)
-        samples = generate_dataset(spec, RadiusEmbedder(2))
-        np.testing.assert_array_equal(pts, np.stack([s.x for s in samples]))
+        np.testing.assert_array_equal(pts, generate_dataset(spec, RadiusEmbedder(2)).x)
 
     def test_stack_samples(self):
-        samples = generate_dataset(self.annulus_spec(n_samples=10, attribute="angle"),
-                                   RadiusEmbedder(2))
-        xs, ys, a = stack_samples(samples)
+        ds = generate_dataset(self.annulus_spec(n_samples=10, attribute="angle"),
+                              RadiusEmbedder(2))
+        xs, ys, a = stack_samples(ds)
+        assert xs is ds.x and ys is ds.y and a is ds.a
         assert xs.shape == (10, 2) and ys.shape == (10, 1) and a.shape == (10, 1)
+        assert stack_samples(generate_dataset(self.annulus_spec(), RadiusEmbedder(2)))[2] is None
 
 
 class TestAngularDistance:

@@ -115,6 +115,69 @@ class TestVerificationAccuracy:
         with pytest.raises(ConfigurationError):
             verification_accuracy([])
 
+    @staticmethod
+    def loop_reference(pairs):
+        """The sweep as one full pass per candidate threshold, kept as the
+        reference for the sorted, cumulative-count implementation."""
+        dists = np.array([float(d) for d, _ in pairs])
+        labels = np.array([bool(s) for _, s in pairs])
+        uniq = np.unique(dists)
+        candidates = np.concatenate((
+            [uniq[0] - 1.0],
+            (uniq[:-1] + uniq[1:]) / 2.0,
+            [uniq[-1] + 1.0],
+        ))
+        best_acc = -1.0
+        best_thr = candidates[0]
+        for thr in candidates:
+            acc = float(np.mean((dists < thr) == labels))
+            if acc > best_acc:
+                best_acc = acc
+                best_thr = float(thr)
+        return best_thr, best_acc
+
+    def random_pairs(self, rng):
+        n = int(rng.choice([1, 2, 3, int(rng.integers(4, 300))]))
+        grid = int(rng.integers(1, 8))
+        if rng.random() < 0.5:
+            dists = rng.integers(0, grid, size=n) / grid  # heavy ties
+        else:
+            dists = rng.random(n)
+        if rng.random() < 0.1:
+            dists[rng.random(n) < 0.2] = np.inf
+        return [(float(d), bool(s)) for d, s in zip(dists, rng.random(n) < rng.random())]
+
+    def test_matches_the_loop_on_random_inputs(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(400):
+            pairs = self.random_pairs(rng)
+            res = verification_accuracy(pairs)
+            assert (res.threshold, res.accuracy) == self.loop_reference(pairs)
+            assert type(res.threshold) is float and type(res.accuracy) is float
+
+    @pytest.mark.parametrize("pairs", [
+        [(1.0, True)], [(1.0, False)],
+        [(0.5, True), (0.5, False)], [(0.2, False), (0.7, True)],
+        [(0.3, True), (0.3, True), (0.3, False)],
+        [(1.0, True), (np.nextafter(1.0, 2.0), False)],  # the midpoint rounds onto a distance
+        [(1e17, True), (2e17, False)],  # the sentinels round onto the distances
+        [(0.1, True), (np.nan, False), (0.4, False)],
+        [(0.1, True), (0.4, True), (np.nan, False)],  # a NaN cut calls nothing "same"
+        [(np.nan, True), (np.nan, False)],
+    ])
+    def test_matches_the_loop_on_edge_cases(self, pairs):
+        res = verification_accuracy(pairs)
+        np.testing.assert_equal((res.threshold, res.accuracy), self.loop_reference(pairs))
+
+    def test_two_equally_good_cuts_take_the_smaller(self):
+        # Cutting between 0.2 and 0.4 or between 0.6 and 0.8 both get 5 of 6.
+        pairs = [(0.1, True), (0.2, True), (0.4, False),
+                 (0.6, True), (0.8, False), (0.9, False)]
+        res = verification_accuracy(pairs)
+        assert res.accuracy == 5 / 6
+        assert res.threshold == pytest.approx(0.3)
+        assert (res.threshold, res.accuracy) == self.loop_reference(pairs)
+
 
 def annulus_draw(rng, count):
     radii = rng.uniform(0.5, 1.5, size=count)

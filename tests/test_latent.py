@@ -19,12 +19,6 @@ from preimage.latent import (
 )
 
 
-class FakeSample:
-    def __init__(self, value, y=None):
-        self.metadata = {"feat": value}
-        self.y = y if y is not None else np.zeros(2)
-
-
 class TestLerp:
     def test_endpoints(self):
         y1, y2 = np.array([1.0, 2.0]), np.array([-3.0, 4.0])
@@ -207,34 +201,33 @@ class TestCustomDirection:
 
 class TestPercentileSplit:
     def test_decile_split_of_one_to_hundred(self):
-        samples = [FakeSample(float(v)) for v in range(1, 101)]
-        lo, hi = percentile_split(samples, "feat")
-        assert sorted(s.metadata["feat"] for s in lo) == [float(v) for v in range(1, 11)]
-        assert sorted(s.metadata["feat"] for s in hi) == [float(v) for v in range(91, 101)]
+        values = np.arange(1.0, 101.0)
+        lo, hi = percentile_split(values)
+        assert lo.dtype == bool and lo.shape == hi.shape == values.shape
+        assert values[lo].tolist() == [float(v) for v in range(1, 11)]
+        assert values[hi].tolist() == [float(v) for v in range(91, 101)]
 
     def test_binary_feature_routed_to_two_groups(self):
-        samples = [FakeSample(v) for v in [0.0, 1.0, 0.0, 1.0, 1.0]]
-        lo, hi = percentile_split(samples, "feat")
-        assert len(lo) == 2 and all(s.metadata["feat"] == 0.0 for s in lo)
-        assert len(hi) == 3 and all(s.metadata["feat"] == 1.0 for s in hi)
+        lo, hi = percentile_split(np.array([0.0, 1.0, 0.0, 1.0, 1.0]))
+        assert lo.tolist() == [True, False, True, False, False]
+        assert hi.tolist() == [False, True, False, True, True]
 
     def test_constant_feature_rejected(self):
         with pytest.raises(ConfigurationError):
-            percentile_split([FakeSample(1.0)] * 5, "feat")
+            percentile_split(np.ones(5))
 
-    def test_missing_feature_rejected(self):
+    @pytest.mark.parametrize("values", [np.zeros(0), np.zeros((4, 2))])
+    def test_column_must_be_nonempty_and_1d(self, values):
         with pytest.raises(ConfigurationError):
-            percentile_split([FakeSample(1.0)], "pose")
+            percentile_split(values)
 
     def test_custom_percentiles(self):
-        samples = [FakeSample(float(v)) for v in range(1, 101)]
-        lo, hi = percentile_split(samples, "feat", lower=25.0, upper=75.0)
-        assert len(lo) == 25 and len(hi) == 25
+        lo, hi = percentile_split(np.arange(1.0, 101.0), lower=25.0, upper=75.0)
+        assert lo.sum() == 25 and hi.sum() == 25
 
     def test_bad_percentile_order_rejected(self):
         with pytest.raises(ConfigurationError):
-            percentile_split([FakeSample(float(v)) for v in range(10)], "feat",
-                             lower=90.0, upper=10.0)
+            percentile_split(np.arange(10.0), lower=90.0, upper=10.0)
 
 
 class TestTraverse:

@@ -10,7 +10,7 @@ import pytest
 from preimage.diffusion import SampleConfig, TrainConfig, sample_batch, train
 from preimage.embedders import EmbedderInfo, RadiusEmbedder
 from preimage.errors import CheckpointFormatError, ShapeError
-from preimage.nn import ConditionalDenoiser, EmaParams
+from preimage.nn import ConditionalDenoiser, EmaParams, param_count
 from preimage.persistence import (
     MAGIC,
     VERSION,
@@ -149,10 +149,10 @@ class TestCheckpointValidation:
             load_checkpoint(path)
 
 
-def crafted_header(hidden_dims, payload_floats=0) -> bytes:
+def crafted_header(hidden_dims, payload_floats=0, time_embed_dim=64, n_steps=100) -> bytes:
     """A checkpoint header for a 2-D radius model with the given hidden dims,
     followed by payload_floats zero floats."""
-    u64s = [2, 1, 0, 64, len(hidden_dims), *hidden_dims, 100, 0]
+    u64s = [2, 1, 0, time_embed_dim, len(hidden_dims), *hidden_dims, n_steps, 0]
     name = b"radius"
     head = MAGIC + struct.pack("<I", VERSION) + struct.pack(f"<{len(u64s)}Q", *u64s)
     head += struct.pack("<Q", len(name)) + name + struct.pack("<6Q", 2, 1, 0, 10, 64, 0)
@@ -178,6 +178,19 @@ class TestHostileCheckpoints:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    def test_topology_the_model_refuses_is_a_format_error(self, tmp_path):
+        # Header and payload agree, so every length check passes, but the
+        # model constructor refuses an odd time_embed_dim.
+        topo = {"data_dim": 2, "id_dim": 1, "attr_dim": None, "time_embed_dim": 7,
+                "hidden_dims": (8, 8)}
+        floats = np.concatenate(([0.1, 1e-3, 0.999], np.linspace(1e-4, 0.02, 10),
+                                 np.zeros(2 * param_count(topo))))
+        path = tmp_path / "odd.ckpt"
+        path.write_bytes(crafted_header((8, 8), time_embed_dim=7, n_steps=10)
+                         + floats.astype("<f8").tobytes())
+        with pytest.raises(CheckpointFormatError, match="time_embed_dim must be even"):
+            load_checkpoint(str(path))
 
     @pytest.mark.parametrize("vector", ["model", "ema"])
     def test_save_refuses_non_finite_parameters(self, trained, vector, tmp_path):
