@@ -287,16 +287,25 @@ def cmd_interpolate(args) -> int:
     return 0
 
 
-def _dataset_columns_from_csv(path):
-    """The y matrix and the named metadata columns of a dataset CSV."""
+def _float_table(path):
+    """The header of a CSV and its rows as one float array; a ragged row or a
+    cell that is not a finite number is a ConfigurationError."""
     header, rows = read_csv(path)
-    y_cols = [i for i, h in enumerate(header) if h.startswith("y_")]
-    if not y_cols:
-        raise ConfigurationError(f"{path} has no y_* columns")
     try:
         table = np.array(rows, dtype=np.float64).reshape(len(rows), len(header))
     except ValueError:
-        raise ConfigurationError(f"{path} is not a table of numbers") from None
+        table = None
+    if table is None or not np.isfinite(table).all():
+        raise ConfigurationError(f"{path} is not a table of numbers")
+    return header, table
+
+
+def _dataset_columns_from_csv(path):
+    """The y matrix and the named metadata columns of a dataset CSV."""
+    header, table = _float_table(path)
+    y_cols = [i for i, h in enumerate(header) if h.startswith("y_")]
+    if not y_cols:
+        raise ConfigurationError(f"{path} has no y_* columns")
     known = {h for h in header
              if h == "sample_id" or h.startswith(("x_", "y_", "a_"))}
     metadata = {h: table[:, i] for i, h in enumerate(header) if h not in known}
@@ -371,7 +380,7 @@ def cmd_eval(args) -> int:
     if args.task == "verification":
         if args.pairs is None:
             raise _UsageError("--pairs is required for --task verification")
-        header, rows = read_csv(args.pairs)
+        header, table = _float_table(args.pairs)
         try:
             d_col = header.index("distance")
             s_col = header.index("is_same")
@@ -379,7 +388,7 @@ def cmd_eval(args) -> int:
             raise ConfigurationError(
                 f"{args.pairs} must have 'distance' and 'is_same' columns"
             ) from None
-        pairs = [(float(r[d_col]), bool(int(float(r[s_col])))) for r in rows]
+        pairs = [(d, bool(int(s))) for d, s in table[:, [d_col, s_col]].tolist()]
         res = verification_accuracy(pairs)
         out = _resolve_out(args.out, ".")
         write_csv(out, ["threshold", "accuracy", "n_pairs"],
@@ -390,11 +399,11 @@ def cmd_eval(args) -> int:
 
     if args.samples is None:
         raise _UsageError(f"--samples is required for --task {args.task}")
-    header, rows = read_csv(args.samples)
+    header, table = _float_table(args.samples)
     x_cols = [i for i, h in enumerate(header) if h.startswith("x_")]
     if not x_cols:
         raise ConfigurationError(f"{args.samples} has no x_* columns")
-    xs = np.array([[float(r[i]) for i in x_cols] for r in rows])
+    xs = table[:, x_cols]
     if args.task == "diversity":
         value = diversity(xs)
     else:

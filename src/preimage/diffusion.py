@@ -434,10 +434,12 @@ def sample_batch(model, y, schedule: NoiseSchedule, config: SampleConfig,
     """Draw n pre-images of y by running the guided reverse process.
 
     The model must be fitted. y (and a, if given) may be a single vector
-    shared by all rows or one row per sample. A shared vector and the null
-    tokens of the unconditional branch reach the model as 1-D, so it computes
-    their condition once per step. Deterministic for a fixed (model, y, a,
-    config) including bitwise reproducibility of the result.
+    shared by all rows or one row per sample. The inputs are validated here,
+    once; the model then computes the condition terms of every step up front
+    (model.condition_terms) and runs one cache-free step per reverse step
+    (model.denoise_step) in buffers the request reuses (model.workspace), the
+    guided branch sharing the input projection of the state. Deterministic for a fixed (model, y, a, config) including
+    bitwise reproducibility of the result.
     """
     if not getattr(model, "fitted", False):
         raise StateError("model has not been fitted; train it or load a checkpoint")
@@ -451,7 +453,6 @@ def sample_batch(model, y, schedule: NoiseSchedule, config: SampleConfig,
     sub = respace(schedule, steps)
 
     y = _shared_or_rows(y, model.id_dim, n, "y")
-    y_null = null_id_token(model.id_dim)
     a_null = None
     if a is not None:
         if model.attr_dim is None:
@@ -459,17 +460,17 @@ def sample_batch(model, y, schedule: NoiseSchedule, config: SampleConfig,
         a = _shared_or_rows(a, model.attr_dim, n, "a")
         a_null = null_attr_token(model.attr_dim)
 
+    scale = cfg.guidance_scale
+    branches = [model.condition_terms(y, sub.timestep_map, a=a)]
+    if scale != 1.0:
+        branches.append(model.condition_terms(null_id_token(model.id_dim), sub.timestep_map,
+                                              a=a_null))
+    work = model.workspace(n)
     rng = np.random.default_rng(cfg.seed)
     x = rng.standard_normal((n, model.data_dim))
-    scale = cfg.guidance_scale
     for i in range(sub.n_steps, 0, -1):
-        t_orig = int(sub.timestep_map[i - 1])
-        eps_cond = model.forward(x, y, t_orig, a=a)
-        if scale == 1.0:
-            eps_hat = eps_cond
-        else:
-            eps_uncond = model.forward(x, y_null, t_orig, a=a_null)
-            eps_hat = cfg_combine(eps_uncond, eps_cond, scale)
+        eps = model.denoise_step(x, branches, i - 1, work)
+        eps_hat = eps[0] if scale == 1.0 else cfg_combine(eps[1], eps[0], scale)
         x0_hat = predict_x0(x, eps_hat, i, sub)
         if cfg.threshold:
             x0_hat = dynamic_threshold(x0_hat, cfg.threshold_percentile)
@@ -485,7 +486,8 @@ def sample_batch(model, y, schedule: NoiseSchedule, config: SampleConfig,
             x = mean
         if not np.isfinite(x).all():
             raise SamplingError(
-                f"non-finite state at reverse step {i} (original step {t_orig}); aborting"
+                f"non-finite state at reverse step {i} "
+                f"(original step {sub.timestep_map[i - 1]}); aborting"
             )
     return x
 

@@ -2,7 +2,8 @@
 
 Everything here is plain float64 numpy. Layers cache their forward inputs so
 that a single backward pass can accumulate parameter gradients without an
-autograd framework.
+autograd framework. Sampling takes a separate inference path through the
+denoiser that caches nothing and checks no shapes per layer.
 """
 
 from __future__ import annotations
@@ -16,31 +17,37 @@ from .errors import ConfigurationError, ShapeError, StateError
 MAX_PERIOD = 10000.0
 
 
-def sigmoid(x):
+def sigmoid(x, out=None):
     """Logistic function 0.5 * (1 + tanh(x / 2)) for scalars or arrays.
 
     The tanh form needs one transcendental per entry and no branch, and it
-    saturates to exactly 0 and 1 in the tails instead of overflowing.
+    saturates to exactly 0 and 1 in the tails instead of overflowing. out, if
+    given, is an array of x's shape to write the result into.
     """
     x = np.asarray(x, dtype=np.float64)
-    out = np.multiply(x, 0.5, out=np.empty_like(x))
+    out = np.multiply(x, 0.5, out=np.empty_like(x) if out is None else out)
     np.tanh(out, out=out)
     out += 1.0
     out *= 0.5
     return out
 
 
-def silu(x):
-    """SiLU activation x * sigmoid(x)."""
-    out = sigmoid(x)
+def silu(x, out=None):
+    """SiLU activation x * sigmoid(x), written into out if given."""
+    out = sigmoid(x, out=out)
     out *= x
     return out
 
 
-def silu_grad(x):
-    """Derivative of SiLU: sigmoid(x) * (1 + x * (1 - sigmoid(x)))."""
+def silu_grad(x, s=None):
+    """Derivative of SiLU: sigmoid(x) * (1 + x * (1 - sigmoid(x))).
+
+    s, when given, is sigmoid(x) already computed, as the training forward
+    keeps it.
+    """
     x = np.asarray(x, dtype=np.float64)
-    s = sigmoid(x)
+    if s is None:
+        s = sigmoid(x)
     out = 1.0 - s
     out *= x
     out += 1.0
@@ -118,6 +125,14 @@ class LinearLayer:
         grad_in = grad_out @ self.weight
         self._input = None
         return grad_in
+
+
+def _affine(layer: LinearLayer, x: np.ndarray) -> np.ndarray:
+    """x @ weight.T + bias on the layer's flat-store views: forward with no
+    shape check and no cached input, for the inference path."""
+    out = x @ layer.weight.T
+    out += layer.bias
+    return out
 
 
 def _layer_dims(topo: dict) -> list:
@@ -253,25 +268,53 @@ class ConditionalDenoiser:
 
     # -- forward / backward ----------------------------------------------
 
-    def _check_cond_input(self, arr, dim, n, rows, name):
+    def _check_cond_input(self, arr, dim, n, name):
         arr = np.asarray(arr, dtype=np.float64)
-        out = np.tile(arr, (rows, 1)) if arr.ndim == 1 else arr
-        if out.shape != (rows, dim):
+        if arr.ndim == 1:
+            arr = np.tile(arr, (n, 1))
+        if arr.shape != (n, dim):
             raise ShapeError(f"{name} must have shape ({dim},) or ({n}, {dim}), got {arr.shape}")
-        return out
+        return arr
+
+    def _trunk(self, z, terms, keep=None, work=None):
+        """The hidden layers and the output, from the input projection z.
+
+        terms[i] is the tuple of terms that hidden layer i adds to its
+        pre-activation before SiLU; z itself is not modified. Training passes
+        keep, a list: the layers run through LinearLayer.forward, and each
+        pre-activation and its sigmoid are appended to keep for backward.
+        Inference passes work, one pair of (n, h) buffers per hidden layer
+        from workspace: the pre-activations and activations are written into
+        them, nothing is kept, and the hidden layers' biases are left to the
+        terms, into which condition_terms folds them.
+        """
+        train = keep is not None
+        for i, addends in enumerate(terms):
+            z_buf, h_buf = (None, None) if work is None else work[i]
+            if i:
+                layer = self.hidden[i - 1]
+                z = layer.forward(h) if train else np.matmul(h, layer.weight.T, out=z_buf)
+            else:
+                z = np.add(z, addends[0], out=z_buf)
+                addends = addends[1:]
+            for term in addends:
+                z += term
+            if train:
+                s = sigmoid(z)
+                keep.append((z, s))
+                h = z * s
+            else:
+                h = silu(z, out=h_buf)
+        return self.output.forward(h) if train else _affine(self.output, h)
 
     def forward(self, x_t, y, t, a=None) -> np.ndarray:
         """Predict the noise in x_t given target embedding y at timestep t.
 
-        x_t may be (d,) or (n, d); y and a are one (k,)/(m,) vector shared by
-        the batch or one row per sample; t is a scalar or per-row array of
-        timesteps >= 1. A model built with attr_dim set still accepts a=None,
-        which leaves the attribute pathway off the compute path entirely.
-
-        When y (and a, if given) is a single vector and t a scalar, as in
-        sampling, the condition and its projections are computed once, on one
-        row, and broadcast over the batch. Any per-row y, a or t, as in
-        training, computes the condition for every row.
+        x_t may be (d,) or (n, d); y and a broadcast from (k,)/(m,) to the
+        batch; t is a scalar or per-row array of timesteps >= 1. A model built
+        with attr_dim set still accepts a=None, which leaves the attribute
+        pathway off the compute path entirely. Caches what backward needs;
+        sampling uses condition_terms and denoise_step instead.
         """
         x_t = np.asarray(x_t, dtype=np.float64)
         single = x_t.ndim == 1
@@ -280,18 +323,16 @@ class ConditionalDenoiser:
         if x_t.ndim != 2 or x_t.shape[1] != self.data_dim:
             raise ShapeError(f"x_t must have shape (n, {self.data_dim}), got {x_t.shape}")
         n = x_t.shape[0]
-        t_arr = np.asarray(t, dtype=np.float64)
-        shared = np.ndim(y) == 1 and (a is None or np.ndim(a) == 1) and t_arr.ndim == 0
-        rows = 1 if shared else n
-        y = self._check_cond_input(y, self.id_dim, n, rows, "y")
+        y = self._check_cond_input(y, self.id_dim, n, "y")
         if a is not None:
             if self.attr_proj is None:
                 raise ConfigurationError("model was built without attribute conditioning")
-            a = self._check_cond_input(a, self.attr_dim, n, rows, "a")
+            a = self._check_cond_input(a, self.attr_dim, n, "a")
 
+        t_arr = np.asarray(t, dtype=np.float64)
         if t_arr.ndim == 0:
-            t_arr = np.full(rows, float(t_arr))
-        if t_arr.shape != (rows,):
+            t_arr = np.full(n, float(t_arr))
+        if t_arr.shape != (n,):
             raise ShapeError(f"t must be a scalar or shape ({n},), got {t_arr.shape}")
         if np.any(t_arr < 0):
             raise ConfigurationError("timesteps must be nonnegative")
@@ -300,19 +341,11 @@ class ConditionalDenoiser:
         cond += self.id_proj.forward(y)
         if a is not None:
             cond += self.attr_proj.forward(a)
-
+        terms = [(layer.forward(cond),) for layer in self.inject]
         zs = []
-        h = x_t
-        for i, h_dim in enumerate(self.hidden_dims):
-            main = self.input_proj if i == 0 else self.hidden[i - 1]
-            z = main.forward(h)
-            z += self.inject[i].forward(cond)
-            zs.append(z)
-            h = silu(z)
-        eps = self.output.forward(h)
+        eps = self._trunk(self.input_proj.forward(x_t), terms, keep=zs)
 
-        self._cache = {"zs": zs, "a_given": a is not None, "single": single,
-                       "shared": shared}
+        self._cache = {"zs": zs, "a_given": a is not None, "single": single}
         return eps[0] if single else eps
 
     def backward(self, grad_out) -> np.ndarray:
@@ -320,8 +353,6 @@ class ConditionalDenoiser:
 
         grad_out is the loss gradient with respect to the predicted noise.
         Returns the gradient with respect to x_t. Consumes the forward cache.
-        A condition computed on one row receives the batch sum of its
-        gradient.
         """
         if self._cache is None:
             raise StateError("backward called without a matching forward")
@@ -335,9 +366,9 @@ class ConditionalDenoiser:
         dh = self.output.backward(grad_out)
         dcond = None
         for i in reversed(range(len(self.hidden_dims))):
-            dz = silu_grad(cache["zs"][i])
+            dz = silu_grad(*cache["zs"][i])
             dz *= dh
-            dc = self.inject[i].backward(dz.sum(axis=0, keepdims=True) if cache["shared"] else dz)
+            dc = self.inject[i].backward(dz)
             dcond = dc if dcond is None else dcond + dc
             main = self.input_proj if i == 0 else self.hidden[i - 1]
             dh = main.backward(dz)
@@ -346,6 +377,58 @@ class ConditionalDenoiser:
         if cache["a_given"]:
             self.attr_proj.backward(dcond)
         return dh[0] if cache["single"] else dh
+
+    # -- inference ---------------------------------------------------------
+
+    def condition_terms(self, y, t, a=None):
+        """What every hidden layer adds to its pre-activation at every
+        timestep in t: its inject term plus c_i, the bias of the layer's own
+        map (input_proj or hidden_{i-1}), which denoise_step leaves out.
+
+        y is one (k,) vector or (n, k) rows, a likewise or None, and t the
+        1-D array of a request's S original timesteps. Returns one
+        (steps, rows) pair per hidden layer; layer i's term at step k is
+        steps[k], plus rows when rows is not None. A shared y and a give the
+        (S, h) table inject_i(temb + id_proj(y) + attr_proj(a)) + c_i and rows
+        None. A per-row y or a splits by linearity into the (S, h) table
+        steps = temb @ W_i.T + c_i and the (n, h) rows =
+        inject_i(id_proj(y) + attr_proj(a)), so no step multiplies an
+        (n, emb) condition. Nothing is validated or cached: sample_batch
+        checks the inputs once.
+        """
+        temb = sinusoidal_embed(t, self.time_embed_dim)
+        cond = _affine(self.id_proj, np.atleast_2d(y))
+        if a is not None:
+            cond = cond + _affine(self.attr_proj, np.atleast_2d(a))
+        mains = [self.input_proj, *self.hidden]
+        if len(cond) == 1:
+            temb += cond
+            return [(_affine(layer, temb) + main.bias, None)
+                    for layer, main in zip(self.inject, mains)]
+        return [(temb @ layer.weight.T + main.bias, _affine(layer, cond))
+                for layer, main in zip(self.inject, mains)]
+
+    def workspace(self, n: int):
+        """Scratch arrays for denoise_step on n rows: the input projection,
+        and a pre-activation and an activation buffer per hidden layer. A
+        request reuses them at every step, so its reverse loop allocates no
+        (n, h) array."""
+        return (np.empty((n, self.hidden_dims[0])),
+                [(np.empty((n, h)), np.empty((n, h))) for h in self.hidden_dims])
+
+    def denoise_step(self, x, branches, k, work):
+        """Noise predictions for the (n, d) state x at step k, one per branch.
+
+        Each branch is a condition_terms result and work a workspace(n). The
+        input projection x @ W.T of x is computed once, without its bias,
+        which the terms carry, and shared by every branch. Like
+        condition_terms, this neither validates nor caches.
+        """
+        proj, layers = work
+        z = np.matmul(x, self.input_proj.weight.T, out=proj)
+        return [self._trunk(z, [(steps[k],) if rows is None else (steps[k], rows)
+                                for steps, rows in terms], work=layers)
+                for terms in branches]
 
 
 class Adam:

@@ -363,6 +363,23 @@ class TestEval:
         assert id_rows[0][0] == "identity" and float(id_rows[0][1]) >= 0
         assert div_rows[0][0] == "diversity" and float(div_rows[0][1]) >= 0
 
+    def test_diversity_on_a_ragged_samples_csv_exits_1(self, workspace, tmp_path,
+                                                       monkeypatch, capsys):
+        monkeypatch.setenv("PREIMAGE_OUT", str(tmp_path))
+        samples = tmp_path / "ragged.csv"
+        samples.write_text("sample_id,x_0,x_1,identity_distance\n0,0.5,0.1,0.0\n1,0.2\n")
+        assert main(["eval", "--task", "diversity", "--samples", str(samples)]) == 1
+        assert "not a table of numbers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("label", ["yes", "nan"])
+    def test_verification_with_a_non_numeric_label_exits_1(self, workspace, tmp_path,
+                                                          monkeypatch, capsys, label):
+        monkeypatch.setenv("PREIMAGE_OUT", str(tmp_path))
+        pairs = tmp_path / "pairs.csv"
+        pairs.write_text(f"distance,is_same\n0.1,{label}\n0.9,0\n")
+        assert main(["eval", "--task", "verification", "--pairs", str(pairs)]) == 1
+        assert "not a table of numbers" in capsys.readouterr().err
+
     def test_verification_requires_pairs(self, workspace, capsys):
         assert main(["eval", "--task", "verification"]) == 1
         assert "--pairs" in capsys.readouterr().err

@@ -39,7 +39,7 @@ from preimage.errors import (
     ShapeError,
     StateError,
 )
-from preimage.diffusion import _quantile_last_axis
+from preimage.diffusion import _quantile_last_axis, _reverse_step_coeffs
 from preimage.nn import ConditionalDenoiser
 
 
@@ -458,17 +458,10 @@ class TestSampler:
                    SampleConfig(seed=0, variance_mode="sigma"))
 
     def test_nan_model_aborts_with_step_diagnostic(self):
-        class NanStub:
-            fitted = True
-            data_dim = 2
-            id_dim = 1
-            attr_dim = None
-
-            def forward(self, x_t, y, t, a=None):
-                return np.full_like(np.asarray(x_t, dtype=np.float64), np.nan)
-
+        model = fitted_toy_model(seed=2)
+        model.output.weight[...] = np.nan
         with pytest.raises(SamplingError, match="step"):
-            sample(NanStub(), np.array([1.0]), self.sched, SampleConfig(seed=0))
+            sample(model, np.array([1.0]), self.sched, SampleConfig(seed=0))
 
     def test_attr_rejected_without_attr_model(self):
         with pytest.raises(ConfigurationError):
@@ -514,28 +507,114 @@ class TestSampler:
         np.testing.assert_allclose(shared, rows, rtol=1e-9, atol=1e-12)
 
     def test_shared_target_and_null_tokens_reach_model_as_vectors(self):
-        class Recorder:
-            fitted = True
-            data_dim = 2
-            id_dim = 1
-            attr_dim = 2
+        model = fitted_toy_model(seed=8, attr_dim=2)
+        calls = []
 
-            def __init__(self):
-                self.calls = []
+        def recording(y, t, a=None):
+            terms = ConditionalDenoiser.condition_terms(model, y, t, a=a)
+            calls.append((np.array(y), np.array(a), np.array(t), terms))
+            return terms
 
-            def forward(self, x_t, y, t, a=None):
-                self.calls.append((np.array(y), np.array(a)))
-                return np.zeros_like(x_t)
-
-        stub = Recorder()
-        sample_batch(stub, np.array([0.7]), self.sched,
+        model.condition_terms = recording
+        sample_batch(model, np.array([0.7]), self.sched,
                      SampleConfig(seed=0, guidance_scale=2.0, respace_steps=1), 4,
                      a=np.array([0.1, 0.2]))
-        (y_cond, a_cond), (y_null, a_null) = stub.calls
+        (y_cond, a_cond, t, _), (y_null, a_null, t_null, uncond) = calls
         np.testing.assert_array_equal(y_cond, [0.7])
         np.testing.assert_array_equal(a_cond, [0.1, 0.2])
         np.testing.assert_array_equal(y_null, null_id_token(1))
         np.testing.assert_array_equal(a_null, null_attr_token(2))
+        np.testing.assert_array_equal(t_null, t)
+        expected = ConditionalDenoiser.condition_terms(model, null_id_token(1), t,
+                                                       a=null_attr_token(2))
+        for (steps, rows), (want_steps, want_rows) in zip(uncond, expected, strict=True):
+            assert rows is None and want_rows is None
+            np.testing.assert_array_equal(steps, want_steps)
+
+    def test_sampling_writes_no_activation_cache(self):
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(64, 2))
+        cfg = TrainConfig(seed=2, timesteps=10, total_batches=5, batch_size=8)
+        model = train(x, x[:, :1].copy(), cfg, attrs=x[:, 1:].copy(),
+                      hidden_dims=(8, 8), time_embed_dim=8).model
+        def cached():
+            return [name for name, layer in model._layers if layer._input is not None]
+
+        assert model._cache is None and cached() == []
+        sample_batch(model, np.array([1.0]), self.sched, SampleConfig(seed=0), 3,
+                     a=np.full((3, 1), 0.5))
+        assert model._cache is None and cached() == []
+
+
+def forward_reference(model, y, schedule, config, n, a=None):
+    """The guided reverse loop as it ran through model.forward, one call per
+    branch per step, before the inference path: the oracle it must match."""
+    cfg = config.resolved()
+    steps = cfg.respace_steps
+    if steps is None:
+        steps = max(1, schedule.n_steps // 4)
+    sub = respace(schedule, steps)
+    y_null = null_id_token(model.id_dim)
+    a_null = None if a is None else null_attr_token(model.attr_dim)
+    rng = np.random.default_rng(cfg.seed)
+    x = rng.standard_normal((n, model.data_dim))
+    scale = cfg.guidance_scale
+    for i in range(sub.n_steps, 0, -1):
+        t_orig = int(sub.timestep_map[i - 1])
+        eps_cond = model.forward(x, y, t_orig, a=a)
+        if scale == 1.0:
+            eps_hat = eps_cond
+        else:
+            eps_uncond = model.forward(x, y_null, t_orig, a=a_null)
+            eps_hat = cfg_combine(eps_uncond, eps_cond, scale)
+        x0_hat = predict_x0(x, eps_hat, i, sub)
+        if cfg.threshold:
+            x0_hat = dynamic_threshold(x0_hat, cfg.threshold_percentile)
+        coef_x0, coef_xt = _reverse_step_coeffs(sub, i)
+        mean = coef_x0 * x0_hat + coef_xt * x
+        if i > 1:
+            if cfg.variance_mode == "posterior":
+                var = sub.posterior_variances[i - 1]
+            else:
+                var = sub.betas[i - 1]
+            x = mean + math.sqrt(var) * rng.standard_normal((n, model.data_dim))
+        else:
+            x = mean
+    return x
+
+
+class TestInferencePathMatchesForward:
+    """sample_batch's cache-free path against forward_reference."""
+
+    N = 6
+
+    @pytest.mark.parametrize("y_rows, attr, guidance, threshold, variance, steps", [
+        (False, None, 1.0, "auto", "posterior", None),
+        (False, None, 2.0, "auto", "posterior", None),
+        (True, None, 2.0, "auto", "posterior", None),
+        (False, "shared", 2.0, "auto", "posterior", None),
+        (False, "rows", 2.0, "auto", "posterior", None),
+        (True, "rows", 3.0, "auto", "posterior", None),
+        (False, None, 2.0, False, "posterior", None),
+        (False, None, 1.0, True, "posterior", None),
+        (False, None, 2.0, "auto", "beta", None),
+        (True, "shared", 1.0, "auto", "beta", None),
+        (False, None, 2.0, "auto", "posterior", 1),
+        (True, "rows", 2.0, "auto", "posterior", 1),
+    ])
+    def test_matches_forward_reference(self, y_rows, attr, guidance, threshold,
+                                       variance, steps):
+        model = fitted_toy_model(seed=5, attr_dim=None if attr is None else 2)
+        rng = np.random.default_rng(12)
+        y = rng.uniform(0.5, 1.5, size=(self.N, 1)) if y_rows else np.array([0.9])
+        a = {None: None, "shared": np.array([0.3, -0.4]),
+             "rows": rng.normal(size=(self.N, 2))}[attr]
+        cfg = SampleConfig(seed=21, guidance_scale=guidance, threshold=threshold,
+                           variance_mode=variance, respace_steps=steps)
+        sched = make_cosine_schedule(20)
+        got = sample_batch(model, y, sched, cfg, self.N, a=a)
+        want = forward_reference(model, y, sched, cfg, self.N, a=a)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 _THREAD_SAMPLER = textwrap.dedent("""
@@ -557,6 +636,17 @@ _THREAD_SAMPLER = textwrap.dedent("""
     gallery = rng.uniform(0.5, 1.5, size=(2048, 1))
     out = sample_batch(model, gallery, sched, cfg, 2048)
     print("gallery", hashlib.sha256(out.tobytes()).hexdigest())
+    out = sample_batch(model, np.array([1.0]), sched, SampleConfig(seed=7, guidance_scale=1.0), 2048)
+    print("g1", hashlib.sha256(out.tobytes()).hexdigest())
+    attr_model = ConditionalDenoiser(2, 1, hidden_dims=(64, 64), time_embed_dim=16,
+                                     attr_dim=3, seed=1)
+    for _, p in attr_model.parameters():
+        p[...] = rng.normal(scale=0.2, size=p.shape)
+    attr_model.fitted = True
+    for kind, y, a in (("shared_a", np.array([1.0]), np.array([0.5, -1.0, 0.25])),
+                       ("rows_a", gallery, rng.normal(size=(2048, 3)))):
+        out = sample_batch(attr_model, y, sched, cfg, 2048, a=a)
+        print(kind, hashlib.sha256(out.tobytes()).hexdigest())
 """)
 
 
@@ -570,7 +660,7 @@ def test_sampling_bitwise_equal_across_blas_thread_counts():
         proc = subprocess.run([sys.executable, "-c", _THREAD_SAMPLER], env=env,
                               capture_output=True, text=True, timeout=120, check=True)
         digests.append(proc.stdout)
-    assert digests[0].count("\n") == 4
+    assert digests[0].count("\n") == 7
     assert digests[0] == digests[1]
 
 

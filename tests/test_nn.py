@@ -133,6 +133,16 @@ class TestSilu:
         silu_grad(x)
         np.testing.assert_array_equal(x, [-1.0, 0.0, 2.0])
 
+    def test_grad_from_kept_sigmoid_is_bitwise_equal(self):
+        x = np.random.default_rng(0).normal(scale=4.0, size=(16, 8))
+        np.testing.assert_array_equal(silu_grad(x, sigmoid(x)), silu_grad(x))
+
+    def test_out_buffer_is_bitwise_equal(self):
+        x = np.random.default_rng(1).normal(scale=4.0, size=(16, 8))
+        out = np.empty_like(x)
+        assert silu(x, out=out) is out
+        np.testing.assert_array_equal(out, silu(x))
+
 
 class TestLinearLayer:
     def test_forward_affine(self):
@@ -380,6 +390,66 @@ class TestSharedCondition:
             self.model.forward(self.x, np.ones(3), 5)
         with pytest.raises(ShapeError):
             self.model.forward(self.x, self.y, 5, a=np.ones(3))
+
+
+class TestInferencePath:
+    """condition_terms and denoise_step against forward, which tiles the
+    condition to every row and caches for backward."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(50)
+        self.model = small_model(seed=7)
+        randomize_params(self.model, 51)
+        self.x = rng.normal(size=(5, 3))
+        self.t = np.array([3, 9, 14])
+        self.y_rows = rng.normal(size=(5, 2))
+        self.a_rows = rng.normal(size=(5, 2))
+        self.y = rng.normal(size=2)
+        self.a = rng.normal(size=2)
+
+    @pytest.mark.parametrize("y_kind, a_kind", [
+        ("shared", None), ("shared", "shared"), ("rows", None),
+        ("shared", "rows"), ("rows", "rows"),
+    ])
+    def test_every_step_matches_forward(self, y_kind, a_kind):
+        y = self.y if y_kind == "shared" else self.y_rows
+        a = {None: None, "shared": self.a, "rows": self.a_rows}[a_kind]
+        terms = self.model.condition_terms(y, self.t, a=a)
+        work = self.model.workspace(len(self.x))
+        for k, t in enumerate(self.t):
+            (got,) = self.model.denoise_step(self.x, [terms], k, work)
+            want = self.model.forward(self.x, y, int(t), a=a)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_branches_share_the_input_projection_only(self):
+        model = self.model
+        cond = model.condition_terms(self.y, self.t, a=self.a)
+        null = model.condition_terms(np.zeros(2), self.t, a=-np.ones(2))
+        work = model.workspace(len(self.x))
+        both = model.denoise_step(self.x, [cond, null], 1, work)
+        alone = [model.denoise_step(self.x, [terms], 1, work)[0] for terms in (cond, null)]
+        for got, want in zip(both, alone, strict=True):
+            np.testing.assert_array_equal(got, want)
+
+    def test_writes_no_cache(self):
+        model = self.model
+        terms = model.condition_terms(self.y_rows, self.t, a=self.a)
+        model.denoise_step(self.x, [terms], 0, model.workspace(len(self.x)))
+        assert model._cache is None
+        assert all(layer._input is None for _, layer in model._layers)
+
+    def test_training_forward_backward_unchanged_after_inference(self):
+        model = self.model
+        upstream = np.random.default_rng(52).normal(size=self.x.shape)
+        model.forward(self.x, self.y_rows, self.t[0], a=self.a_rows)
+        model.backward(upstream)
+        before = model.grads.copy()
+        model.zero_grad()
+        model.forward(self.x, self.y_rows, self.t[0], a=self.a_rows)
+        terms = model.condition_terms(self.y, self.t, a=self.a)
+        model.denoise_step(self.x, [terms], 2, model.workspace(len(self.x)))
+        model.backward(upstream)
+        np.testing.assert_array_equal(model.grads, before)
 
 
 class TestFlatStore:
