@@ -23,7 +23,7 @@ from .errors import (
     ShapeError,
     StateError,
 )
-from .nn import Adam, ConditionalDenoiser, EmaParams
+from .nn import Adam, ConditionalDenoiser, EmaParams, stack_terms
 
 BETA_MAX = 0.999
 
@@ -287,7 +287,8 @@ def dynamic_threshold(x0, percentile: float = 0.99):
         raise ConfigurationError(f"percentile must lie in (0, 1], got {percentile}")
     s = _quantile_last_axis(np.abs(x0), percentile)
     s = np.maximum(s, 1.0)
-    return np.clip(x0, -s, s) / s
+    # np.clip's ufunc without its wrapper; np.minimum/np.maximum flip NaN signs.
+    return x0.clip(-s, s) / s
 
 
 def training_loss(model, x0_batch, y_batch, schedule: NoiseSchedule, rng,
@@ -340,9 +341,7 @@ class TrainResult:
 
     def ema_model(self) -> ConditionalDenoiser:
         """The model with EMA weights substituted; used for sampling."""
-        shadow = self.model.clone()
-        shadow.set_params_flat(self.ema.shadow)
-        return shadow
+        return self.model.clone(params=self.ema.shadow)
 
 
 def train(x0s, ys, config: TrainConfig, attrs=None, hidden_dims=(128, 128, 128),
@@ -436,10 +435,11 @@ def sample_batch(model, y, schedule: NoiseSchedule, config: SampleConfig,
     The model must be fitted. y (and a, if given) may be a single vector
     shared by all rows or one row per sample. The inputs are validated here,
     once; the model then computes the condition terms of every step up front
-    (model.condition_terms) and runs one cache-free step per reverse step
-    (model.denoise_step) in buffers the request reuses (model.workspace), the
-    guided branch sharing the input projection of the state. Deterministic for a fixed (model, y, a, config) including
-    bitwise reproducibility of the result.
+    (model.condition_terms, stacked by stack_terms) and runs one cache-free
+    pass per reverse step for both guidance branches together
+    (model.denoise_step), block by block over the rows, in buffers the
+    request reuses (model.workspace). Deterministic for a fixed (model, y, a,
+    config) including bitwise reproducibility of the result.
     """
     if not getattr(model, "fitted", False):
         raise StateError("model has not been fitted; train it or load a checkpoint")
@@ -465,11 +465,12 @@ def sample_batch(model, y, schedule: NoiseSchedule, config: SampleConfig,
     if scale != 1.0:
         branches.append(model.condition_terms(null_id_token(model.id_dim), sub.timestep_map,
                                               a=a_null))
-    work = model.workspace(n)
+    terms = stack_terms(branches)
+    work = model.workspace(n, len(branches))
     rng = np.random.default_rng(cfg.seed)
     x = rng.standard_normal((n, model.data_dim))
     for i in range(sub.n_steps, 0, -1):
-        eps = model.denoise_step(x, branches, i - 1, work)
+        eps = model.denoise_step(x, terms, i - 1, work)
         eps_hat = eps[0] if scale == 1.0 else cfg_combine(eps[1], eps[0], scale)
         x0_hat = predict_x0(x, eps_hat, i, sub)
         if cfg.threshold:

@@ -221,10 +221,9 @@ def load_checkpoint(path: str) -> Checkpoint:
         raise CheckpointFormatError(f"ema_rate {ema_rate} is out of range")
 
     try:
-        model = ConditionalDenoiser.from_topology(topo)
+        model = ConditionalDenoiser(**topo, params=params)
     except ConfigurationError as exc:
         raise CheckpointFormatError(f"topology is not a valid model: {exc}") from exc
-    model.set_params_flat(params)
     model.fitted = True
     ema = EmaParams(ema_flat, rate=ema_rate)
 

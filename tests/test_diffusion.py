@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +41,7 @@ from preimage.errors import (
     StateError,
 )
 from preimage.diffusion import _quantile_last_axis, _reverse_step_coeffs
-from preimage.nn import ConditionalDenoiser
+from preimage.nn import ROW_BLOCK, ConditionalDenoiser
 
 
 def cosine_bar_closed_form(t: int, n_steps: int) -> float:
@@ -282,6 +283,23 @@ class TestDynamicThreshold:
             got = _quantile_last_axis(v, q)
             assert got.shape == expected.shape
             assert got.tobytes() == expected.tobytes(), (v, q)
+
+    def test_clipping_bitwise_equal_to_np_clip(self):
+        # dynamic_threshold clips without np.clip's Python wrapper; np.clip
+        # is the reference, signed zeros, infinities and NaN signs included.
+        rng = np.random.default_rng(13)
+        specials = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 1.0, -1.0])
+        for i in range(300):
+            n, d = int(rng.integers(1, 4)), int(rng.integers(1, 9))
+            x = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-1, 2)
+            mask = rng.random((n, d)) < (0.0, 0.2, 0.5)[i % 3]
+            x[mask] = rng.choice(specials, size=int(mask.sum()))
+            q = (1.0, 0.99, 0.5)[i % 3]
+            with np.errstate(invalid="ignore"):
+                s = np.maximum(_quantile_last_axis(np.abs(x), q), 1.0)
+                want = np.clip(x, -s, s) / s
+                got = dynamic_threshold(x, q)
+            assert got.tobytes() == want.tobytes(), (x, q)
 
     def test_quantile_propagates_nan_like_numpy(self):
         v = np.array([[np.nan, 1.0, 2.0, 3.0], [4.0, 5.0, 6.0, 7.0]])
@@ -546,6 +564,27 @@ class TestSampler:
         assert model._cache is None and cached() == []
 
 
+def test_sampling_memory_does_not_grow_with_the_row_count():
+    # The workspace holds one row block per buffer plus the (B, n, d)
+    # output; the step's own (n, d) temporaries come on top. A workspace of
+    # (n, h) buffers per hidden layer, about 28 MB here, fails the bound.
+    model = ConditionalDenoiser(2, 1, hidden_dims=(128, 128, 128), time_embed_dim=64, seed=0)
+    model.fitted = True
+    sched = make_cosine_schedule(100)
+    cfg = SampleConfig(seed=0, guidance_scale=2.0, respace_steps=3)
+    y, n, branches = np.array([1.0]), 4096, 2
+    sample_batch(model, y, sched, cfg, 1)
+    tracemalloc.start()
+    try:
+        sample_batch(model, y, sched, cfg, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = min(n, ROW_BLOCK)
+    workspace = 8 * (block * 128 + 2 * branches * block * 128 + branches * n * 2)
+    assert peak < 2 * workspace + 32 * 8 * n * 2, peak
+
+
 def forward_reference(model, y, schedule, config, n, a=None):
     """The guided reverse loop as it ran through model.forward, one call per
     branch per step, before the inference path: the oracle it must match."""
@@ -616,12 +655,28 @@ class TestInferencePathMatchesForward:
         want = forward_reference(model, y, sched, cfg, self.N, a=a)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("y_rows, attr, guidance", [
+        (False, None, 2.0), (True, "rows", 2.0), (False, "rows", 1.0),
+    ])
+    def test_matches_forward_reference_across_row_blocks(self, y_rows, attr, guidance):
+        # More rows than one block and not a multiple of it: a last, short block.
+        n = 2 * ROW_BLOCK + 3
+        model = fitted_toy_model(seed=6, attr_dim=None if attr is None else 2)
+        rng = np.random.default_rng(13)
+        y = rng.uniform(0.5, 1.5, size=(n, 1)) if y_rows else np.array([0.9])
+        a = None if attr is None else rng.normal(size=(n, 2))
+        cfg = SampleConfig(seed=22, guidance_scale=guidance, respace_steps=5)
+        sched = make_cosine_schedule(20)
+        got = sample_batch(model, y, sched, cfg, n, a=a)
+        want = forward_reference(model, y, sched, cfg, n, a=a)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
 
 _THREAD_SAMPLER = textwrap.dedent("""
     import hashlib
     import numpy as np
     from preimage.diffusion import SampleConfig, make_cosine_schedule, sample_batch
-    from preimage.nn import ConditionalDenoiser
+    from preimage.nn import ROW_BLOCK, ConditionalDenoiser
 
     model = ConditionalDenoiser(2, 1, hidden_dims=(64, 64), time_embed_dim=16, seed=0)
     rng = np.random.default_rng(100)
@@ -630,7 +685,7 @@ _THREAD_SAMPLER = textwrap.dedent("""
     model.fitted = True
     sched = make_cosine_schedule(20)
     cfg = SampleConfig(seed=7, guidance_scale=2.0)
-    for n in (1, 64, 2048):
+    for n in (1, 64, 2048, 3 * ROW_BLOCK + 5):
         out = sample_batch(model, np.array([1.0]), sched, cfg, n)
         print(n, hashlib.sha256(out.tobytes()).hexdigest())
     gallery = rng.uniform(0.5, 1.5, size=(2048, 1))
@@ -660,7 +715,7 @@ def test_sampling_bitwise_equal_across_blas_thread_counts():
         proc = subprocess.run([sys.executable, "-c", _THREAD_SAMPLER], env=env,
                               capture_output=True, text=True, timeout=120, check=True)
         digests.append(proc.stdout)
-    assert digests[0].count("\n") == 7
+    assert digests[0].count("\n") == 8
     assert digests[0] == digests[1]
 
 

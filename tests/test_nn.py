@@ -9,6 +9,7 @@ from preimage.diffusion import TrainResult
 from preimage.errors import ConfigurationError, ShapeError, StateError
 from preimage.nn import (
     Adam,
+    ROW_BLOCK,
     ConditionalDenoiser,
     EmaParams,
     LinearLayer,
@@ -17,6 +18,7 @@ from preimage.nn import (
     silu,
     silu_grad,
     sinusoidal_embed,
+    stack_terms,
 )
 from preimage.persistence import Checkpoint
 
@@ -392,6 +394,10 @@ class TestSharedCondition:
             self.model.forward(self.x, self.y, 5, a=np.ones(3))
 
 
+# Row counts on both sides of the inference path's block boundaries.
+BLOCK_ROWS = (1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 3)
+
+
 class TestInferencePath:
     """condition_terms and denoise_step against forward, which tiles the
     condition to every row and caches for backward."""
@@ -400,41 +406,59 @@ class TestInferencePath:
         rng = np.random.default_rng(50)
         self.model = small_model(seed=7)
         randomize_params(self.model, 51)
-        self.x = rng.normal(size=(5, 3))
+        n = max(BLOCK_ROWS)
+        self.x_all = rng.normal(size=(n, 3))
+        self.x = self.x_all[:5]
         self.t = np.array([3, 9, 14])
-        self.y_rows = rng.normal(size=(5, 2))
-        self.a_rows = rng.normal(size=(5, 2))
+        self.y_all = rng.normal(size=(n, 2))
+        self.a_all = rng.normal(size=(n, 2))
+        self.y_rows = self.y_all[:5]
+        self.a_rows = self.a_all[:5]
         self.y = rng.normal(size=2)
         self.a = rng.normal(size=2)
+
+    def step(self, x, branches, k):
+        model = self.model
+        work = model.workspace(len(x), len(branches))
+        return model.denoise_step(x, stack_terms(branches), k, work).copy()
 
     @pytest.mark.parametrize("y_kind, a_kind", [
         ("shared", None), ("shared", "shared"), ("rows", None),
         ("shared", "rows"), ("rows", "rows"),
     ])
     def test_every_step_matches_forward(self, y_kind, a_kind):
-        y = self.y if y_kind == "shared" else self.y_rows
-        a = {None: None, "shared": self.a, "rows": self.a_rows}[a_kind]
-        terms = self.model.condition_terms(y, self.t, a=a)
-        work = self.model.workspace(len(self.x))
-        for k, t in enumerate(self.t):
-            (got,) = self.model.denoise_step(self.x, [terms], k, work)
-            want = self.model.forward(self.x, y, int(t), a=a)
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        # Every row count around the block size, each with the conditional
+        # branch alone and stacked over the null branch.
+        model = self.model
+        for n in BLOCK_ROWS:
+            x = self.x_all[:n]
+            y = self.y if y_kind == "shared" else self.y_all[:n]
+            a = {None: None, "shared": self.a, "rows": self.a_all[:n]}[a_kind]
+            conds = [(y, a), (np.zeros(2), None if a is None else -np.ones(2))]
+            for n_branch in (1, 2):
+                terms = stack_terms([model.condition_terms(yb, self.t, a=ab)
+                                     for yb, ab in conds[:n_branch]])
+                work = model.workspace(n, n_branch)
+                for k, t in enumerate(self.t):
+                    got = model.denoise_step(x, terms, k, work)
+                    assert got.shape == (n_branch, n, 3)
+                    for (yb, ab), eps in zip(conds, got):
+                        want = model.forward(x, yb, int(t), a=ab)
+                        np.testing.assert_allclose(eps, want, rtol=0, atol=1e-12)
 
     def test_branches_share_the_input_projection_only(self):
         model = self.model
         cond = model.condition_terms(self.y, self.t, a=self.a)
         null = model.condition_terms(np.zeros(2), self.t, a=-np.ones(2))
-        work = model.workspace(len(self.x))
-        both = model.denoise_step(self.x, [cond, null], 1, work)
-        alone = [model.denoise_step(self.x, [terms], 1, work)[0] for terms in (cond, null)]
+        both = self.step(self.x, [cond, null], 1)
+        alone = [self.step(self.x, [terms], 1)[0] for terms in (cond, null)]
         for got, want in zip(both, alone, strict=True):
             np.testing.assert_array_equal(got, want)
 
     def test_writes_no_cache(self):
         model = self.model
         terms = model.condition_terms(self.y_rows, self.t, a=self.a)
-        model.denoise_step(self.x, [terms], 0, model.workspace(len(self.x)))
+        self.step(self.x, [terms], 0)
         assert model._cache is None
         assert all(layer._input is None for _, layer in model._layers)
 
@@ -447,7 +471,7 @@ class TestInferencePath:
         model.zero_grad()
         model.forward(self.x, self.y_rows, self.t[0], a=self.a_rows)
         terms = model.condition_terms(self.y, self.t, a=self.a)
-        model.denoise_step(self.x, [terms], 2, model.workspace(len(self.x)))
+        self.step(self.x, [terms], 2)
         model.backward(upstream)
         np.testing.assert_array_equal(model.grads, before)
 
@@ -495,6 +519,32 @@ class TestFlatStore:
         np.testing.assert_array_equal(model.params, before)
         assert not model.grads.any()
         assert np.shares_memory(other.output.weight, other.params)
+
+    def test_model_built_from_a_vector_equals_its_source_and_draws_nothing(
+            self, monkeypatch):
+        source = small_model(seed=6)
+        randomize_params(source, 6)
+        source.fitted = True
+        ema = EmaParams(np.random.default_rng(6).normal(size=source.n_params()))
+        x = np.random.default_rng(7).normal(size=(4, 3))
+        want = source.forward(x, np.ones(2), 5, a=np.zeros(2))
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("an initialization was drawn")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        built = ConditionalDenoiser(**source.topology(), seed=source.seed,
+                                    params=source.params)
+        copies = (built, source.clone(), TrainResult(source, ema, None, None).ema_model())
+        monkeypatch.undo()
+        for other, vec in zip(copies, (source.params, source.params, ema.shadow)):
+            assert other.topology() == source.topology() and other.seed == source.seed
+            np.testing.assert_array_equal(other.params, vec)
+            assert not np.shares_memory(other.params, vec)
+            assert np.shares_memory(other.output.weight, other.params)
+        np.testing.assert_array_equal(built.forward(x, np.ones(2), 5, a=np.zeros(2)), want)
+        with pytest.raises(ShapeError):
+            ConditionalDenoiser(**source.topology(), params=source.params[:-1])
 
     def test_params_flat_is_a_copy(self):
         model = small_model(seed=5)

@@ -98,6 +98,17 @@ class TestCheckpointRoundtrip:
         assert load_checkpoint(path).model.fitted
 
 
+    def test_load_draws_no_initialization(self, trained, tmp_path, monkeypatch):
+        path = str(tmp_path / "h.ckpt")
+        save_checkpoint(path, trained)
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("an initialization was drawn")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        loaded = load_checkpoint(path)
+        np.testing.assert_array_equal(loaded.model.params, trained.model.params)
+
 class TestCheckpointValidation:
     def write_good(self, trained, tmp_path) -> tuple[str, bytes]:
         path = str(tmp_path / "good.ckpt")
