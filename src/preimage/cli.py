@@ -446,16 +446,11 @@ def cmd_oracle_compare(args) -> int:
         ["identity_error_oracle", identity_error(oracle_a, y, embedder), args.n],
     ]
     if hasattr(embedder, "embed_grad"):
-        init_rng = np.random.default_rng(args.seed + 1)
-        inits = draw(init_rng, args.gd_inits)
-        converged = 0
-        steps_used = []
-        for x0 in inits:
-            res = whitebox_gd_invert(embedder, y, x0)
-            converged += int(res.converged)
-            steps_used.append(res.n_steps)
-        rows.append(["gd_converged_fraction", converged / len(inits), len(inits)])
-        rows.append(["gd_mean_steps", float(np.mean(steps_used)), len(inits)])
+        inits = draw(np.random.default_rng(args.seed + 1), args.gd_inits)
+        runs = [whitebox_gd_invert(embedder, y, x0) for x0 in inits]
+        rows.append(["gd_converged_fraction", sum(r.converged for r in runs) / len(runs),
+                     len(runs)])
+        rows.append(["gd_mean_steps", float(np.mean([r.n_steps for r in runs])), len(runs)])
     out = _resolve_out(args.out, cfg.output_dir)
     write_csv(out, ["metric", "value", "n"], rows)
     print(f"wrote oracle comparison to {out}")

@@ -8,12 +8,12 @@ diffusion sampler is judged against both.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .diffusion import SampleConfig, sample_batch
-from .embedders import angular_distance
 from .errors import (
     AcceptanceStarvationError,
     ConfigurationError,
@@ -23,10 +23,28 @@ from .errors import (
 )
 
 
-def _pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Euclidean distance matrix between the rows of a and b."""
-    diff = a[:, None, :] - b[None, :, :]
-    return np.sqrt(np.sum(diff * diff, axis=2))
+# Rows per block of _distance_sum. At m = 2000 its two (32, m) buffers take
+# 1 MiB of a core's 2 MiB L2 on the 2-vCPU Xeon, where 8 to 64 rows ran within
+# 7 % of each other in 2-D, and at d = 64 16 or 32 rows took 0.59 s, 128 0.73 s.
+DISTANCE_ROWS = 32
+
+
+def _distance_sum(a: np.ndarray, b: np.ndarray) -> float:
+    """Sum of ||a_i - b_j|| over all row pairs of a (n, d) and b (m, d), d >= 1,
+    DISTANCE_ROWS rows of a at a time, one coordinate at a time, in O(DISTANCE_ROWS
+    * m) memory. The squares add in coordinate order, a block's distances by
+    numpy's pairwise sum, the block sums in row order."""
+    a_cols, b_cols = a.T.copy(), b.T.copy()
+    acc_buf, sq_buf = np.empty((2, min(DISTANCE_ROWS, len(a)), len(b)))
+    total = 0.0
+    for r0 in range(0, len(a), DISTANCE_ROWS):
+        block = a_cols[:, r0:r0 + DISTANCE_ROWS]
+        acc, sq = acc_buf[:block.shape[1]], sq_buf[:block.shape[1]]
+        np.square(np.subtract.outer(block[0], b_cols[0], out=acc), out=acc)
+        for ak, bk in zip(block[1:], b_cols[1:]):
+            acc += np.square(np.subtract.outer(ak, bk, out=sq), out=sq)
+        total += float(np.sqrt(acc, out=acc).sum())
+    return total
 
 
 def identity_error(samples, target_y, embedder, metric: str = "euclidean") -> float:
@@ -39,19 +57,24 @@ def identity_error(samples, target_y, embedder, metric: str = "euclidean") -> fl
     if metric == "euclidean":
         return float(np.mean(np.linalg.norm(ys - target_y, axis=1)))
     if metric == "angular":
-        return float(np.mean([angular_distance(y, target_y) for y in ys]))
+        if ys.ndim != 2 or ys.shape[1:] != target_y.shape:
+            raise ShapeError("expected embeddings and a target of equal length")
+        norms = np.linalg.norm(ys, axis=1) * np.linalg.norm(target_y)
+        if not norms.all():
+            raise NumericalDomainError("angular distance is undefined for zero vectors")
+        return float(np.mean(np.arccos(np.clip(ys @ target_y / norms, -1.0, 1.0)) / np.pi))
     raise ConfigurationError(f"unknown metric {metric!r}")
 
 
 def diversity(samples) -> float:
-    """Mean Euclidean distance over all unordered pairs of samples."""
+    """Mean Euclidean distance over all unordered pairs of samples: the
+    _distance_sum over all ordered pairs, whose diagonal is exactly zero, over
+    n (n - 1), in O(DISTANCE_ROWS * n) memory."""
     samples = np.asarray(samples, dtype=np.float64)
-    if samples.ndim != 2 or samples.shape[0] < 2:
-        raise ShapeError("diversity needs at least two samples")
+    if samples.ndim != 2 or samples.shape[0] < 2 or samples.shape[1] == 0:
+        raise ShapeError("diversity needs at least two samples of dimension >= 1")
     n = samples.shape[0]
-    dists = _pairwise_distances(samples, samples)
-    iu = np.triu_indices(n, k=1)
-    return float(dists[iu].mean())
+    return _distance_sum(samples, samples) / (n * (n - 1))
 
 
 @dataclass(frozen=True)
@@ -209,45 +232,36 @@ def whitebox_gd_invert(embedder, target_y, x_init, step_size: float = 0.1,
     x = np.array(x_init, dtype=np.float64)
     trace = []
     rising = 0
-    converged = False
     steps_taken = 0
-    for _ in range(max_steps):
+    while True:
         resid = target_y - embedder.embed(x)
-        loss = 0.5 * float(resid @ resid)
-        trace.append(loss)
-        if np.linalg.norm(resid) < tol:
-            converged = True
+        sq_norm = float(resid @ resid)
+        trace.append(0.5 * sq_norm)
+        converged = bool(math.sqrt(sq_norm) < tol)
+        if converged or steps_taken >= max_steps:
             break
-        if len(trace) > 1 and trace[-1] > trace[-2]:
-            rising += 1
-            if rising >= DIVERGENCE_WINDOW:
-                raise DivergenceError(
-                    f"loss rose for {rising} consecutive steps; diverging", trace
-                )
-        else:
-            rising = 0
+        rising = rising + 1 if len(trace) > 1 and trace[-1] > trace[-2] else 0
+        if rising >= DIVERGENCE_WINDOW:
+            raise DivergenceError(f"loss rose for {rising} consecutive steps; diverging", trace)
         jac = embedder.embed_grad(x)
         x = x + step_size * (jac.T @ resid)
         steps_taken += 1
-    else:
-        resid = target_y - embedder.embed(x)
-        trace.append(0.5 * float(resid @ resid))
-        converged = bool(np.linalg.norm(resid) < tol)
     return InversionResult(x, np.array(trace), converged, steps_taken)
 
 
 def energy_distance(batch_a, batch_b) -> float:
-    """Energy distance 2 E||a-b|| - E||a-a'|| - E||b-b'|| between two sample
-    batches, with the expectations taken over all index pairs including the
-    diagonal (V-statistics), so identical batches give exactly zero.
+    """Energy distance 2 E||a-b|| - E||a-a'|| - E||b-b'|| between two (n, d)
+    and (m, d) sample batches, with the expectations taken over all index
+    pairs including the diagonal (V-statistics). Each term is a _distance_sum
+    through the same code path, in O(DISTANCE_ROWS * max(n, m)) memory, so
+    identical batches give exactly zero.
     """
-    a = np.atleast_2d(np.asarray(batch_a, dtype=np.float64))
-    b = np.atleast_2d(np.asarray(batch_b, dtype=np.float64))
-    if a.shape[0] == 0 or b.shape[0] == 0:
-        raise ShapeError("both batches must be nonempty")
+    a = np.asarray(batch_a, dtype=np.float64)
+    b = np.asarray(batch_b, dtype=np.float64)
+    if a.ndim != 2 or b.ndim != 2 or 0 in a.shape or 0 in b.shape:
+        raise ShapeError("expected two nonempty (n, d) batches")
     if a.shape[1] != b.shape[1]:
         raise ShapeError("batches must share a dimension")
-    cross = _pairwise_distances(a, b).mean()
-    within_a = _pairwise_distances(a, a).mean()
-    within_b = _pairwise_distances(b, b).mean()
-    return float(2.0 * cross - within_a - within_b)
+    n, m = a.shape[0], b.shape[0]
+    return (2.0 * _distance_sum(a, b) / (n * m) - _distance_sum(a, a) / (n * n)
+            - _distance_sum(b, b) / (m * m))

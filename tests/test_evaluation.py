@@ -1,12 +1,14 @@
 """Unit tests for metrics and the rejection / gradient-descent baselines."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from preimage.diffusion import SampleConfig, make_cosine_schedule
-from preimage.embedders import LinearEmbedder, RadiusEmbedder
+from preimage.embedders import LinearEmbedder, RadiusEmbedder, angular_distance
 from preimage.errors import (
     AcceptanceStarvationError,
     ConfigurationError,
@@ -15,6 +17,8 @@ from preimage.errors import (
     ShapeError,
 )
 from preimage.evaluation import (
+    DISTANCE_ROWS,
+    _distance_sum,
     diversity,
     energy_distance,
     guidance_sweep,
@@ -24,6 +28,15 @@ from preimage.evaluation import (
     whitebox_gd_invert,
 )
 from preimage.nn import ConditionalDenoiser
+
+R = DISTANCE_ROWS
+
+
+def pairwise_reference(a, b):
+    """The Euclidean distance matrix through the (n, m, d) difference tensor,
+    kept as the reference for the row-blocked distance sums."""
+    diff = a[:, None, :] - b[None, :, :]
+    return np.sqrt(np.sum(diff * diff, axis=2))
 
 
 class TestIdentityError:
@@ -56,6 +69,49 @@ class TestIdentityError:
         with pytest.raises(ConfigurationError):
             identity_error(np.ones((1, 2)), np.ones(1), RadiusEmbedder(2), metric="cosine")
 
+    @staticmethod
+    def angular_loop(samples, target_y, embedder):
+        """The angular metric as one angular_distance call per row, kept as
+        the reference for the vectorised form."""
+        ys = embedder.embed(np.asarray(samples, dtype=np.float64))
+        return float(np.mean([angular_distance(y, target_y) for y in ys]))
+
+    def test_angular_matches_the_loop(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            d, k, n = (int(v) for v in rng.integers(1, 9, size=3))
+            emb = LinearEmbedder(rng.normal(size=(k, d)))
+            xs = rng.normal(size=(n, d))
+            y = rng.normal(size=k)
+            want = self.angular_loop(xs, y, emb)
+            assert identity_error(xs, y, emb, metric="angular") == pytest.approx(
+                want, rel=1e-12, abs=1e-12)
+
+    def test_angular_row_along_the_target_near_the_loop(self):
+        # arccos has slope -1/sqrt(1 - c^2): near c = 1 a one-ulp difference
+        # in the cosine, between BLAS dot and a row reduction, moves the
+        # angle by up to about 1e-8, in the loop as much as here.
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            emb = LinearEmbedder(rng.normal(size=(3, 3)))
+            xs = rng.normal(size=(4, 3))
+            y = emb.embed(xs[0]) * rng.uniform(0.5, 2.0)
+            got = identity_error(xs, y, emb, metric="angular")
+            assert abs(got - self.angular_loop(xs, y, emb)) <= 1e-7
+
+    @pytest.mark.parametrize("xs, y", [
+        (np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([1.0, 0.0])),  # a zero embedding
+        (np.array([[1.0, 0.0]]), np.zeros(2)),  # a zero target
+    ])
+    def test_angular_zero_vector_rejected(self, xs, y):
+        with pytest.raises(NumericalDomainError):
+            identity_error(xs, y, LinearEmbedder(np.eye(2)), metric="angular")
+
+    @pytest.mark.parametrize("y", [np.ones(3), np.ones(1), np.ones((1, 2))])
+    def test_angular_target_length_mismatch_rejected(self, y):
+        with pytest.raises(ShapeError):
+            identity_error(np.ones((4, 2)), y, LinearEmbedder(np.eye(2)), metric="angular")
+
 
 class TestDiversity:
     def test_two_points(self):
@@ -73,6 +129,27 @@ class TestDiversity:
     def test_single_sample_rejected(self):
         with pytest.raises(ShapeError):
             diversity(np.ones((1, 2)))
+
+    @pytest.mark.parametrize("samples", [np.ones((3, 0)), np.ones(4), np.ones((3, 2, 1))])
+    def test_not_a_batch_of_points_rejected(self, samples):
+        with pytest.raises(ShapeError):
+            diversity(samples)
+
+    @pytest.mark.parametrize("d", [1, 2, 64])
+    def test_matches_the_pairwise_tensor(self, d):
+        rng = np.random.default_rng(d)
+        for n in (2, R - 1, R, R + 1, 2 * R + 3):
+            xs = rng.normal(size=(n, d))
+            dists = pairwise_reference(xs, xs)
+            want = dists[np.triu_indices(n, k=1)].mean()
+            assert diversity(xs) == pytest.approx(want, rel=1e-12)
+
+    def test_near_duplicates_match_the_pairwise_tensor(self):
+        rng = np.random.default_rng(5)
+        xs = rng.normal(size=3) + 1e-9 * rng.normal(size=(2 * R + 3, 3))
+        dists = pairwise_reference(xs, xs)
+        assert diversity(xs) == pytest.approx(dists[np.triu_indices(len(xs), k=1)].mean(),
+                                              rel=1e-12)
 
 
 class TestVerificationAccuracy:
@@ -276,6 +353,71 @@ class TestWhiteboxGdInvert:
         with pytest.raises(NumericalDomainError):
             whitebox_gd_invert(RadiusEmbedder(2), np.array([1.0]), np.zeros(2))
 
+    @staticmethod
+    def loop_reference(embedder, target_y, x_init, step_size=0.1, max_steps=1000, tol=1e-6):
+        """The descent loop with np.linalg.norm for the residual norm and a
+        for/else final evaluation, kept as the bitwise reference."""
+        target_y = np.asarray(target_y, dtype=np.float64)
+        x = np.array(x_init, dtype=np.float64)
+        trace = []
+        rising = 0
+        converged = False
+        steps_taken = 0
+        for _ in range(max_steps):
+            resid = target_y - embedder.embed(x)
+            loss = 0.5 * float(resid @ resid)
+            trace.append(loss)
+            if np.linalg.norm(resid) < tol:
+                converged = True
+                break
+            if len(trace) > 1 and trace[-1] > trace[-2]:
+                rising += 1
+                if rising >= 100:
+                    raise DivergenceError("diverging", trace)
+            else:
+                rising = 0
+            jac = embedder.embed_grad(x)
+            x = x + step_size * (jac.T @ resid)
+            steps_taken += 1
+        else:
+            resid = target_y - embedder.embed(x)
+            trace.append(0.5 * float(resid @ resid))
+            converged = bool(np.linalg.norm(resid) < tol)
+        return x, np.array(trace), converged, steps_taken
+
+    def test_matches_the_loop_bitwise(self):
+        rng = np.random.default_rng(21)
+        cases = []
+        for _ in range(60):
+            d = int(rng.integers(2, 6))
+            emb = (RadiusEmbedder(d) if rng.random() < 0.5 else
+                   LinearEmbedder(np.eye(d) + 0.3 * rng.normal(size=(d, d))))
+            y = (np.array([rng.uniform(0.2, 2.0)]) if isinstance(emb, RadiusEmbedder)
+                 else rng.normal(size=d))
+            kwargs = {"step_size": float(rng.uniform(0.01, 0.6)),
+                      "max_steps": int(rng.choice([0, 1, 5, 40, 1000])),
+                      "tol": float(rng.choice([1e-6, 1e-3, 0.0]))}
+            cases.append((emb, y, rng.normal(size=d), kwargs))
+        # Step 3 oscillates on the radius map until max_steps and diverges on the identity.
+        cases.append((RadiusEmbedder(2), np.array([1.0]), np.array([1.5, 0.5]),
+                      {"step_size": 3.0, "max_steps": 300}))
+        cases.append((LinearEmbedder(np.eye(2)), np.array([1.0, 0.0]), np.zeros(2),
+                      {"step_size": 3.0}))
+        for emb, y, x0, kwargs in cases:
+            try:
+                want = self.loop_reference(emb, y, x0, **kwargs)
+            except DivergenceError as exc:
+                with pytest.raises(DivergenceError) as got:
+                    whitebox_gd_invert(emb, y, x0, **kwargs)
+                assert np.array(got.value.loss_trace).tobytes() == \
+                    np.array(exc.loss_trace).tobytes()
+                continue
+            res = whitebox_gd_invert(emb, y, x0, **kwargs)
+            assert res.x.tobytes() == want[0].tobytes()
+            assert res.loss_trace.tobytes() == want[1].tobytes()
+            assert type(res.converged) is bool and res.converged == want[2]
+            assert res.n_steps == want[3]
+
     def test_embedder_without_gradient_rejected(self):
         class Opaque:
             def embed(self, x):
@@ -300,12 +442,13 @@ class TestEnergyDistance:
         a, b = rng.normal(size=(15, 2)), rng.normal(size=(10, 2))
         assert energy_distance(a, b) == pytest.approx(energy_distance(b, a), rel=1e-12)
 
-    @given(st.integers(0, 5000))
+    @given(st.integers(0, 5000), st.integers(R + 1, 2 * R + 3), st.integers(1, 2 * R + 3))
     @settings(max_examples=30, deadline=None)
-    def test_nonnegative(self, seed):
+    def test_nonnegative(self, seed, n, m):
+        # n always crosses a block boundary of the row-blocked distance sums.
         rng = np.random.default_rng(seed)
-        a = rng.normal(size=(8, 2))
-        b = rng.normal(loc=rng.normal(), size=(6, 2))
+        a = rng.normal(size=(n, 2))
+        b = rng.normal(loc=rng.normal(), size=(m, 2))
         assert energy_distance(a, b) >= -1e-12
 
     def test_separated_batches_score_high(self):
@@ -317,6 +460,65 @@ class TestEnergyDistance:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ShapeError):
             energy_distance(np.ones((3, 2)), np.ones((3, 3)))
+
+    @pytest.mark.parametrize("a, b", [
+        (np.arange(5.0), np.arange(5.0) + 1.0),  # five 1-D samples, not one 5-D point
+        (np.ones((4, 1)), np.arange(5.0)),
+        (np.ones((0, 2)), np.ones((3, 2))),
+        (np.ones((3, 0)), np.ones((3, 0))),
+        (np.ones((3, 2, 1)), np.ones((3, 2, 1))),
+        (5.0, 6.0),
+    ])
+    def test_not_a_batch_of_points_rejected(self, a, b):
+        with pytest.raises(ShapeError):
+            energy_distance(a, b)
+
+    def test_identical_batches_zero_across_blocks(self):
+        a = np.random.default_rng(3).normal(size=(2 * R + 3, 64))
+        assert energy_distance(a, a) == 0.0
+        assert energy_distance(a, a.copy()) == 0.0
+
+    @pytest.mark.parametrize("d", [1, 2, 64])
+    def test_matches_the_pairwise_tensor(self, d):
+        rng = np.random.default_rng(100 + d)
+        sizes = (1, R - 1, R, R + 1, 2 * R + 3)
+        for n in sizes:
+            for m in sizes:
+                a = rng.normal(size=(n, d))
+                b = rng.normal(loc=0.3, size=(m, d))
+                self.check_against_reference(a, b)
+
+    def test_near_duplicates_match_the_pairwise_tensor(self):
+        rng = np.random.default_rng(6)
+        for d in (1, 2, 64):
+            a = rng.normal(size=(2 * R + 3, d))
+            b = a[:R + 1] + 1e-9 * rng.normal(size=(R + 1, d))
+            self.check_against_reference(a, b)
+            tight = rng.normal(size=d) + 1e-9 * rng.normal(size=(R + 2, d))
+            self.check_against_reference(tight, tight[::-1] + 1e-9)
+
+    @staticmethod
+    def check_against_reference(a, b):
+        """Each mean term to 1e-12 relative, the energy distance to 1e-12
+        of the cross mean, against the (n, m, d) formula."""
+        means = {}
+        for name, (u, v) in {"cross": (a, b), "within_a": (a, a), "within_b": (b, b)}.items():
+            want = pairwise_reference(u, v).mean()
+            means[name] = want
+            assert _distance_sum(u, v) / (len(u) * len(v)) == pytest.approx(want, rel=1e-12)
+        want = 2.0 * means["cross"] - means["within_a"] - means["within_b"]
+        assert abs(energy_distance(a, b) - want) <= 1e-12 * means["cross"]
+
+    def test_memory_does_not_grow_with_the_batch(self):
+        rng = np.random.default_rng(7)
+        a, b = rng.normal(size=(4000, 64)), rng.normal(loc=0.1, size=(4000, 64))
+        tracemalloc.start()
+        try:
+            energy_distance(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100e6
 
 
 def tiny_fitted_model(seed=0):
