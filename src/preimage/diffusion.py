@@ -23,7 +23,7 @@ from .errors import (
     ShapeError,
     StateError,
 )
-from .nn import Adam, ConditionalDenoiser, EmaParams, stack_terms
+from .nn import Adam, ConditionalDenoiser, EmaParams, shared_or_rows, stack_terms
 
 BETA_MAX = 0.999
 
@@ -345,8 +345,7 @@ class TrainResult:
 
 
 def train(x0s, ys, config: TrainConfig, attrs=None, hidden_dims=(128, 128, 128),
-          time_embed_dim: int = 64, model_seed: int | None = None,
-          log_every: int = 0) -> TrainResult:
+          time_embed_dim: int = 64, log_every: int = 0) -> TrainResult:
     """Fit a ConditionalDenoiser to (x, y[, a]) pairs.
 
     Batches are drawn with replacement from the dataset; the whole run is a
@@ -374,7 +373,7 @@ def train(x0s, ys, config: TrainConfig, attrs=None, hidden_dims=(128, 128, 128),
         hidden_dims=hidden_dims,
         time_embed_dim=time_embed_dim,
         attr_dim=None if attrs is None else attrs.shape[1],
-        seed=config.seed if model_seed is None else model_seed,
+        seed=config.seed,
     )
     opt = Adam(model.params, lr=config.learning_rate)
     ema = EmaParams(model.params, rate=config.ema_rate)
@@ -414,20 +413,6 @@ def _reverse_step_coeffs(schedule: NoiseSchedule, i: int):
     return coef_x0, coef_xt
 
 
-def _shared_or_rows(v, dim: int, n: int, name: str) -> np.ndarray:
-    """A conditioning input as one shared (dim,) vector or (n, dim) rows.
-
-    A shared vector stays 1-D so the model computes its condition once; a
-    scalar counts as a shared vector when dim is 1.
-    """
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim == 0:
-        v = v.reshape(1)
-    if v.shape != (dim,) and v.shape != (n, dim):
-        raise ShapeError(f"{name} must broadcast to ({n}, {dim})")
-    return v
-
-
 def sample_batch(model, y, schedule: NoiseSchedule, config: SampleConfig,
                  n: int, a=None) -> np.ndarray:
     """Draw n pre-images of y by running the guided reverse process.
@@ -452,12 +437,12 @@ def sample_batch(model, y, schedule: NoiseSchedule, config: SampleConfig,
         steps = max(1, schedule.n_steps // 4)
     sub = respace(schedule, steps)
 
-    y = _shared_or_rows(y, model.id_dim, n, "y")
+    y = shared_or_rows(y, model.id_dim, n, "y")
     a_null = None
     if a is not None:
         if model.attr_dim is None:
             raise ConfigurationError("model was built without attribute conditioning")
-        a = _shared_or_rows(a, model.attr_dim, n, "a")
+        a = shared_or_rows(a, model.attr_dim, n, "a")
         a_null = null_attr_token(model.attr_dim)
 
     scale = cfg.guidance_scale

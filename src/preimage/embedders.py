@@ -270,12 +270,29 @@ def stack_samples(ds: Dataset) -> tuple[np.ndarray, np.ndarray, Optional[np.ndar
 # -- embedding-space distances ---------------------------------------------
 
 
+def angles_over_pi(u, v) -> np.ndarray:
+    """Angles between u and v along the last axis, in units of pi.
+
+    2 atan2(|u' - v'|, |u' + v'|) / pi on the unit vectors u' and v'. Unlike
+    arccos of the cosine, whose slope is unbounded at 1, this is well
+    conditioned at every angle: a vector along the other reads 0 to within
+    the rounding of its unit vector, and identical, orthogonal and opposite
+    axis vectors read exactly 0, 0.5 and 1. Zero vectors have no direction
+    and are rejected.
+    """
+    nu = np.linalg.norm(u, axis=-1, keepdims=True)
+    nv = np.linalg.norm(v, axis=-1, keepdims=True)
+    if not (nu.all() and nv.all()):
+        raise NumericalDomainError("angular distance is undefined for zero vectors")
+    u, v = u / nu, v / nv
+    return 2.0 * np.arctan2(np.linalg.norm(u - v, axis=-1), np.linalg.norm(u + v, axis=-1)) / np.pi
+
+
 def angular_distance(y1, y2, mean=None) -> float:
     """Angle between embeddings in units of pi, optionally after centering.
 
-    arccos of the clipped cosine similarity, divided by pi, so the result
-    lies in [0, 1]. Passing a mean embedding subtracts it from both sides
-    first. Zero vectors have no direction and are rejected.
+    angles_over_pi of the two vectors, so the result lies in [0, 1]. Passing
+    a mean embedding subtracts it from both sides first.
     """
     y1 = np.asarray(y1, dtype=np.float64)
     y2 = np.asarray(y2, dtype=np.float64)
@@ -285,12 +302,7 @@ def angular_distance(y1, y2, mean=None) -> float:
         mean = np.asarray(mean, dtype=np.float64)
         y1 = y1 - mean
         y2 = y2 - mean
-    n1 = np.linalg.norm(y1)
-    n2 = np.linalg.norm(y2)
-    if n1 == 0.0 or n2 == 0.0:
-        raise NumericalDomainError("angular distance is undefined for zero vectors")
-    cos = np.clip(np.dot(y1, y2) / (n1 * n2), -1.0, 1.0)
-    return float(np.arccos(cos) / np.pi)
+    return float(angles_over_pi(y1, y2))
 
 
 def mean_embedding(ys) -> np.ndarray:

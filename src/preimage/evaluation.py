@@ -14,11 +14,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .diffusion import SampleConfig, sample_batch
+from .embedders import angles_over_pi
 from .errors import (
     AcceptanceStarvationError,
     ConfigurationError,
     DivergenceError,
-    NumericalDomainError,
     ShapeError,
 )
 
@@ -59,10 +59,7 @@ def identity_error(samples, target_y, embedder, metric: str = "euclidean") -> fl
     if metric == "angular":
         if ys.ndim != 2 or ys.shape[1:] != target_y.shape:
             raise ShapeError("expected embeddings and a target of equal length")
-        norms = np.linalg.norm(ys, axis=1) * np.linalg.norm(target_y)
-        if not norms.all():
-            raise NumericalDomainError("angular distance is undefined for zero vectors")
-        return float(np.mean(np.arccos(np.clip(ys @ target_y / norms, -1.0, 1.0)) / np.pi))
+        return float(np.mean(angles_over_pi(ys, target_y)))
     raise ConfigurationError(f"unknown metric {metric!r}")
 
 

@@ -1,10 +1,12 @@
 """Manually differentiated MLP denoiser and its training machinery.
 
-Everything here is plain float64 numpy. Layers cache their forward inputs so
-that a single backward pass can accumulate parameter gradients without an
-autograd framework. Sampling takes a separate inference path through the
-denoiser that caches nothing, checks no shapes per layer, and runs both
-guidance branches in one pass over blocks of rows.
+Everything here is plain float64 numpy. A layer is four views of the model's
+flat parameter and gradient store and keeps no state; the model's forward
+caches every layer input in one place, so that a single backward pass can
+accumulate parameter gradients without an autograd framework. Sampling takes a
+separate inference path through the denoiser that caches nothing, checks no
+shapes per layer, and runs both guidance branches in one pass over blocks of
+rows.
 """
 
 from __future__ import annotations
@@ -82,63 +84,50 @@ def sinusoidal_embed(t, dim: int) -> np.ndarray:
 
 
 class LinearLayer:
-    """Affine map with gradient accumulators mirroring weight and bias.
+    """Affine map over four views of a model's flat store.
 
-    weight has shape (out_dim, in_dim); forward computes x @ weight.T + bias.
-    The forward input is cached so backward can accumulate gradients; backward
-    consumes the cache, so it must be paired with a preceding forward.
+    weight (out_dim, in_dim) and bias view the model's params, weight_grad and
+    bias_grad its grads; the layer holds no other state. forward computes
+    x @ weight.T + bias. backward(x, grad_out) adds the gradients of the
+    forward that took x into weight_grad and bias_grad and returns the
+    gradient with respect to x. Neither checks shapes: the model checks its
+    inputs once.
     """
 
-    def __init__(self, in_dim: int, out_dim: int, rng=None, zero_init: bool = False):
-        if in_dim <= 0 or out_dim <= 0:
-            raise ConfigurationError(f"layer dims must be positive, got ({in_dim}, {out_dim})")
-        self.in_dim = in_dim
-        self.out_dim = out_dim
-        if zero_init:
-            self.weight = np.zeros((out_dim, in_dim))
-            self.bias = np.zeros(out_dim)
-        else:
-            if rng is None:
-                raise ConfigurationError("rng is required unless zero_init is set")
-            # Kaiming-style uniform init scaled by fan-in.
-            bound = 1.0 / math.sqrt(in_dim)
-            self.weight = rng.uniform(-bound, bound, size=(out_dim, in_dim))
-            self.bias = rng.uniform(-bound, bound, size=out_dim)
-        self.weight_grad = np.zeros_like(self.weight)
-        self.bias_grad = np.zeros_like(self.bias)
-        self._input = None
+    def __init__(self, weight, bias, weight_grad, bias_grad):
+        self.weight, self.bias = weight, bias
+        self.weight_grad, self.bias_grad = weight_grad, bias_grad
+        self.out_dim, self.in_dim = weight.shape
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.in_dim:
-            raise ShapeError(f"expected input of shape (n, {self.in_dim}), got {x.shape}")
-        self._input = x
         out = x @ self.weight.T
         out += self.bias
         return out
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._input is None:
-            raise StateError("backward called without a matching forward")
-        grad_out = np.asarray(grad_out, dtype=np.float64)
-        if grad_out.shape != (self._input.shape[0], self.out_dim):
-            raise ShapeError(
-                f"expected upstream grad of shape ({self._input.shape[0]}, {self.out_dim}),"
-                f" got {grad_out.shape}"
-            )
-        self.weight_grad += grad_out.T @ self._input
+    def backward(self, x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
+        self.weight_grad += grad_out.T @ x
         self.bias_grad += grad_out.sum(axis=0)
-        grad_in = grad_out @ self.weight
-        self._input = None
-        return grad_in
+        return grad_out @ self.weight
 
 
-def _affine(layer: LinearLayer, x: np.ndarray) -> np.ndarray:
-    """x @ weight.T + bias on the layer's flat-store views: forward with no
-    shape check and no cached input, for the inference path."""
-    out = x @ layer.weight.T
-    out += layer.bias
-    return out
+def shared_or_rows(v, dim: int, n: int, name: str) -> np.ndarray:
+    """A conditioning input as one shared (dim,) vector or (n, dim) rows.
+
+    A shared vector stays 1-D, so the inference path computes its condition
+    once; a scalar counts as a shared vector when dim is 1. Anything else
+    raises ShapeError.
+    """
+    v = np.asarray(v, dtype=np.float64)
+    if v.ndim == 0:
+        v = v.reshape(1)
+    if v.shape != (dim,) and v.shape != (n, dim):
+        raise ShapeError(f"{name} must have shape ({dim},) or ({n}, {dim}), got {v.shape}")
+    return v
+
+
+def _tiled(v: np.ndarray, n: int) -> np.ndarray:
+    """shared_or_rows' result as (n, dim) rows."""
+    return np.tile(v, (n, 1)) if v.ndim == 1 else v
 
 
 def _layer_dims(topo: dict) -> list:
@@ -173,7 +162,9 @@ class ConditionalDenoiser:
     initialization.
 
     params and grads are the flat store, laid out layer by layer as weight
-    then bias; every layer's weight, bias and their grads are views of them.
+    then bias. It is allocated first; every layer's weight, bias and their
+    grads are views of it, and the initialization is drawn into those views.
+    mains holds each hidden layer's own map: input_proj, then hidden_0, ...
     """
 
     def __init__(
@@ -191,8 +182,8 @@ class ConditionalDenoiser:
             raise ConfigurationError(f"dims must be positive, got data={data_dim} id={id_dim}")
         if attr_dim is not None and attr_dim <= 0:
             raise ConfigurationError(f"attr_dim must be positive or None, got {attr_dim}")
-        if not hidden_dims:
-            raise ConfigurationError("at least one hidden layer is required")
+        if not hidden_dims or min(hidden_dims) <= 0:
+            raise ConfigurationError(f"hidden_dims must be positive, got {hidden_dims}")
         if time_embed_dim < 2 or time_embed_dim % 2 != 0:
             raise ConfigurationError(f"time_embed_dim must be even, got {time_embed_dim}")
         self.data_dim = data_dim
@@ -203,28 +194,29 @@ class ConditionalDenoiser:
         self.seed = seed
         self.fitted = False
 
+        self.params = np.zeros(param_count(self.topology()))
+        self.grads = np.zeros_like(self.params)
         rng = None if params is not None else np.random.default_rng(seed)
-        self._layers = [(name, LinearLayer(i, o, rng, zero_init=rng is None or name == "output"))
-                        for name, i, o in _layer_dims(self.topology())]
+        self._layers, offset = [], 0
+        for name, in_dim, out_dim in _layer_dims(self.topology()):
+            mid, end = offset + out_dim * in_dim, offset + out_dim * (in_dim + 1)
+            layer = LinearLayer(*(view for store in (self.params, self.grads) for view in
+                                  (store[offset:mid].reshape(out_dim, in_dim), store[mid:end])))
+            if rng is not None and name != "output":
+                # Kaiming-style uniform init scaled by fan-in.
+                bound = 1.0 / math.sqrt(in_dim)
+                layer.weight[...] = rng.uniform(-bound, bound, size=(out_dim, in_dim))
+                layer.bias[...] = rng.uniform(-bound, bound, size=out_dim)
+            self._layers.append((name, layer))
+            offset = end
         by_name = dict(self._layers)
-        self.input_proj = by_name["input_proj"]
-        self.hidden = [by_name[f"hidden_{i}"] for i in range(len(hidden_dims) - 1)]
+        self.mains = [by_name["input_proj"],
+                      *(by_name[f"hidden_{i}"] for i in range(len(hidden_dims) - 1))]
+        self.input_proj = self.mains[0]
         self.id_proj = by_name["id_proj"]
         self.attr_proj = by_name.get("attr_proj")
         self.inject = [by_name[f"inject_{i}"] for i in range(len(hidden_dims))]
         self.output = by_name["output"]
-
-        # Rebind every layer array as a view of one params and one grads vector.
-        slots = [(layer, attr) for _, layer in self._layers for attr in ("weight", "bias")]
-        self.params = np.concatenate([getattr(layer, attr).ravel() for layer, attr in slots])
-        self.grads = np.zeros_like(self.params)
-        offset = 0
-        for layer, attr in slots:
-            shape = getattr(layer, attr).shape
-            end = offset + math.prod(shape)
-            setattr(layer, attr, self.params[offset:end].reshape(shape))
-            setattr(layer, f"{attr}_grad", self.grads[offset:end].reshape(shape))
-            offset = end
         if params is not None:
             self.set_params_flat(params)
 
@@ -267,10 +259,6 @@ class ConditionalDenoiser:
             "hidden_dims": self.hidden_dims,
         }
 
-    @classmethod
-    def from_topology(cls, topo: dict, seed: int = 0) -> "ConditionalDenoiser":
-        return cls(**topo, seed=seed)
-
     def clone(self, params=None) -> "ConditionalDenoiser":
         """A copy of this model, around params instead of its own if given."""
         other = ConditionalDenoiser(**self.topology(), seed=self.seed,
@@ -280,22 +268,15 @@ class ConditionalDenoiser:
 
     # -- forward / backward ----------------------------------------------
 
-    def _check_cond_input(self, arr, dim, n, name):
-        arr = np.asarray(arr, dtype=np.float64)
-        if arr.ndim == 1:
-            arr = np.tile(arr, (n, 1))
-        if arr.shape != (n, dim):
-            raise ShapeError(f"{name} must have shape ({dim},) or ({n}, {dim}), got {arr.shape}")
-        return arr
-
     def forward(self, x_t, y, t, a=None) -> np.ndarray:
         """Predict the noise in x_t given target embedding y at timestep t.
 
-        x_t may be (d,) or (n, d); y and a broadcast from (k,)/(m,) to the
-        batch; t is a scalar or per-row array of timesteps >= 1. A model built
-        with attr_dim set still accepts a=None, which leaves the attribute
-        pathway off the compute path entirely. Caches what backward needs;
-        sampling uses condition_terms and denoise_step instead.
+        x_t may be (d,) or (n, d); y and a are one (k,)/(m,) vector, tiled to
+        every row, or one row per sample; t is a scalar or per-row array of
+        timesteps >= 1. A model built with attr_dim set still accepts a=None,
+        which leaves the attribute pathway off the compute path entirely.
+        Caches every layer input backward needs; sampling uses
+        condition_terms and denoise_step instead.
         """
         x_t = np.asarray(x_t, dtype=np.float64)
         single = x_t.ndim == 1
@@ -304,11 +285,11 @@ class ConditionalDenoiser:
         if x_t.ndim != 2 or x_t.shape[1] != self.data_dim:
             raise ShapeError(f"x_t must have shape (n, {self.data_dim}), got {x_t.shape}")
         n = x_t.shape[0]
-        y = self._check_cond_input(y, self.id_dim, n, "y")
+        y = _tiled(shared_or_rows(y, self.id_dim, n, "y"), n)
         if a is not None:
             if self.attr_proj is None:
                 raise ConfigurationError("model was built without attribute conditioning")
-            a = self._check_cond_input(a, self.attr_dim, n, "a")
+            a = _tiled(shared_or_rows(a, self.attr_dim, n, "a"), n)
 
         t_arr = np.asarray(t, dtype=np.float64)
         if t_arr.ndim == 0:
@@ -323,49 +304,51 @@ class ConditionalDenoiser:
         if a is not None:
             cond += self.attr_proj.forward(a)
         terms = [layer.forward(cond) for layer in self.inject]
-        zs = []
-        z = self.input_proj.forward(x_t)
-        for i, term in enumerate(terms):
-            if i:
-                z = self.hidden[i - 1].forward(h)
+        trunk, h = [], x_t
+        for main, term in zip(self.mains, terms):
+            z = main.forward(h)
             z += term
             s = sigmoid(z)
-            zs.append((z, s))
+            trunk.append((h, z, s))
             h = z * s
         eps = self.output.forward(h)
 
-        self._cache = {"zs": zs, "a_given": a is not None, "single": single}
+        self._cache = (y, a, cond, trunk, h, single)
         return eps[0] if single else eps
 
     def backward(self, grad_out) -> np.ndarray:
         """Accumulate parameter gradients for the last forward pass.
 
-        grad_out is the loss gradient with respect to the predicted noise.
-        Returns the gradient with respect to x_t. Consumes the forward cache.
+        grad_out is the loss gradient with respect to the predicted noise, of
+        the predicted noise's shape. Returns the gradient with respect to x_t.
+        Consumes the forward cache.
         """
         if self._cache is None:
             raise StateError("backward called without a matching forward")
-        cache = self._cache
+        y, a, cond, trunk, h, single = self._cache
         self._cache = None
 
         grad_out = np.asarray(grad_out, dtype=np.float64)
-        if cache["single"] and grad_out.ndim == 1:
+        if single and grad_out.ndim == 1:
             grad_out = grad_out[None, :]
+        n = len(h)
+        if grad_out.shape != (n, self.data_dim):
+            raise ShapeError(f"expected upstream grad of shape ({n}, {self.data_dim}),"
+                             f" got {grad_out.shape}")
 
-        dh = self.output.backward(grad_out)
+        dh = self.output.backward(h, grad_out)
         dcond = None
-        for i in reversed(range(len(self.hidden_dims))):
-            dz = silu_grad(*cache["zs"][i])
+        for main, inject, (x, z, s) in reversed(list(zip(self.mains, self.inject, trunk))):
+            dz = silu_grad(z, s)
             dz *= dh
-            dc = self.inject[i].backward(dz)
+            dc = inject.backward(cond, dz)
             dcond = dc if dcond is None else dcond + dc
-            main = self.input_proj if i == 0 else self.hidden[i - 1]
-            dh = main.backward(dz)
+            dh = main.backward(x, dz)
         # dcond also flows into the sinusoidal embedding, which has no params.
-        self.id_proj.backward(dcond)
-        if cache["a_given"]:
-            self.attr_proj.backward(dcond)
-        return dh[0] if cache["single"] else dh
+        self.id_proj.backward(y, dcond)
+        if a is not None:
+            self.attr_proj.backward(a, dcond)
+        return dh[0] if single else dh
 
     # -- inference ---------------------------------------------------------
 
@@ -388,16 +371,15 @@ class ConditionalDenoiser:
         Nothing is validated or cached: sample_batch checks the inputs once.
         """
         temb = sinusoidal_embed(t, self.time_embed_dim)
-        cond = _affine(self.id_proj, np.atleast_2d(y))
+        cond = self.id_proj.forward(np.atleast_2d(y))
         if a is not None:
-            cond = cond + _affine(self.attr_proj, np.atleast_2d(a))
-        mains = [self.input_proj, *self.hidden]
+            cond = cond + self.attr_proj.forward(np.atleast_2d(a))
         if len(cond) == 1:
             temb += cond
-            return [(_affine(layer, temb) + main.bias, None)
-                    for layer, main in zip(self.inject, mains)]
-        return [(temb @ layer.weight.T + main.bias, _affine(layer, cond))
-                for layer, main in zip(self.inject, mains)]
+            return [(layer.forward(temb) + main.bias, None)
+                    for layer, main in zip(self.inject, self.mains)]
+        return [(temb @ layer.weight.T + main.bias, layer.forward(cond))
+                for layer, main in zip(self.inject, self.mains)]
 
     def workspace(self, n: int, branches: int):
         """Scratch arrays for denoise_step on n rows and B = branches: three
@@ -433,12 +415,13 @@ class ConditionalDenoiser:
         condition_terms, this neither validates nor caches."""
         blocks, out = work
         for rows_of, out_rows, proj, layers in blocks:
-            for i, ((steps, rows), (z, z2, h, h2)) in enumerate(zip(terms, layers)):
+            for i, (main, (steps, rows), (z, z2, h, h2)) in enumerate(
+                    zip(self.mains, terms, layers)):
                 if i:
-                    np.matmul(h2_prev, self.hidden[i - 1].weight.T, out=z2)
+                    np.matmul(h2_prev, main.weight.T, out=z2)
                     z += steps[k]
                 else:
-                    np.matmul(x[rows_of], self.input_proj.weight.T, out=proj)
+                    np.matmul(x[rows_of], main.weight.T, out=proj)
                     np.add(proj, steps[k], out=z)
                 for b, row_terms in rows:
                     z[b] += row_terms[rows_of]

@@ -257,6 +257,20 @@ class TestAngularDistance:
         y = np.array([1.0, 1e-8])
         assert angular_distance(y, y) == 0.0
 
+    def test_agrees_with_arccos_of_the_cosine(self):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            y1, y2 = rng.normal(size=(2, int(rng.integers(2, 9))))
+            cos = y1 @ y2 / (np.linalg.norm(y1) * np.linalg.norm(y2))
+            assert angular_distance(y1, y2) == pytest.approx(np.arccos(cos) / np.pi, abs=1e-12)
+
+    def test_scaled_copy_reads_zero(self):
+        rng = np.random.default_rng(6)
+        for _ in range(200):
+            y = rng.normal(size=3)
+            assert angular_distance(y, y * rng.uniform(0.5, 2.0)) <= 1e-15
+            assert angular_distance(y, -y * rng.uniform(0.5, 2.0)) >= 1.0 - 1e-15
+
 
 class TestMeanEmbedding:
     def test_simple_mean(self):

@@ -87,10 +87,18 @@ class TestIdentityError:
             assert identity_error(xs, y, emb, metric="angular") == pytest.approx(
                 want, rel=1e-12, abs=1e-12)
 
+    def test_angular_exact_preimages_read_zero(self):
+        # The embedding of an exact pre-image lies along the target. arccos
+        # of the cosine, with its unbounded slope at 1, read up to 6.7e-9 in
+        # 46 of these 200 cases; the atan2 form reads at most 8.7e-17.
+        rng = np.random.default_rng(13)
+        for _ in range(200):
+            emb = LinearEmbedder(rng.normal(size=(3, 3)))
+            xs = rng.normal(size=(1, 3))
+            y = emb.embed(xs[0]) * rng.uniform(0.5, 2.0)
+            assert identity_error(xs, y, emb, metric="angular") <= 1e-15
+
     def test_angular_row_along_the_target_near_the_loop(self):
-        # arccos has slope -1/sqrt(1 - c^2): near c = 1 a one-ulp difference
-        # in the cosine, between BLAS dot and a row reduction, moves the
-        # angle by up to about 1e-8, in the loop as much as here.
         rng = np.random.default_rng(12)
         for _ in range(50):
             emb = LinearEmbedder(rng.normal(size=(3, 3)))

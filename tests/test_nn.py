@@ -147,42 +147,54 @@ class TestSilu:
 
 
 class TestLinearLayer:
+    @staticmethod
+    def layer(in_dim, out_dim, seed=0):
+        """A layer over a fresh (params, grads) store, params drawn at random."""
+        rng = np.random.default_rng(seed)
+        n = out_dim * (in_dim + 1)
+        params, grads = rng.normal(size=n), np.zeros(n)
+        split = out_dim * in_dim
+        views = [v for store in (params, grads)
+                 for v in (store[:split].reshape(out_dim, in_dim), store[split:])]
+        return LinearLayer(*views), params, grads
+
     def test_forward_affine(self):
-        rng = np.random.default_rng(0)
-        layer = LinearLayer(3, 2, rng)
-        x = rng.normal(size=(4, 3))
-        np.testing.assert_allclose(layer.forward(x), x @ layer.weight.T + layer.bias)
+        layer, _, _ = self.layer(3, 2)
+        x = np.random.default_rng(1).normal(size=(4, 3))
+        np.testing.assert_array_equal(layer.forward(x), x @ layer.weight.T + layer.bias)
 
     def test_zero_init(self):
-        layer = LinearLayer(3, 2, zero_init=True)
-        assert not layer.weight.any() and not layer.bias.any()
+        # The output layer of a fresh model views a zero stretch of the store.
+        model = small_model(seed=1)
+        assert not model.output.weight.any() and not model.output.bias.any()
+        assert model.params.any()
 
     def test_grad_shapes_mirror_params(self):
-        layer = LinearLayer(5, 7, np.random.default_rng(1))
-        assert layer.weight_grad.shape == layer.weight.shape
-        assert layer.bias_grad.shape == layer.bias.shape
+        layer, _, _ = self.layer(5, 7)
+        assert (layer.out_dim, layer.in_dim) == (7, 5)
+        assert layer.weight_grad.shape == layer.weight.shape == (7, 5)
+        assert layer.bias_grad.shape == layer.bias.shape == (7,)
 
-    def test_backward_before_forward_rejected(self):
-        layer = LinearLayer(2, 2, np.random.default_rng(0))
-        with pytest.raises(StateError):
-            layer.backward(np.zeros((1, 2)))
+    def test_views_share_the_store(self):
+        layer, params, grads = self.layer(3, 2)
+        for view, store in ((layer.weight, params), (layer.bias, params),
+                            (layer.weight_grad, grads), (layer.bias_grad, grads)):
+            assert np.shares_memory(view, store)
+        params[:] = 1.0
+        assert (layer.weight == 1.0).all() and (layer.bias == 1.0).all()
 
     def test_backward_accumulates(self):
+        layer, _, grads = self.layer(3, 2, seed=2)
         rng = np.random.default_rng(2)
-        layer = LinearLayer(3, 2, rng)
         x = rng.normal(size=(4, 3))
         g = rng.normal(size=(4, 2))
-        layer.forward(x)
-        layer.backward(g)
-        first = layer.weight_grad.copy()
-        layer.forward(x)
-        layer.backward(g)
-        np.testing.assert_allclose(layer.weight_grad, 2 * first)
-
-    def test_bad_input_shape_rejected(self):
-        layer = LinearLayer(3, 2, np.random.default_rng(0))
-        with pytest.raises(ShapeError):
-            layer.forward(np.zeros((4, 5)))
+        dx = layer.backward(x, g)
+        np.testing.assert_array_equal(dx, g @ layer.weight)
+        np.testing.assert_array_equal(layer.weight_grad, g.T @ x)
+        np.testing.assert_array_equal(layer.bias_grad, g.sum(axis=0))
+        first = grads.copy()
+        layer.backward(x, g)
+        np.testing.assert_array_equal(grads, 2 * first)
 
 
 class TestDenoiserForward:
@@ -237,6 +249,11 @@ class TestDenoiserForward:
     def test_odd_time_embed_dim_rejected(self):
         with pytest.raises(ConfigurationError):
             ConditionalDenoiser(3, 2, (4,), time_embed_dim=7)
+
+    @pytest.mark.parametrize("hidden_dims", [(), (0,), (4, 0), (-3,), (4, -1, 4)])
+    def test_nonpositive_hidden_dims_rejected(self, hidden_dims):
+        with pytest.raises(ConfigurationError):
+            ConditionalDenoiser(3, 2, hidden_dims, 8)
 
     def test_flat_roundtrip(self):
         model = small_model(seed=6)
@@ -297,6 +314,17 @@ class TestDenoiserBackward:
         with pytest.raises(StateError):
             model.backward(np.ones(3))
 
+    @pytest.mark.parametrize("x, upstream", [
+        (np.ones(3), np.ones(4)), (np.ones(3), np.ones((2, 3))),
+        (np.ones((5, 3)), np.ones((4, 3))), (np.ones((5, 3)), np.ones((5, 2))),
+        (np.ones((5, 3)), np.ones(15)),
+    ])
+    def test_misshaped_upstream_rejected(self, x, upstream):
+        model = small_model()
+        model.forward(x, np.ones(2), 1, a=np.ones(2))
+        with pytest.raises(ShapeError):
+            model.backward(upstream)
+
     def test_backward_consumes_cache(self):
         model = small_model()
         model.forward(np.ones(3), np.ones(2), 1, a=np.ones(2))
@@ -325,9 +353,137 @@ class TestDenoiserBackward:
             assert dx[j] == pytest.approx(numeric, rel=1e-5, abs=1e-8)
 
 
+class CachingLayer:
+    """The linear layer as it was before it became four store views, kept as
+    the reference: forward checks and caches its input, backward consumes
+    it. It runs over another layer's views of a flat store."""
+
+    def __init__(self, layer):
+        self.weight, self.bias = layer.weight, layer.bias
+        self.weight_grad, self.bias_grad = layer.weight_grad, layer.bias_grad
+        self.in_dim, self.out_dim = layer.in_dim, layer.out_dim
+        self._input = None
+
+    def forward(self, x):
+        x = np.asarray(x, dtype=np.float64)
+        assert x.ndim == 2 and x.shape[1] == self.in_dim
+        self._input = x
+        out = x @ self.weight.T
+        out += self.bias
+        return out
+
+    def backward(self, grad_out):
+        assert self._input is not None
+        assert grad_out.shape == (self._input.shape[0], self.out_dim)
+        self.weight_grad += grad_out.T @ self._input
+        self.bias_grad += grad_out.sum(axis=0)
+        grad_in = grad_out @ self.weight
+        self._input = None
+        return grad_in
+
+
+class CachingReference:
+    """ConditionalDenoiser.forward and backward as they were over caching
+    layers, run on a model's own parameter and gradient views."""
+
+    def __init__(self, model):
+        self.model = model
+        by_name = {name: CachingLayer(layer) for name, layer in model._layers}
+        n_hidden = len(model.hidden_dims)
+        self.input_proj = by_name["input_proj"]
+        self.hidden = [by_name[f"hidden_{i}"] for i in range(n_hidden - 1)]
+        self.id_proj = by_name["id_proj"]
+        self.attr_proj = by_name.get("attr_proj")
+        self.inject = [by_name[f"inject_{i}"] for i in range(n_hidden)]
+        self.output = by_name["output"]
+
+    def forward(self, x_t, y, t, a=None):
+        x_t = np.asarray(x_t, dtype=np.float64)
+        single = x_t.ndim == 1
+        if single:
+            x_t = x_t[None, :]
+        n = x_t.shape[0]
+
+        def tiled(v):
+            v = np.asarray(v, dtype=np.float64)
+            return np.tile(v, (n, 1)) if v.ndim == 1 else v
+
+        t_arr = np.asarray(t, dtype=np.float64)
+        if t_arr.ndim == 0:
+            t_arr = np.full(n, float(t_arr))
+        cond = sinusoidal_embed(t_arr, self.model.time_embed_dim)
+        cond += self.id_proj.forward(tiled(y))
+        if a is not None:
+            cond += self.attr_proj.forward(tiled(a))
+        terms = [layer.forward(cond) for layer in self.inject]
+        zs = []
+        z = self.input_proj.forward(x_t)
+        for i, term in enumerate(terms):
+            if i:
+                z = self.hidden[i - 1].forward(h)
+            z += term
+            s = sigmoid(z)
+            zs.append((z, s))
+            h = z * s
+        eps = self.output.forward(h)
+        self.cache = (zs, a is not None, single)
+        return eps[0] if single else eps
+
+    def backward(self, grad_out):
+        zs, a_given, single = self.cache
+        grad_out = np.asarray(grad_out, dtype=np.float64)
+        if single and grad_out.ndim == 1:
+            grad_out = grad_out[None, :]
+        dh = self.output.backward(grad_out)
+        dcond = None
+        for i in reversed(range(len(zs))):
+            dz = silu_grad(*zs[i])
+            dz *= dh
+            dc = self.inject[i].backward(dz)
+            dcond = dc if dcond is None else dcond + dc
+            main = self.input_proj if i == 0 else self.hidden[i - 1]
+            dh = main.backward(dz)
+        self.id_proj.backward(dcond)
+        if a_given:
+            self.attr_proj.backward(dcond)
+        return dh[0] if single else dh
+
+
+class TestMatchesCachingReference:
+    """forward and backward are bitwise equal, signed zeros included, to the
+    caching layers they replace, over two passes whose gradients add up."""
+
+    @staticmethod
+    def assert_bitwise(got, want):
+        got, want = np.asarray(got), np.asarray(want)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("hidden_dims", [(6, 5), (5, 4, 3)])
+    @pytest.mark.parametrize("x_rows", [None, 1, 7])
+    @pytest.mark.parametrize("y_kind", ["shared", "rows"])
+    @pytest.mark.parametrize("a_kind", [None, "shared", "rows"])
+    def test_two_passes_bitwise_equal(self, hidden_dims, x_rows, y_kind, a_kind):
+        model = ConditionalDenoiser(3, 2, hidden_dims, 8, attr_dim=2, seed=8)
+        randomize_params(model, 8)
+        twin = model.clone()
+        reference = CachingReference(twin)
+        rng = np.random.default_rng(9)
+        n = 1 if x_rows is None else x_rows
+        for _ in range(2):
+            shape = (3,) if x_rows is None else (n, 3)
+            x, upstream = rng.normal(size=shape), rng.normal(size=shape)
+            y = rng.normal(size=2 if y_kind == "shared" else (n, 2))
+            a = {None: None, "shared": rng.normal(size=2), "rows": rng.normal(size=(n, 2))}[a_kind]
+            t = rng.integers(1, 50) if x_rows is None else rng.integers(1, 50, size=n)
+            self.assert_bitwise(model.forward(x, y, t, a=a), reference.forward(x, y, t, a=a))
+            self.assert_bitwise(model.backward(upstream), reference.backward(upstream))
+        self.assert_bitwise(model.grads, twin.grads)
+        assert twin.grads.any()
+
+
 class TestSharedCondition:
-    """A single y/a vector with a scalar t is computed on one row and
-    broadcast; it must agree with the same condition tiled to every row."""
+    """forward tiles a single y/a vector to every row; with a scalar t it must
+    agree with the same condition and timestep given per row."""
 
     def setup_method(self):
         rng = np.random.default_rng(40)
@@ -460,7 +616,6 @@ class TestInferencePath:
         terms = model.condition_terms(self.y_rows, self.t, a=self.a)
         self.step(self.x, [terms], 0)
         assert model._cache is None
-        assert all(layer._input is None for _, layer in model._layers)
 
     def test_training_forward_backward_unchanged_after_inference(self):
         model = self.model
