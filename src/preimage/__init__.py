@@ -33,7 +33,6 @@ from .embedders import (
     draw_points,
     generate_dataset,
     make_embedder,
-    mean_embedding,
     stack_samples,
 )
 from .errors import (

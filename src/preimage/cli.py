@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .diffusion import SampleConfig, TrainConfig, null_attr_token, sample_batch, train
+from .diffusion import SampleConfig, TrainConfig, is_seed, null_attr_token, sample_batch, train
 from .embedders import (
     DatasetSpec,
     EmbedderInfo,
@@ -66,13 +66,56 @@ class RunConfig:
     output_dir: str = "."
 
 
-def _take(d: dict, section: str, allowed: set) -> dict:
-    unknown = set(d) - allowed
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+# What each JSON value of a run config must be: a description for the error
+# message and the test.
+_KINDS = {
+    "int": ("an integer", _is_int),
+    "seed": ("an integer in [0, 2**64)", lambda v: is_seed(v, 1 << 64)),
+    "number": ("a number", lambda v: _is_int(v) or isinstance(v, float)),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "str?": ("a string or null", lambda v: v is None or isinstance(v, str)),
+    "object": ("an object", lambda v: isinstance(v, dict)),
+    "ints": ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_int, v))),
+}
+
+# Every key of every section of a run config and the kind of its value; a
+# key whose kind ends in "!" is required.
+_SECTIONS = {
+    "top-level": {"dataset": "object!", "embedder": "object!", "model": "object",
+                  "train": "object", "output_dir": "str"},
+    "dataset": {"distribution": "str!", "input_dim": "int!", "n_samples": "int!",
+                "seed": "seed!", "attribute": "str?", "params": "object"},
+    "embedder": {"name": "str!", "input_dim": "int!", "output_dim": "int", "seed": "seed"},
+    "model": {"hidden_dims": "ints", "time_embed_dim": "int"},
+    "train": {"seed": "seed!", "schedule": "str", "timesteps": "int", "cond_dropout": "number",
+              "batch_size": "int", "learning_rate": "number", "ema_rate": "number",
+              "total_batches": "int"},
+}
+
+
+def _section(value, name: str) -> dict:
+    """value checked against _SECTIONS[name]: an object with no unknown key,
+    every required key, and every value of its kind."""
+    if not isinstance(value, dict):
+        raise ConfigurationError(f"the {name} config must be a JSON object")
+    keys = _SECTIONS[name]
+    unknown = set(value) - set(keys)
     if unknown:
-        raise ConfigurationError(
-            f"unknown {section} config keys: {', '.join(sorted(unknown))}"
-        )
-    return d
+        raise ConfigurationError(f"unknown {name} config keys: {', '.join(sorted(unknown))}")
+    for key, kind in keys.items():
+        if key not in value:
+            if kind.endswith("!"):
+                raise ConfigurationError(f"the {name} config needs {key!r}")
+            continue
+        what, ok = _KINDS[kind.rstrip("!")]
+        if not ok(value[key]):
+            raise ConfigurationError(
+                f"{name} config {key!r} must be {what}, got {value[key]!r}")
+    return value
 
 
 def load_run_config(path: str) -> RunConfig:
@@ -82,42 +125,16 @@ def load_run_config(path: str) -> RunConfig:
         except json.JSONDecodeError as exc:
             raise ConfigurationError(f"config is not valid JSON: {exc}") from exc
 
-    _take(raw, "top-level", {"dataset", "embedder", "model", "train", "output_dir"})
-    if "dataset" not in raw or "embedder" not in raw:
-        raise ConfigurationError("config needs 'dataset' and 'embedder' sections")
-
-    ds = _take(dict(raw["dataset"]), "dataset",
-               {"distribution", "input_dim", "n_samples", "seed", "attribute", "params"})
-    dataset = DatasetSpec(
-        distribution=ds["distribution"],
-        input_dim=int(ds["input_dim"]),
-        n_samples=int(ds["n_samples"]),
-        seed=int(ds["seed"]),
-        attribute=ds.get("attribute"),
-        params=ds.get("params", {}),
-    )
-
-    em = _take(dict(raw["embedder"]), "embedder",
-               {"name", "input_dim", "output_dim", "seed"})
-    embedder_info = EmbedderInfo(
-        name=em["name"],
-        input_dim=int(em["input_dim"]),
-        output_dim=int(em.get("output_dim", 1)),
-        seed=int(em.get("seed", 0)),
-    )
-
-    model = _take(dict(raw.get("model", {})), "model", {"hidden_dims", "time_embed_dim"})
-    hidden_dims = tuple(int(h) for h in model.get("hidden_dims", (128, 128, 128)))
-    time_embed_dim = int(model.get("time_embed_dim", 64))
+    raw = _section(raw, "top-level")
+    dataset = DatasetSpec(**_section(raw["dataset"], "dataset"))
+    embedder_info = EmbedderInfo(**{"output_dim": 1, **_section(raw["embedder"], "embedder")})
+    model = _section(raw.get("model", {}), "model")
+    hidden_dims = tuple(model.get("hidden_dims", (128, 128, 128)))
+    time_embed_dim = model.get("time_embed_dim", 64)
 
     train_cfg = None
     if "train" in raw:
-        tr = _take(dict(raw["train"]), "train",
-                   {"seed", "schedule", "timesteps", "cond_dropout", "batch_size",
-                    "learning_rate", "ema_rate", "total_batches"})
-        if "seed" not in tr:
-            raise ConfigurationError("train config must set a seed")
-        train_cfg = TrainConfig(**tr)
+        train_cfg = TrainConfig(**_section(raw["train"], "train"))
         train_cfg.validate()
 
     cfg = RunConfig(dataset, embedder_info, hidden_dims, time_embed_dim,
@@ -288,10 +305,11 @@ def cmd_interpolate(args) -> int:
 
 
 def _float_table(path):
-    """The header of a CSV and its rows as one float array; a ragged row or a
-    cell that is not a finite number is a ConfigurationError."""
-    header, rows = read_csv(path)
-    try:
+    """The header of a CSV and its rows as one float array; a file that is not
+    UTF-8, a ragged row or a cell that is not a finite number is a
+    ConfigurationError."""
+    try:  # UnicodeDecodeError is a ValueError
+        header, rows = read_csv(path)
         table = np.array(rows, dtype=np.float64).reshape(len(rows), len(header))
     except ValueError:
         table = None
@@ -428,6 +446,8 @@ def cmd_oracle_compare(args) -> int:
         raise ConfigurationError(
             f"--target-y has {len(y)} entries but the model expects {model.id_dim}"
         )
+    if args.gd_inits < 1:
+        raise ConfigurationError(f"--gd-inits must be >= 1, got {args.gd_inits}")
 
     xs = sample_batch(model, y, ckpt.schedule, _sample_config(args), args.n,
                       a=_default_attr(model))

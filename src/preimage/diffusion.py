@@ -23,7 +23,7 @@ from .errors import (
     ShapeError,
     StateError,
 )
-from .nn import Adam, ConditionalDenoiser, EmaParams, shared_or_rows, stack_terms
+from .nn import Adam, ConditionalDenoiser, EmaParams, shared_or_rows
 
 BETA_MAX = 0.999
 
@@ -35,14 +35,16 @@ class NoiseSchedule:
     All arrays have length T and are indexed by step-1 (steps run 1..T).
     timestep_map holds, for each step of this schedule, the step index of the
     original full-length schedule it corresponds to; for a schedule that was
-    never respaced it is simply 1..T. posterior_variances[0] is 0 because the
-    step-1 posterior is deterministic.
+    never respaced it is simply 1..T. The posterior q(x_{t-1} | x_t, x0) has
+    mean coef_x0 * x0 + coef_xt * x_t and variance posterior_variances, whose
+    first entry is 0 because the step-1 posterior is deterministic.
     """
 
     betas: np.ndarray
-    alphas: np.ndarray
     alpha_bars: np.ndarray
     posterior_variances: np.ndarray
+    coef_x0: np.ndarray
+    coef_xt: np.ndarray
     timestep_map: np.ndarray
 
     @property
@@ -63,13 +65,15 @@ def schedule_from_betas(betas: np.ndarray, timestep_map=None) -> NoiseSchedule:
         raise ConfigurationError("alpha_bar must be strictly decreasing from below 1")
     prev_bars = np.concatenate(([1.0], alpha_bars[:-1]))
     posterior = betas * (1.0 - prev_bars) / (1.0 - alpha_bars)
+    coef_x0 = np.sqrt(prev_bars) * betas / (1.0 - alpha_bars)
+    coef_xt = np.sqrt(alphas) * (1.0 - prev_bars) / (1.0 - alpha_bars)
     if timestep_map is None:
         timestep_map = np.arange(1, len(betas) + 1, dtype=np.int64)
     else:
         timestep_map = np.asarray(timestep_map, dtype=np.int64)
         if timestep_map.shape != betas.shape:
             raise ShapeError("timestep_map must match betas in length")
-    return NoiseSchedule(betas, alphas, alpha_bars, posterior, timestep_map)
+    return NoiseSchedule(betas, alpha_bars, posterior, coef_x0, coef_xt, timestep_map)
 
 
 def make_cosine_schedule(n_steps: int) -> NoiseSchedule:
@@ -126,6 +130,13 @@ def respace(schedule: NoiseSchedule, n_steps: int) -> NoiseSchedule:
     return schedule_from_betas(betas, timestep_map=schedule.timestep_map[kept - 1])
 
 
+def is_seed(seed, bound: int | None = None) -> bool:
+    """Whether seed is an integer (not a bool) in [0, bound), bound None
+    meaning no upper limit."""
+    return (isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)
+            and 0 <= seed and (bound is None or seed < bound))
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Hyperparameters of a training run. The seed is mandatory."""
@@ -140,6 +151,9 @@ class TrainConfig:
     total_batches: int = 10000
 
     def validate(self) -> None:
+        if not is_seed(self.seed, 1 << 64):
+            # The checkpoint stores the seed as a u64.
+            raise ConfigurationError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
         if self.schedule not in ("cosine", "linear"):
             raise ConfigurationError(f"unknown schedule kind {self.schedule!r}")
         if self.timesteps < 1:
@@ -171,12 +185,13 @@ class SampleConfig:
     guidance_scale: float = 2.0
     respace_steps: int | None = None
     threshold: bool | str = "auto"
-    threshold_percentile: float = 0.99
     variance_mode: str = "posterior"
 
     def resolved(self) -> "SampleConfig":
         """Validate, clamp guidance below 1 (with a warning), resolve 'auto'."""
         cfg = self
+        if not is_seed(cfg.seed):
+            raise ConfigurationError(f"seed must be a nonnegative integer, got {cfg.seed!r}")
         if cfg.guidance_scale < 1.0:
             warnings.warn(
                 f"guidance scale {cfg.guidance_scale} below 1 has no supported "
@@ -186,10 +201,6 @@ class SampleConfig:
             cfg = replace(cfg, guidance_scale=1.0)
         if cfg.variance_mode not in ("posterior", "beta"):
             raise ConfigurationError(f"unknown variance_mode {cfg.variance_mode!r}")
-        if not (0.0 < cfg.threshold_percentile <= 1.0):
-            raise ConfigurationError(
-                f"threshold_percentile must lie in (0, 1], got {cfg.threshold_percentile}"
-            )
         if cfg.threshold == "auto":
             cfg = replace(cfg, threshold=cfg.guidance_scale > 1.5)
         elif not isinstance(cfg.threshold, bool):
@@ -402,26 +413,17 @@ def train(x0s, ys, config: TrainConfig, attrs=None, hidden_dims=(128, 128, 128),
     return result
 
 
-def _reverse_step_coeffs(schedule: NoiseSchedule, i: int):
-    """Posterior-mean coefficients for respaced step i (1-indexed)."""
-    bar = schedule.alpha_bars[i - 1]
-    prev_bar = 1.0 if i == 1 else schedule.alpha_bars[i - 2]
-    beta = schedule.betas[i - 1]
-    alpha = schedule.alphas[i - 1]
-    coef_x0 = math.sqrt(prev_bar) * beta / (1.0 - bar)
-    coef_xt = math.sqrt(alpha) * (1.0 - prev_bar) / (1.0 - bar)
-    return coef_x0, coef_xt
-
-
 def sample_batch(model, y, schedule: NoiseSchedule, config: SampleConfig,
                  n: int, a=None) -> np.ndarray:
     """Draw n pre-images of y by running the guided reverse process.
 
     The model must be fitted. y (and a, if given) may be a single vector
     shared by all rows or one row per sample. The inputs are validated here,
-    once; the model then computes the condition terms of every step up front
-    (model.condition_terms, stacked by stack_terms) and runs one cache-free
-    pass per reverse step for both guidance branches together
+    once. The request's plan is then two objects: the respaced schedule,
+    which carries every step's posterior coefficients, with sigma taken from
+    it once for the variance mode; and the condition terms of every guidance
+    branch at every step, built in one call (model.condition_terms). Each
+    reverse step is one cache-free pass for all branches together
     (model.denoise_step), block by block over the rows, in buffers the
     request reuses (model.workspace). Deterministic for a fixed (model, y, a,
     config) including bitwise reproducibility of the result.
@@ -446,12 +448,12 @@ def sample_batch(model, y, schedule: NoiseSchedule, config: SampleConfig,
         a_null = null_attr_token(model.attr_dim)
 
     scale = cfg.guidance_scale
-    branches = [model.condition_terms(y, sub.timestep_map, a=a)]
+    branches = [(y, a)]
     if scale != 1.0:
-        branches.append(model.condition_terms(null_id_token(model.id_dim), sub.timestep_map,
-                                              a=a_null))
-    terms = stack_terms(branches)
+        branches.append((null_id_token(model.id_dim), a_null))
+    terms = model.condition_terms(branches, sub.timestep_map)
     work = model.workspace(n, len(branches))
+    sigmas = np.sqrt(sub.posterior_variances if cfg.variance_mode == "posterior" else sub.betas)
     rng = np.random.default_rng(cfg.seed)
     x = rng.standard_normal((n, model.data_dim))
     for i in range(sub.n_steps, 0, -1):
@@ -459,15 +461,10 @@ def sample_batch(model, y, schedule: NoiseSchedule, config: SampleConfig,
         eps_hat = eps[0] if scale == 1.0 else cfg_combine(eps[1], eps[0], scale)
         x0_hat = predict_x0(x, eps_hat, i, sub)
         if cfg.threshold:
-            x0_hat = dynamic_threshold(x0_hat, cfg.threshold_percentile)
-        coef_x0, coef_xt = _reverse_step_coeffs(sub, i)
-        mean = coef_x0 * x0_hat + coef_xt * x
+            x0_hat = dynamic_threshold(x0_hat)
+        mean = sub.coef_x0[i - 1] * x0_hat + sub.coef_xt[i - 1] * x
         if i > 1:
-            if cfg.variance_mode == "posterior":
-                var = sub.posterior_variances[i - 1]
-            else:
-                var = sub.betas[i - 1]
-            x = mean + math.sqrt(var) * rng.standard_normal((n, model.data_dim))
+            x = mean + sigmas[i - 1] * rng.standard_normal((n, model.data_dim))
         else:
             x = mean
         if not np.isfinite(x).all():

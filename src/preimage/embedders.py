@@ -288,26 +288,11 @@ def angles_over_pi(u, v) -> np.ndarray:
     return 2.0 * np.arctan2(np.linalg.norm(u - v, axis=-1), np.linalg.norm(u + v, axis=-1)) / np.pi
 
 
-def angular_distance(y1, y2, mean=None) -> float:
-    """Angle between embeddings in units of pi, optionally after centering.
-
-    angles_over_pi of the two vectors, so the result lies in [0, 1]. Passing
-    a mean embedding subtracts it from both sides first.
-    """
+def angular_distance(y1, y2) -> float:
+    """Angle between embeddings in units of pi: angles_over_pi of the two
+    vectors, so the result lies in [0, 1]."""
     y1 = np.asarray(y1, dtype=np.float64)
     y2 = np.asarray(y2, dtype=np.float64)
     if y1.shape != y2.shape or y1.ndim != 1:
         raise ShapeError("expected two 1-D vectors of equal length")
-    if mean is not None:
-        mean = np.asarray(mean, dtype=np.float64)
-        y1 = y1 - mean
-        y2 = y2 - mean
     return float(angles_over_pi(y1, y2))
-
-
-def mean_embedding(ys) -> np.ndarray:
-    """Coordinate-wise mean of a batch of embeddings."""
-    ys = np.asarray(ys, dtype=np.float64)
-    if ys.ndim != 2 or ys.shape[0] == 0:
-        raise ShapeError("expected a nonempty (n, k) array of embeddings")
-    return ys.mean(axis=0)

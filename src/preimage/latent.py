@@ -143,26 +143,24 @@ def custom_direction(group_a, group_b, label: str = "custom",
     return Direction(vector=diff / norm, label=label, provenance=provenance)
 
 
-def percentile_split(values, lower: float = 10.0, upper: float = 90.0):
+def percentile_split(values):
     """Masks of the low and high groups of a 1-D feature column.
 
     A feature taking exactly two distinct values is treated as binary and
     split directly into its two groups (low value first). Otherwise the
-    groups are the entries at or below the lower percentile and at or above
-    the upper percentile of the values, with percentiles computed by linear
+    groups are the entries at or below the 10th percentile and at or above
+    the 90th percentile of the values, with percentiles computed by linear
     interpolation.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 1 or values.size == 0:
         raise ConfigurationError(f"expected a nonempty 1-D column, got shape {values.shape}")
-    if not (0.0 <= lower < upper <= 100.0):
-        raise ConfigurationError(f"need 0 <= lower < upper <= 100, got ({lower}, {upper})")
     distinct = np.unique(values)
     if len(distinct) < 2:
         raise ConfigurationError("the feature is constant; no split exists")
     if len(distinct) == 2:
         return values == distinct[0], values == distinct[1]
-    return values <= np.percentile(values, lower), values >= np.percentile(values, upper)
+    return values <= np.percentile(values, 10.0), values >= np.percentile(values, 90.0)
 
 
 def traverse(y, direction: Direction, alpha: float, corpus_norm: float) -> np.ndarray:

@@ -4,9 +4,9 @@ Everything here is plain float64 numpy. A layer is four views of the model's
 flat parameter and gradient store and keeps no state; the model's forward
 caches every layer input in one place, so that a single backward pass can
 accumulate parameter gradients without an autograd framework. Sampling takes a
-separate inference path through the denoiser that caches nothing, checks no
-shapes per layer, and runs both guidance branches in one pass over blocks of
-rows.
+separate inference path through the denoiser that caches nothing and checks no
+shapes per layer: one call builds the condition terms of every guidance branch
+at every step, and each step runs all branches in one pass over blocks of rows.
 """
 
 from __future__ import annotations
@@ -23,6 +23,9 @@ MAX_PERIOD = 10000.0
 # pre-activations take 1 MiB of a core's 2 MiB L2 on the 2-vCPU Xeon where
 # 128 to 256 rows ran equally fast at n = 4096, 512 took 16 % longer.
 ROW_BLOCK = 256
+
+# Adam's moment decay rates and denominator floor (Kingma & Ba 2014).
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 def sigmoid(x, out=None):
@@ -352,34 +355,41 @@ class ConditionalDenoiser:
 
     # -- inference ---------------------------------------------------------
 
-    def condition_terms(self, y, t, a=None):
+    def condition_terms(self, branches, t):
         """What every hidden layer adds to its pre-activation at every
-        timestep in t: its inject term plus c_i, the bias of the layer's own
-        map (input_proj or hidden_{i-1}), which denoise_step leaves out.
+        timestep in t, for every guidance branch of a request: its inject
+        term plus c_i, the bias of the layer's own map (input_proj or
+        hidden_{i-1}), which denoise_step leaves out.
 
-        y is one (k,) vector or (n, k) rows, a likewise or None, and t the
-        1-D array of a request's S original timesteps. Returns one
-        (steps, rows) pair per hidden layer; layer i's term at step k is
-        steps[k], plus rows when rows is not None. A shared y and a give the
-        (S, h) table inject_i(temb + id_proj(y) + attr_proj(a)) + c_i and rows
-        None. A per-row y or a splits by linearity into the (S, h) table
-        steps = temb @ W_i.T + c_i and the (n, h) rows =
+        branches holds the request's B (y, a) pairs: y one (k,) vector or
+        (n, k) rows, a likewise or None. t is the 1-D array of the request's
+        S original timesteps, embedded once for all branches. Returns, per
+        hidden layer, denoise_step's input (steps, rows): steps is one
+        (S, B, 1, h) array, so steps[k] broadcasts over a block's rows, and
+        rows lists (b, (n, h) rows) for each branch b with per-row terms. A
+        shared y and a give branch b the table steps[:, b, 0] =
+        inject_i(temb + id_proj(y) + attr_proj(a)) + c_i. A per-row y or a
+        splits by linearity into the table temb @ W_i.T + c_i and the rows
         inject_i(id_proj(y) + attr_proj(a)), so no step multiplies an
-        (n, emb) condition. stack_terms turns the results of a request's
-        guidance branches into denoise_step's input: every layer's step
-        tables stacked as one (S, B, h) array, the rows kept per branch.
-        Nothing is validated or cached: sample_batch checks the inputs once.
+        (n, emb) condition. Nothing is validated or cached: sample_batch
+        checks the inputs once.
         """
         temb = sinusoidal_embed(t, self.time_embed_dim)
-        cond = self.id_proj.forward(np.atleast_2d(y))
-        if a is not None:
-            cond = cond + self.attr_proj.forward(np.atleast_2d(a))
-        if len(cond) == 1:
-            temb += cond
-            return [(layer.forward(temb) + main.bias, None)
-                    for layer, main in zip(self.inject, self.mains)]
-        return [(temb @ layer.weight.T + main.bias, layer.forward(cond))
-                for layer, main in zip(self.inject, self.mains)]
+        conds = []
+        for y, a in branches:
+            cond = self.id_proj.forward(np.atleast_2d(y))
+            if a is not None:
+                cond = cond + self.attr_proj.forward(np.atleast_2d(a))
+            conds.append(cond)
+        terms = []
+        for inject, main in zip(self.inject, self.mains):
+            steps = np.empty((len(temb), len(conds), 1, inject.out_dim))
+            for b, cond in enumerate(conds):
+                steps[:, b, 0] = (inject.forward(temb + cond) if len(cond) == 1
+                                  else temb @ inject.weight.T) + main.bias
+            terms.append((steps, [(b, inject.forward(c)) for b, c in enumerate(conds)
+                                  if len(c) > 1]))
+        return terms
 
     def workspace(self, n: int, branches: int):
         """Scratch arrays for denoise_step on n rows and B = branches: three
@@ -406,13 +416,14 @@ class ConditionalDenoiser:
     def denoise_step(self, x, terms, k, work):
         """Noise predictions of every branch for the (n, d) state x at step k.
 
-        terms is stack_terms' result for B branches, work a workspace(n, B).
-        All branches run in one pass over (B, r, h) stacks, r <= ROW_BLOCK
-        rows at a time, so a block stays in cache: its input projection
-        x @ W.T, without the bias the terms carry, is shared by every branch,
-        and each hidden layer is one matmul over its B * r rows. Returns
-        work's (B, n, d) output, which the next call overwrites. Like
-        condition_terms, this neither validates nor caches."""
+        terms is condition_terms' result for B branches, work a
+        workspace(n, B). All branches run in one pass over (B, r, h) stacks,
+        r <= ROW_BLOCK rows at a time, so a block stays in cache: its input
+        projection x @ W.T, without the bias the terms carry, is shared by
+        every branch, and each hidden layer is one matmul over its B * r
+        rows. Returns work's (B, n, d) output, which the next call
+        overwrites. Like condition_terms, this neither validates nor
+        caches."""
         blocks, out = work
         for rows_of, out_rows, proj, layers in blocks:
             for i, (main, (steps, rows), (z, z2, h, h2)) in enumerate(
@@ -432,30 +443,14 @@ class ConditionalDenoiser:
         return out
 
 
-def stack_terms(branches):
-    """The condition_terms of a request's B guidance branches, stacked for
-    denoise_step: per hidden layer, the branches' (S, h) step tables as one
-    (S, B, 1, h) array, so steps[k] broadcasts over a block's rows, and the
-    (b, (n, h) rows) of each branch b that has per-row terms."""
-    return [(np.array([steps for steps, _ in layer]).transpose(1, 0, 2)[:, :, None, :],
-             [(b, rows) for b, (_, rows) in enumerate(layer) if rows is not None])
-            for layer in zip(*branches)]
-
-
 class Adam:
     """Adam with bias correction over one flat parameter vector. step runs in
     place through two scratch buffers, in the textbook per-entry order."""
 
-    def __init__(self, params, lr: float = 1e-4, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params, lr: float = 1e-4):
         if lr <= 0:
             raise ConfigurationError(f"learning rate must be positive, got {lr}")
-        if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
-            raise ConfigurationError(f"betas must lie in [0, 1), got ({beta1}, {beta2})")
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.m = np.zeros(np.shape(params))
         self.v = np.zeros_like(self.m)
@@ -467,16 +462,16 @@ class Adam:
         if params.shape != self.m.shape or grads.shape != self.m.shape:
             raise ShapeError("parameter/gradient vectors do not match optimizer state")
         self.step_count += 1
-        bc1 = 1.0 - self.beta1 ** self.step_count
-        bc2 = 1.0 - self.beta2 ** self.step_count
+        bc1 = 1.0 - ADAM_BETA1 ** self.step_count
+        bc2 = 1.0 - ADAM_BETA2 ** self.step_count
         m, v, a, b = self.m, self.v, self._a, self._b
         # m = beta1 * m + (1 - beta1) * g
-        m *= self.beta1
-        np.multiply(grads, 1.0 - self.beta1, out=a)
+        m *= ADAM_BETA1
+        np.multiply(grads, 1.0 - ADAM_BETA1, out=a)
         m += a
         # v = beta2 * v + ((1 - beta2) * g) * g
-        v *= self.beta2
-        np.multiply(grads, 1.0 - self.beta2, out=a)
+        v *= ADAM_BETA2
+        np.multiply(grads, 1.0 - ADAM_BETA2, out=a)
         a *= grads
         v += a
         # p -= (lr * (m / bc1)) / (sqrt(v / bc2) + eps)
@@ -484,7 +479,7 @@ class Adam:
         a *= self.lr
         np.divide(v, bc2, out=b)
         np.sqrt(b, out=b)
-        b += self.eps
+        b += ADAM_EPS
         a /= b
         params -= a
         grads.fill(0.0)

@@ -285,11 +285,10 @@ def read_csv(path: str):
 # -- scatter plots ------------------------------------------------------------
 
 
-def write_scatter_svg(path: str, points, unit_circle: bool = False,
-                      half_extent: float = 2.0, point_radius: float = 0.015) -> None:
+def write_scatter_svg(path: str, points, unit_circle: bool = False) -> None:
     """Render 2-D points into a fixed-viewBox SVG scatter plot.
 
-    The viewBox spans [-half_extent, half_extent] in both axes with y up.
+    The viewBox spans [-2, 2] in both axes with y up.
     unit_circle overlays the r = 1 circle as a guide (useful whenever the
     embedding is a radius). Only d = 2 data is supported.
     """
@@ -298,9 +297,7 @@ def write_scatter_svg(path: str, points, unit_circle: bool = False,
         raise ShapeError(
             f"scatter plots are only supported for 2-D data, got shape {points.shape}"
         )
-    if half_extent <= 0:
-        raise ConfigurationError(f"half_extent must be positive, got {half_extent}")
-    e = half_extent
+    e = 2.0
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="480" height="480" '
         f'viewBox="{-e} {-e} {2 * e} {2 * e}">',
@@ -313,7 +310,7 @@ def write_scatter_svg(path: str, points, unit_circle: bool = False,
         )
     for x, y in points:
         parts.append(
-            f'<circle cx="{x:.6g}" cy="{y:.6g}" r="{point_radius}" '
+            f'<circle cx="{x:.6g}" cy="{y:.6g}" r="0.015" '
             f'fill="#1f77b4" fill-opacity="0.6"/>'
         )
     parts.append("</g></svg>")

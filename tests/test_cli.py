@@ -125,6 +125,54 @@ class TestDataset:
         for key, column in ds.metadata.items():
             assert metadata[key].tobytes() == column.tobytes()
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("dataset", "distribution", None),
+        ("dataset", "input_dim", "two"),
+        ("dataset", "input_dim", 2.0),
+        ("dataset", "seed", -1),
+        ("dataset", "params", [1]),
+        ("embedder", "name", None),
+        ("embedder", "output_dim", True),
+        ("model", "hidden_dims", 5),
+        ("model", "hidden_dims", ["8", 8]),
+        ("train", "batch_size", "x"),
+        ("train", "learning_rate", "fast"),
+        ("train", "seed", None),
+        (None, "output_dir", 3),
+        (None, "model", [8, 8]),
+        (None, "embedder", None),
+    ])
+    def test_malformed_config_is_configuration_error(self, tmp_path, capsys,
+                                                     section, key, value):
+        # None as a value deletes the key; None as a section is the top level.
+        cfg = json.loads(json.dumps(TINY_CONFIG))
+        target = cfg if section is None else cfg[section]
+        if value is None:
+            del target[key]
+        else:
+            target[key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["dataset", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and repr(key) in err
+
+    def test_config_that_is_not_an_object_is_configuration_error(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text(json.dumps([TINY_CONFIG]))
+        assert main(["dataset", "--config", str(path)]) == 1
+        assert "must be a JSON object" in capsys.readouterr().err
+
+    def test_null_attribute_and_integer_rates_are_accepted(self, tmp_path):
+        cfg = json.loads(json.dumps(TINY_CONFIG))
+        cfg["dataset"]["attribute"] = None
+        cfg["train"]["learning_rate"] = 1
+        path = tmp_path / "ok.json"
+        path.write_text(json.dumps(cfg))
+        loaded = load_run_config(str(path))
+        assert loaded.dataset.attribute is None and loaded.train.learning_rate == 1
+        assert loaded.embedder.output_dim == 1 and loaded.hidden_dims == (8, 8)
+
     def test_ragged_dataset_csv_is_configuration_error(self, tmp_path, capsys):
         path = tmp_path / "ragged.csv"
         path.write_text("sample_id,y_0,upper\n0,0.5,1.0\n1,0.7\n")
@@ -133,6 +181,14 @@ class TestDataset:
 
 
 class TestTrain:
+    @pytest.mark.parametrize("seed", ["18446744073709551616", "-5"])
+    def test_seed_the_checkpoint_cannot_hold_exits_1_before_training(
+            self, workspace, tmp_path, monkeypatch, capsys, seed):
+        monkeypatch.setenv("PREIMAGE_OUT", str(tmp_path))
+        assert main(["train", "--config", workspace["config"], "--seed", seed]) == 1
+        assert "seed" in capsys.readouterr().err
+        assert not (tmp_path / "model.ckpt").exists()
+
     def test_checkpoint_loads_and_is_fitted(self, workspace):
         ckpt = load_checkpoint(workspace["checkpoint"])
         assert ckpt.model.fitted
@@ -188,6 +244,11 @@ class TestSample:
                      "--target-y", "1.0"])
         assert code == 1
         assert "--seed" in capsys.readouterr().err
+
+    def test_negative_seed_is_configuration_error(self, workspace, capsys):
+        assert main(["sample", "--checkpoint", workspace["checkpoint"],
+                     "--target-y", "1.0", "--seed", "-1"]) == 1
+        assert "seed" in capsys.readouterr().err
 
     def test_wrong_target_width(self, workspace, capsys):
         code = main(["sample", "--checkpoint", workspace["checkpoint"],
@@ -380,6 +441,16 @@ class TestEval:
         assert main(["eval", "--task", "verification", "--pairs", str(pairs)]) == 1
         assert "not a table of numbers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("task, flag", [("diversity", "--samples"),
+                                            ("verification", "--pairs")])
+    def test_non_utf8_table_exits_1(self, workspace, tmp_path, monkeypatch, capsys,
+                                    task, flag):
+        monkeypatch.setenv("PREIMAGE_OUT", str(tmp_path))
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("distance,is_same,x_0\n0.1,1,0.5\n".encode() + b"\xe9\xff\n")
+        assert main(["eval", "--task", task, flag, str(path)]) == 1
+        assert "not a table of numbers" in capsys.readouterr().err
+
     def test_verification_requires_pairs(self, workspace, capsys):
         assert main(["eval", "--task", "verification"]) == 1
         assert "--pairs" in capsys.readouterr().err
@@ -408,6 +479,19 @@ class TestOracleCompare:
         by_name = {r[0]: float(r[1]) for r in rows}
         assert by_name["gd_converged_fraction"] == 1.0
         assert by_name["energy_oracle_vs_oracle"] >= 0.0
+
+
+    @pytest.mark.parametrize("inits", ["0", "-1"])
+    def test_gd_inits_below_one_exits_1_before_sampling(self, workspace, tmp_path,
+                                                        monkeypatch, capsys, inits):
+        monkeypatch.setenv("PREIMAGE_OUT", str(tmp_path))
+        calls = []
+        monkeypatch.setattr("preimage.cli.sample_batch", lambda *a, **k: calls.append(a))
+        code = main(["oracle-compare", "--checkpoint", workspace["checkpoint"],
+                     "--config", workspace["config"], "--target-y", "1.0",
+                     "--gd-inits", inits, "--seed", "13"])
+        assert code == 1 and calls == []
+        assert "--gd-inits" in capsys.readouterr().err
 
 
 class TestEntryPoints:

@@ -40,7 +40,7 @@ from preimage.errors import (
     ShapeError,
     StateError,
 )
-from preimage.diffusion import _quantile_last_axis, _reverse_step_coeffs
+from preimage.diffusion import _quantile_last_axis
 from preimage.nn import ROW_BLOCK, ConditionalDenoiser
 
 
@@ -226,9 +226,10 @@ class TestPredictX0:
     def test_zero_bar_rejected(self):
         bad = NoiseSchedule(
             betas=np.array([0.5]),
-            alphas=np.array([0.5]),
             alpha_bars=np.array([0.0]),
             posterior_variances=np.array([0.0]),
+            coef_x0=np.array([0.5]),
+            coef_xt=np.array([0.0]),
             timestep_map=np.array([1]),
         )
         with pytest.raises(NumericalDomainError):
@@ -457,6 +458,11 @@ class TestSampler:
             cfg = SampleConfig(seed=1, guidance_scale=0.5).resolved()
         assert cfg.guidance_scale == 1.0
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", True, None])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        with pytest.raises(ConfigurationError, match="seed"):
+            SampleConfig(seed=seed).resolved()
+
     def test_threshold_auto_resolution(self):
         assert SampleConfig(seed=0, guidance_scale=2.0).resolved().threshold is True
         assert SampleConfig(seed=0, guidance_scale=1.0).resolved().threshold is False
@@ -528,26 +534,26 @@ class TestSampler:
         model = fitted_toy_model(seed=8, attr_dim=2)
         calls = []
 
-        def recording(y, t, a=None):
-            terms = ConditionalDenoiser.condition_terms(model, y, t, a=a)
-            calls.append((np.array(y), np.array(a), np.array(t), terms))
+        def recording(branches, t):
+            terms = ConditionalDenoiser.condition_terms(model, branches, t)
+            calls.append(([(np.array(y), np.array(a)) for y, a in branches], np.array(t), terms))
             return terms
 
         model.condition_terms = recording
         sample_batch(model, np.array([0.7]), self.sched,
                      SampleConfig(seed=0, guidance_scale=2.0, respace_steps=1), 4,
                      a=np.array([0.1, 0.2]))
-        (y_cond, a_cond, t, _), (y_null, a_null, t_null, uncond) = calls
+        [(branches, t, terms)] = calls
+        (y_cond, a_cond), (y_null, a_null) = branches
         np.testing.assert_array_equal(y_cond, [0.7])
         np.testing.assert_array_equal(a_cond, [0.1, 0.2])
         np.testing.assert_array_equal(y_null, null_id_token(1))
         np.testing.assert_array_equal(a_null, null_attr_token(2))
-        np.testing.assert_array_equal(t_null, t)
-        expected = ConditionalDenoiser.condition_terms(model, null_id_token(1), t,
-                                                       a=null_attr_token(2))
-        for (steps, rows), (want_steps, want_rows) in zip(uncond, expected, strict=True):
-            assert rows is None and want_rows is None
-            np.testing.assert_array_equal(steps, want_steps)
+        expected = ConditionalDenoiser.condition_terms(
+            model, [(null_id_token(1), null_attr_token(2))], t)
+        for (steps, rows), (want_steps, want_rows) in zip(terms, expected, strict=True):
+            assert rows == [] and want_rows == []
+            np.testing.assert_array_equal(steps[:, 1:], want_steps)
 
     def test_sampling_writes_no_activation_cache(self):
         rng = np.random.default_rng(3)
@@ -582,6 +588,29 @@ def test_sampling_memory_does_not_grow_with_the_row_count():
     assert peak < 2 * workspace + 32 * 8 * n * 2, peak
 
 
+def _reverse_step_coeffs(schedule, i: int):
+    """Posterior-mean coefficients for respaced step i (1-indexed), one step
+    at a time, as the sampler computed them before the schedule held them."""
+    bar = schedule.alpha_bars[i - 1]
+    prev_bar = 1.0 if i == 1 else schedule.alpha_bars[i - 2]
+    beta = schedule.betas[i - 1]
+    alpha = 1.0 - beta
+    coef_x0 = math.sqrt(prev_bar) * beta / (1.0 - bar)
+    coef_xt = math.sqrt(alpha) * (1.0 - prev_bar) / (1.0 - bar)
+    return coef_x0, coef_xt
+
+
+@pytest.mark.parametrize("make", [make_cosine_schedule, make_linear_schedule])
+@pytest.mark.parametrize("steps", [None, 1, 7, 25, 100])
+def test_schedule_posterior_coefficients_equal_the_step_by_step_reference(make, steps):
+    sched = make(100)
+    if steps is not None:
+        sched = respace(sched, steps)
+    want = np.array([_reverse_step_coeffs(sched, i) for i in range(1, sched.n_steps + 1)])
+    np.testing.assert_array_equal(sched.coef_x0, want[:, 0])
+    np.testing.assert_array_equal(sched.coef_xt, want[:, 1])
+
+
 def forward_reference(model, y, schedule, config, n, a=None):
     """The guided reverse loop as it ran through model.forward, one call per
     branch per step, before the inference path: the oracle it must match."""
@@ -605,7 +634,7 @@ def forward_reference(model, y, schedule, config, n, a=None):
             eps_hat = cfg_combine(eps_uncond, eps_cond, scale)
         x0_hat = predict_x0(x, eps_hat, i, sub)
         if cfg.threshold:
-            x0_hat = dynamic_threshold(x0_hat, cfg.threshold_percentile)
+            x0_hat = dynamic_threshold(x0_hat)
         coef_x0, coef_xt = _reverse_step_coeffs(sub, i)
         mean = coef_x0 * x0_hat + coef_xt * x
         if i > 1:
@@ -782,3 +811,10 @@ class TestTrainDriver:
             TrainConfig(seed=0, schedule="quadratic").validate()
         with pytest.raises(ConfigurationError):
             TrainConfig(seed=0, timesteps=0).validate()
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, 2**64, "3", True, None])
+    def test_seed_must_fit_the_checkpoint_u64(self, seed):
+        with pytest.raises(ConfigurationError, match="seed"):
+            TrainConfig(seed=seed).validate()
+        TrainConfig(seed=2**64 - 1).validate()
+        TrainConfig(seed=np.uint64(2**64 - 1)).validate()

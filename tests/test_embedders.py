@@ -15,7 +15,6 @@ from preimage.embedders import (
     draw_points,
     generate_dataset,
     make_embedder,
-    mean_embedding,
     stack_samples,
 )
 from preimage.errors import ConfigurationError, NumericalDomainError, ShapeError
@@ -242,13 +241,6 @@ class TestAngularDistance:
             angular_distance(y1, y2), abs=1e-12
         )
 
-    def test_mean_subtraction_changes_geometry(self):
-        y1, y2 = np.array([2.0, 1.0]), np.array([2.0, -1.0])
-        mean = np.array([2.0, 0.0])
-        # After centering, the vectors are opposite along the second axis.
-        assert angular_distance(y1, y2, mean=mean) == 1.0
-        assert angular_distance(y1, y2) < 1.0
-
     def test_zero_vector_rejected(self):
         with pytest.raises(NumericalDomainError):
             angular_distance(np.zeros(2), np.array([1.0, 0.0]))
@@ -270,16 +262,3 @@ class TestAngularDistance:
             y = rng.normal(size=3)
             assert angular_distance(y, y * rng.uniform(0.5, 2.0)) <= 1e-15
             assert angular_distance(y, -y * rng.uniform(0.5, 2.0)) >= 1.0 - 1e-15
-
-
-class TestMeanEmbedding:
-    def test_simple_mean(self):
-        ys = np.array([[1.0, 0.0], [3.0, 2.0]])
-        np.testing.assert_array_equal(mean_embedding(ys), [2.0, 1.0])
-
-    def test_single_row(self):
-        np.testing.assert_array_equal(mean_embedding(np.array([[4.0, 5.0]])), [4.0, 5.0])
-
-    def test_empty_rejected(self):
-        with pytest.raises(ShapeError):
-            mean_embedding(np.zeros((0, 3)))

@@ -221,14 +221,6 @@ class TestPercentileSplit:
         with pytest.raises(ConfigurationError):
             percentile_split(values)
 
-    def test_custom_percentiles(self):
-        lo, hi = percentile_split(np.arange(1.0, 101.0), lower=25.0, upper=75.0)
-        assert lo.sum() == 25 and hi.sum() == 25
-
-    def test_bad_percentile_order_rejected(self):
-        with pytest.raises(ConfigurationError):
-            percentile_split(np.arange(10.0), lower=90.0, upper=10.0)
-
 
 class TestTraverse:
     def test_step_scales_with_corpus_norm(self):

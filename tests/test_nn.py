@@ -18,7 +18,6 @@ from preimage.nn import (
     silu,
     silu_grad,
     sinusoidal_embed,
-    stack_terms,
 )
 from preimage.persistence import Checkpoint
 
@@ -576,7 +575,7 @@ class TestInferencePath:
     def step(self, x, branches, k):
         model = self.model
         work = model.workspace(len(x), len(branches))
-        return model.denoise_step(x, stack_terms(branches), k, work).copy()
+        return model.denoise_step(x, model.condition_terms(branches, self.t), k, work).copy()
 
     @pytest.mark.parametrize("y_kind, a_kind", [
         ("shared", None), ("shared", "shared"), ("rows", None),
@@ -592,8 +591,7 @@ class TestInferencePath:
             a = {None: None, "shared": self.a, "rows": self.a_all[:n]}[a_kind]
             conds = [(y, a), (np.zeros(2), None if a is None else -np.ones(2))]
             for n_branch in (1, 2):
-                terms = stack_terms([model.condition_terms(yb, self.t, a=ab)
-                                     for yb, ab in conds[:n_branch]])
+                terms = model.condition_terms(conds[:n_branch], self.t)
                 work = model.workspace(n, n_branch)
                 for k, t in enumerate(self.t):
                     got = model.denoise_step(x, terms, k, work)
@@ -603,19 +601,37 @@ class TestInferencePath:
                         np.testing.assert_allclose(eps, want, rtol=0, atol=1e-12)
 
     def test_branches_share_the_input_projection_only(self):
-        model = self.model
-        cond = model.condition_terms(self.y, self.t, a=self.a)
-        null = model.condition_terms(np.zeros(2), self.t, a=-np.ones(2))
+        cond, null = (self.y, self.a), (np.zeros(2), -np.ones(2))
         both = self.step(self.x, [cond, null], 1)
-        alone = [self.step(self.x, [terms], 1)[0] for terms in (cond, null)]
+        alone = [self.step(self.x, [branch], 1)[0] for branch in (cond, null)]
         for got, want in zip(both, alone, strict=True):
             np.testing.assert_array_equal(got, want)
 
-    def test_writes_no_cache(self):
+    @pytest.mark.parametrize("y_kind, a_kind", [
+        ("shared", None), ("shared", "shared"), ("rows", None),
+        ("shared", "rows"), ("rows", "rows"),
+    ])
+    def test_each_branch_is_planned_on_its_own(self, y_kind, a_kind):
+        # A branch's tables and rows do not depend on the branches beside it,
+        # and the timestep embedding they share is not changed by any of them.
         model = self.model
-        terms = model.condition_terms(self.y_rows, self.t, a=self.a)
-        self.step(self.x, [terms], 0)
-        assert model._cache is None
+        y = self.y if y_kind == "shared" else self.y_rows
+        a = {None: None, "shared": self.a, "rows": self.a_rows}[a_kind]
+        branches = [(np.zeros(2), None if a is None else -np.ones(2)), (y, a),
+                    (self.y, self.a)]
+        both = model.condition_terms(branches, self.t)
+        for b, branch in enumerate(branches):
+            alone = model.condition_terms([branch], self.t)
+            for (steps, rows), (one_steps, one_rows) in zip(both, alone, strict=True):
+                assert steps.shape == (len(self.t), len(branches), 1, one_steps.shape[-1])
+                np.testing.assert_array_equal(steps[:, b], one_steps[:, 0])
+                mine = [r for c, r in rows if c == b]
+                for got, (_, want) in zip(mine, one_rows, strict=True):
+                    np.testing.assert_array_equal(got, want)
+
+    def test_writes_no_cache(self):
+        self.step(self.x, [(self.y_rows, self.a)], 0)
+        assert self.model._cache is None
 
     def test_training_forward_backward_unchanged_after_inference(self):
         model = self.model
@@ -625,8 +641,7 @@ class TestInferencePath:
         before = model.grads.copy()
         model.zero_grad()
         model.forward(self.x, self.y_rows, self.t[0], a=self.a_rows)
-        terms = model.condition_terms(self.y, self.t, a=self.a)
-        self.step(self.x, [terms], 2)
+        self.step(self.x, [(self.y, self.a)], 2)
         model.backward(upstream)
         np.testing.assert_array_equal(model.grads, before)
 
@@ -761,7 +776,7 @@ class TestAdam:
         rng = np.random.default_rng(0)
         lr, b1, b2, eps = 3e-3, 0.9, 0.999, 1e-8
         p = rng.normal(size=1000)
-        opt = Adam(p, lr=lr, beta1=b1, beta2=b2, eps=eps)
+        opt = Adam(p, lr=lr)
         ref_p, m, v = p.copy(), np.zeros(1000), np.zeros(1000)
         for k in range(1, 26):
             g = rng.normal(scale=10.0 ** rng.integers(-6, 3), size=1000)
