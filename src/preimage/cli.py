@@ -165,9 +165,12 @@ def _resolve_out(path: str, output_dir: str) -> str:
 
 def _parse_vector(text: str, flag: str) -> np.ndarray:
     try:
-        return np.array([float(v) for v in text.split(",") if v.strip() != ""])
+        values = np.array([float(v) for v in text.split(",") if v.strip() != ""])
     except ValueError:
         raise _UsageError(f"{flag} expects comma-separated floats, got {text!r}") from None
+    if not np.isfinite(values).all():
+        raise _UsageError(f"{flag} expects finite numbers, got {text!r}")
+    return values
 
 
 def _sample_config(args) -> SampleConfig:
@@ -278,6 +281,8 @@ def cmd_sample(args) -> int:
 
 
 def cmd_interpolate(args) -> int:
+    if args.grid < 1:
+        raise _UsageError(f"--grid must be >= 1, got {args.grid}")
     ckpt, model, embedder = _load_for_sampling(args)
     y1 = _parse_vector(args.y1, "--y1")
     y2 = _parse_vector(args.y2, "--y2")
@@ -370,10 +375,10 @@ def cmd_direction(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    ckpt, model, embedder = _load_for_sampling(args)
-    scales = [float(s) for s in args.s.split(",") if s.strip() != ""]
-    if not scales:
+    scales = _parse_vector(args.s, "--s")
+    if not len(scales):
         raise _UsageError("--s expects comma-separated guidance scales")
+    ckpt, model, embedder = _load_for_sampling(args)
     targets = [_parse_vector(chunk, "--target-y")
                for chunk in args.target_y.split(";") if chunk.strip() != ""]
     for t in targets:

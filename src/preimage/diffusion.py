@@ -192,6 +192,8 @@ class SampleConfig:
         cfg = self
         if not is_seed(cfg.seed):
             raise ConfigurationError(f"seed must be a nonnegative integer, got {cfg.seed!r}")
+        if not math.isfinite(cfg.guidance_scale):
+            raise ConfigurationError(f"guidance scale must be finite, got {cfg.guidance_scale}")
         if cfg.guidance_scale < 1.0:
             warnings.warn(
                 f"guidance scale {cfg.guidance_scale} below 1 has no supported "
@@ -363,8 +365,11 @@ def train(x0s, ys, config: TrainConfig, attrs=None, hidden_dims=(128, 128, 128),
     deterministic function of the inputs and config.seed. Non-finite inputs
     raise NumericalDomainError up front; a loss that goes non-finite raises
     DivergenceError naming the batch, before the update it would poison.
+    log_every > 0 prints the mean loss of every log_every batches.
     """
     config.validate()
+    if log_every < 0:
+        raise ConfigurationError(f"log_every must be >= 0, got {log_every}")
     x0s = np.asarray(x0s, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     if x0s.ndim != 2 or ys.ndim != 2 or len(x0s) != len(ys):

@@ -1,12 +1,12 @@
 """Manually differentiated MLP denoiser and its training machinery.
 
-Everything here is plain float64 numpy. A layer is four views of the model's
-flat parameter and gradient store and keeps no state; the model's forward
-caches every layer input in one place, so that a single backward pass can
-accumulate parameter gradients without an autograd framework. Sampling takes a
-separate inference path through the denoiser that caches nothing and checks no
-shapes per layer: one call builds the condition terms of every guidance branch
-at every step, and each step runs all branches in one pass over blocks of rows.
+Everything here is plain float64 numpy. A layer is views of the model's flat
+stores and keeps no state; the model's forward caches every layer input in
+reused buffers, so that a single backward pass can accumulate parameter
+gradients without an autograd framework. Sampling takes a separate inference
+path through the denoiser that caches nothing and checks no shapes per layer:
+one call builds the condition terms of every guidance branch at every step,
+and each step runs all branches in one pass over blocks of rows.
 """
 
 from __future__ import annotations
@@ -50,28 +50,29 @@ def silu(x, out=None):
     return out
 
 
-def silu_grad(x, s=None):
+def silu_grad(x, s=None, out=None):
     """Derivative of SiLU: sigmoid(x) * (1 + x * (1 - sigmoid(x))).
 
     s, when given, is sigmoid(x) already computed, as the training forward
-    keeps it.
+    keeps it; out, if given, is an array of x's shape to write into.
     """
     x = np.asarray(x, dtype=np.float64)
     if s is None:
         s = sigmoid(x)
-    out = 1.0 - s
+    out = np.subtract(1.0, s, out=out)
     out *= x
     out += 1.0
     out *= s
     return out
 
 
-def sinusoidal_embed(t, dim: int) -> np.ndarray:
+def sinusoidal_embed(t, dim: int, out=None) -> np.ndarray:
     """Sinusoidal position embedding of timestep t.
 
     The first dim/2 entries are sines, the rest cosines, over frequencies that
     decay geometrically so the periods grow toward MAX_PERIOD. Accepts a
-    scalar t (returns shape (dim,)) or a 1-D array (returns (n, dim)).
+    scalar t (returns shape (dim,)) or a 1-D array (returns (n, dim), in out
+    if given).
     """
     if dim < 2 or dim % 2 != 0:
         raise ConfigurationError(f"embedding dim must be a positive even number, got {dim}")
@@ -82,35 +83,37 @@ def sinusoidal_embed(t, dim: int) -> np.ndarray:
     half = dim // 2
     freqs = np.exp(-math.log(MAX_PERIOD) * np.arange(half, dtype=np.float64) / half)
     args = np.atleast_1d(t_arr)[:, None] * freqs[None, :]
-    emb = np.concatenate([np.sin(args), np.cos(args)], axis=1)
+    emb = np.concatenate([np.sin(args), np.cos(args)], axis=1, out=out)
     return emb[0] if scalar else emb
 
 
 class LinearLayer:
-    """Affine map over four views of a model's flat store.
+    """Affine map over five views of a model's flat stores.
 
     weight (out_dim, in_dim) and bias view the model's params, weight_grad and
-    bias_grad its grads; the layer holds no other state. forward computes
-    x @ weight.T + bias. backward(x, grad_out) adds the gradients of the
-    forward that took x into weight_grad and bias_grad and returns the
-    gradient with respect to x. Neither checks shapes: the model checks its
-    inputs once.
+    bias_grad its grads, scratch (its own buffer if not given) the model's
+    gradient scratch. forward computes x @ weight.T + bias. backward(x,
+    grad_out) adds the gradients of the forward that took x into weight_grad,
+    through scratch, and bias_grad, and returns the gradient with respect to
+    x. Both write their result into out if given; backward's out may be x.
+    Neither checks shapes: the model checks its inputs once.
     """
 
-    def __init__(self, weight, bias, weight_grad, bias_grad):
+    def __init__(self, weight, bias, weight_grad, bias_grad, scratch=None):
         self.weight, self.bias = weight, bias
         self.weight_grad, self.bias_grad = weight_grad, bias_grad
+        self.scratch = np.empty_like(weight) if scratch is None else scratch
         self.out_dim, self.in_dim = weight.shape
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        out = x @ self.weight.T
+    def forward(self, x: np.ndarray, out=None) -> np.ndarray:
+        out = np.matmul(x, self.weight.T, out=out)
         out += self.bias
         return out
 
-    def backward(self, x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
-        self.weight_grad += grad_out.T @ x
+    def backward(self, x: np.ndarray, grad_out: np.ndarray, out=None) -> np.ndarray:
+        self.weight_grad += np.matmul(grad_out.T, x, out=self.scratch)
         self.bias_grad += grad_out.sum(axis=0)
-        return grad_out @ self.weight
+        return np.matmul(grad_out, self.weight, out=out)
 
 
 def shared_or_rows(v, dim: int, n: int, name: str) -> np.ndarray:
@@ -167,6 +170,8 @@ class ConditionalDenoiser:
     params and grads are the flat store, laid out layer by layer as weight
     then bias. It is allocated first; every layer's weight, bias and their
     grads are views of it, and the initialization is drawn into those views.
+    Layers run backward one at a time, so every layer's scratch views the
+    front of one buffer as large as the largest weight.
     mains holds each hidden layer's own map: input_proj, then hidden_0, ...
     """
 
@@ -197,14 +202,17 @@ class ConditionalDenoiser:
         self.seed = seed
         self.fitted = False
 
+        dims = _layer_dims(self.topology())
         self.params = np.zeros(param_count(self.topology()))
         self.grads = np.zeros_like(self.params)
+        self._grad_scratch = np.empty(max(i * o for _, i, o in dims))
         rng = None if params is not None else np.random.default_rng(seed)
         self._layers, offset = [], 0
-        for name, in_dim, out_dim in _layer_dims(self.topology()):
+        for name, in_dim, out_dim in dims:
             mid, end = offset + out_dim * in_dim, offset + out_dim * (in_dim + 1)
             layer = LinearLayer(*(view for store in (self.params, self.grads) for view in
-                                  (store[offset:mid].reshape(out_dim, in_dim), store[mid:end])))
+                                  (store[offset:mid].reshape(out_dim, in_dim), store[mid:end])),
+                                self._grad_scratch[:mid - offset].reshape(out_dim, in_dim))
             if rng is not None and name != "output":
                 # Kaiming-style uniform init scaled by fan-in.
                 bound = 1.0 / math.sqrt(in_dim)
@@ -223,7 +231,7 @@ class ConditionalDenoiser:
         if params is not None:
             self.set_params_flat(params)
 
-        self._cache = None
+        self._cache = self._train_work = None
 
     # -- parameter bookkeeping -------------------------------------------
 
@@ -302,34 +310,46 @@ class ConditionalDenoiser:
         if np.any(t_arr < 0):
             raise ConfigurationError("timesteps must be nonnegative")
 
-        cond = sinusoidal_embed(t_arr, self.time_embed_dim)
-        cond += self.id_proj.forward(y)
+        cond, emb, layers = self._training_workspace(n)[:3]
+        sinusoidal_embed(t_arr, self.time_embed_dim, out=cond)
+        cond += self.id_proj.forward(y, out=emb)
         if a is not None:
-            cond += self.attr_proj.forward(a)
-        terms = [layer.forward(cond) for layer in self.inject]
+            cond += self.attr_proj.forward(a, out=emb)
         trunk, h = [], x_t
-        for main, term in zip(self.mains, terms):
-            z = main.forward(h)
-            z += term
-            s = sigmoid(z)
+        for main, inject, (z, s, h_out) in zip(self.mains, self.inject, layers):
+            main.forward(h, out=z)
+            z += inject.forward(cond, out=s)
+            sigmoid(z, out=s)
             trunk.append((h, z, s))
-            h = z * s
+            h = np.multiply(z, s, out=h_out)
         eps = self.output.forward(h)
 
-        self._cache = (y, a, cond, trunk, h, single)
+        self._cache = (y, a, trunk, h, single)
         return eps[0] if single else eps
+
+    def _training_workspace(self, n: int):
+        """Buffers for n rows, kept while n stays the same: the condition and
+        one projection of it, z, sigmoid(z) and silu(z) per hidden layer, the
+        condition's gradient and one flat buffer for every layer's dz."""
+        if self._train_work is None or len(self._train_work[0]) != n:
+            cond, emb, dcond = (np.empty((n, self.time_embed_dim)) for _ in range(3))
+            layers = [tuple(np.empty((n, h)) for _ in range(3)) for h in self.hidden_dims]
+            self._train_work = (cond, emb, layers, dcond, np.empty(n * max(self.hidden_dims)))
+        return self._train_work
 
     def backward(self, grad_out) -> np.ndarray:
         """Accumulate parameter gradients for the last forward pass.
 
         grad_out is the loss gradient with respect to the predicted noise, of
         the predicted noise's shape. Returns the gradient with respect to x_t.
-        Consumes the forward cache.
+        Consumes the forward cache: each layer's input buffer takes the
+        gradient with respect to that input.
         """
         if self._cache is None:
             raise StateError("backward called without a matching forward")
-        y, a, cond, trunk, h, single = self._cache
+        y, a, trunk, h, single = self._cache
         self._cache = None
+        cond, emb, _, dcond, dz_flat = self._train_work
 
         grad_out = np.asarray(grad_out, dtype=np.float64)
         if single and grad_out.ndim == 1:
@@ -339,14 +359,17 @@ class ConditionalDenoiser:
             raise ShapeError(f"expected upstream grad of shape ({n}, {self.data_dim}),"
                              f" got {grad_out.shape}")
 
-        dh = self.output.backward(h, grad_out)
-        dcond = None
-        for main, inject, (x, z, s) in reversed(list(zip(self.mains, self.inject, trunk))):
-            dz = silu_grad(z, s)
+        dh = self.output.backward(h, grad_out, out=h)
+        for i in reversed(range(len(trunk))):
+            x, z, s = trunk[i]
+            dz = silu_grad(z, s, out=dz_flat[:z.size].reshape(z.shape))
             dz *= dh
-            dc = inject.backward(cond, dz)
-            dcond = dc if dcond is None else dcond + dc
-            dh = main.backward(x, dz)
+            if i == len(trunk) - 1:
+                self.inject[i].backward(cond, dz, out=dcond)
+            else:
+                dcond += self.inject[i].backward(cond, dz, out=emb)
+            # x_t, the first layer's input, is the caller's array.
+            dh = self.mains[i].backward(x, dz, out=x if i else None)
         # dcond also flows into the sinusoidal embedding, which has no params.
         self.id_proj.backward(y, dcond)
         if a is not None:

@@ -204,6 +204,15 @@ class TestTrain:
         assert other.train_config.seed == 99
         assert not np.array_equal(other.model.params_flat(), base.model.params_flat())
 
+    def test_negative_log_every_exits_1_before_training(self, workspace, tmp_path,
+                                                         monkeypatch, capsys):
+        monkeypatch.setenv("PREIMAGE_OUT", str(tmp_path))
+        assert main(["train", "--config", workspace["config"], "--log-every", "-1",
+                     "--out", "model.ckpt"]) == 1
+        captured = capsys.readouterr()
+        assert "log_every" in captured.err and "loss" not in captured.out
+        assert not (tmp_path / "model.ckpt").exists()
+
     def test_config_without_train_section(self, tmp_path, capsys):
         cfg = json.loads(json.dumps(TINY_CONFIG))
         del cfg["train"]
@@ -259,6 +268,17 @@ class TestSample:
     def test_non_numeric_target(self, workspace):
         assert main(["sample", "--checkpoint", workspace["checkpoint"],
                      "--target-y", "one", "--seed", "1"]) == 1
+
+    @pytest.mark.parametrize("flags", [["--target-y", "nan"], ["--target-y", "inf"],
+                                       ["--target-y", "1.0", "--attr=-inf"],
+                                       ["--target-y", "1.0", "--guidance", "nan"]])
+    def test_non_finite_number_exits_1_before_sampling(self, workspace, tmp_path,
+                                                       monkeypatch, capsys, flags):
+        monkeypatch.setenv("PREIMAGE_OUT", str(tmp_path))
+        assert main(["sample", "--checkpoint", workspace["checkpoint"], *flags,
+                     "--seed", "1"]) == 1
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "samples.csv").exists()
 
     def test_missing_checkpoint_is_runtime_error(self, tmp_path):
         assert main(["sample", "--checkpoint", str(tmp_path / "nope.ckpt"),
@@ -317,6 +337,16 @@ class TestInterpolate:
         header, rows = read_csv(str(tmp_path / "interpolation.csv"))
         assert header == ["tau", "x_0", "x_1", "identity_distance"]
         assert [r[0] for r in rows] == ["0.0", "0.0", "0.5", "0.5", "1.0", "1.0"]
+
+    @pytest.mark.parametrize("grid", ["0", "-1"])
+    def test_grid_below_one_exits_1_before_loading(self, tmp_path, monkeypatch, capsys,
+                                                   grid):
+        # The checkpoint does not exist: the grid is refused before it is read.
+        monkeypatch.setenv("PREIMAGE_OUT", str(tmp_path))
+        assert main(["interpolate", "--checkpoint", str(tmp_path / "missing.ckpt"),
+                     "--y1", "0.7", "--y2", "1.3", "--grid", grid, "--seed", "4"]) == 1
+        assert "--grid" in capsys.readouterr().err
+        assert not (tmp_path / "interpolation.csv").exists()
 
     def test_endpoint_width_checked(self, workspace, capsys):
         code = main(["interpolate", "--checkpoint", workspace["checkpoint"],
@@ -391,6 +421,15 @@ class TestSweep:
         assert main(["sweep", "--checkpoint", workspace["checkpoint"],
                      "--s", ",", "--target-y", "1.0", "--seed", "7"]) == 1
         assert "--s" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scales", ["1,nan", "inf", "1,two"])
+    def test_bad_scale_exits_1_before_sampling(self, workspace, tmp_path, monkeypatch,
+                                               capsys, scales):
+        monkeypatch.setenv("PREIMAGE_OUT", str(tmp_path))
+        assert main(["sweep", "--checkpoint", workspace["checkpoint"], "--s", scales,
+                     "--target-y", "1.0", "--n", "2", "--seed", "7"]) == 1
+        assert "--s" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
 
 
 class TestEval:

@@ -463,6 +463,12 @@ class TestSampler:
         with pytest.raises(ConfigurationError, match="seed"):
             SampleConfig(seed=seed).resolved()
 
+    @pytest.mark.parametrize("scale", [math.nan, math.inf, -math.inf])
+    def test_non_finite_guidance_rejected(self, scale):
+        # nan < 1.0 is false, so nan would otherwise reach the sampler.
+        with pytest.raises(ConfigurationError, match="guidance scale must be finite"):
+            SampleConfig(seed=0, guidance_scale=scale).resolved()
+
     def test_threshold_auto_resolution(self):
         assert SampleConfig(seed=0, guidance_scale=2.0).resolved().threshold is True
         assert SampleConfig(seed=0, guidance_scale=1.0).resolved().threshold is False
@@ -804,6 +810,22 @@ class TestTrainDriver:
         trace = exc.value.loss_trace
         assert len(trace) == 2 and math.isfinite(trace[0]) and not math.isfinite(trace[1])
 
+    def test_negative_log_every_rejected_before_training(self, capsys):
+        x = np.random.default_rng(8).normal(size=(32, 2))
+        cfg = TrainConfig(seed=0, timesteps=10, total_batches=5, batch_size=8)
+        with pytest.raises(ConfigurationError, match="log_every"):
+            train(x, x[:, :1], cfg, hidden_dims=(8,), time_embed_dim=8, log_every=-1)
+        assert capsys.readouterr().out == ""
+
+    def test_log_every_prints_the_mean_of_each_window(self, capsys):
+        x = np.random.default_rng(8).normal(size=(32, 2))
+        cfg = TrainConfig(seed=0, timesteps=10, total_batches=5, batch_size=8)
+        result = train(x, x[:, :1], cfg, hidden_dims=(8,), time_embed_dim=8, log_every=2)
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[1] for line in lines] == ["2/5", "4/5"]
+        assert float(lines[1].split()[-1]) == pytest.approx(
+            np.mean(result.loss_history[2:4]), abs=1e-5)
+
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
             TrainConfig(seed=0, cond_dropout=2.0).validate()
@@ -818,3 +840,32 @@ class TestTrainDriver:
             TrainConfig(seed=seed).validate()
         TrainConfig(seed=2**64 - 1).validate()
         TrainConfig(seed=np.uint64(2**64 - 1)).validate()
+
+
+_RING_TRAINING_FAULTS = textwrap.dedent("""
+    import resource
+    from preimage.diffusion import TrainConfig, train
+    from preimage.embedders import DatasetSpec, EmbedderInfo, generate_dataset, make_embedder
+
+    spec = DatasetSpec(distribution="annulus", input_dim=2, n_samples=2000, seed=0)
+    ds = generate_dataset(spec, make_embedder(EmbedderInfo("radius", 2, 1)))
+    cfg = TrainConfig(seed=9, timesteps=100, batch_size=64, learning_rate=1e-3,
+                      ema_rate=0.999, total_batches=400)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    train(ds.x, ds.y, cfg, hidden_dims=(128, 128, 128), time_embed_dim=64)
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+""")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc heap behaviour")
+def test_ring_training_does_not_refault_its_heap_every_batch():
+    # Per-batch (64, 128) temporaries of about 1 MiB would pass glibc's heap
+    # trim threshold, so that every batch faulted the trimmed pages back in:
+    # about 114 minor faults a batch. Reused buffers leave a few in total.
+    pytest.importorskip("resource")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _RING_TRAINING_FAULTS], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert int(proc.stdout) / 400 < 20

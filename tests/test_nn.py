@@ -1,5 +1,7 @@
 """Unit tests for the manually differentiated network core."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -95,6 +97,20 @@ class TestSinusoidalEmbed:
         sines = emb_small_t[:8]
         assert sines[0] == pytest.approx(np.sin(1.0))
         assert np.all(np.abs(np.diff(sines)) > 0)
+
+
+class TestOutArguments:
+    def test_embedding_into_out_is_bitwise_equal(self):
+        t = np.array([1.0, 7.0, 99.0])
+        out = np.empty((3, 10))
+        assert sinusoidal_embed(t, 10, out=out) is out
+        np.testing.assert_array_equal(out, sinusoidal_embed(t, 10))
+
+    def test_silu_grad_into_out_is_bitwise_equal(self):
+        x = np.random.default_rng(4).normal(scale=4.0, size=(16, 8))
+        out = np.empty_like(x)
+        assert silu_grad(x, sigmoid(x), out=out) is out
+        np.testing.assert_array_equal(out, silu_grad(x))
 
 
 class TestSilu:
@@ -194,6 +210,30 @@ class TestLinearLayer:
         first = grads.copy()
         layer.backward(x, g)
         np.testing.assert_array_equal(grads, 2 * first)
+
+    def test_out_buffers_are_bitwise_equal(self):
+        layer, _, _ = self.layer(5, 4, seed=3)
+        twin, _, _ = self.layer(5, 4, seed=3)
+        rng = np.random.default_rng(3)
+        x, g = rng.normal(size=(6, 5)), rng.normal(size=(6, 4))
+        out = np.empty((6, 4))
+        assert layer.forward(x, out=out) is out
+        np.testing.assert_array_equal(out, twin.forward(x))
+        want = twin.backward(x, g)
+        # backward may write the input gradient over its own input.
+        assert layer.backward(x, g, out=x) is x
+        np.testing.assert_array_equal(x, want)
+        np.testing.assert_array_equal(layer.weight_grad, twin.weight_grad)
+
+    def test_model_layers_share_one_gradient_scratch(self):
+        model = ConditionalDenoiser(2, 1, (16, 24, 8), 6, attr_dim=3)
+        scratches = [layer.scratch for _, layer in model._layers]
+        assert max(s.size for s in scratches) == 24 * 16
+        for name, layer in model._layers:
+            assert layer.scratch.shape == layer.weight.shape, name
+            assert np.shares_memory(layer.scratch, scratches[0]), name
+        own, _, _ = self.layer(3, 2)
+        assert own.scratch.shape == (2, 3)
 
 
 class TestDenoiserForward:
@@ -478,6 +518,58 @@ class TestMatchesCachingReference:
             self.assert_bitwise(model.backward(upstream), reference.backward(upstream))
         self.assert_bitwise(model.grads, twin.grads)
         assert twin.grads.any()
+
+
+class TestTrainingWorkspace:
+    """forward and backward reuse one set of buffers per row count."""
+
+    def test_alternating_row_counts_match_the_reference(self):
+        model = ConditionalDenoiser(3, 2, (6, 5), 8, attr_dim=2, seed=8)
+        randomize_params(model, 8)
+        twin = model.clone()
+        reference = CachingReference(twin)
+        rng = np.random.default_rng(10)
+        for n in (5, 7, 5, 5, 1):
+            x, upstream = rng.normal(size=(n, 3)), rng.normal(size=(n, 3))
+            y, a, t = rng.normal(size=(n, 2)), rng.normal(size=2), rng.integers(1, 50, size=n)
+            TestMatchesCachingReference.assert_bitwise(model.forward(x, y, t, a=a),
+                                                       reference.forward(x, y, t, a=a))
+            TestMatchesCachingReference.assert_bitwise(model.backward(upstream),
+                                                       reference.backward(upstream))
+        TestMatchesCachingReference.assert_bitwise(model.grads, twin.grads)
+
+    def test_results_and_inputs_are_not_workspace(self):
+        model = small_model(seed=5)
+        randomize_params(model, 5)
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(4, 3))
+        x_copy = x.copy()
+        eps = model.forward(x, np.ones(2), 3)
+        eps_copy = eps.copy()
+        dx = model.backward(np.ones((4, 3)))
+        model.forward(rng.normal(size=(4, 3)), np.zeros(2), 9)
+        model.backward(np.ones((4, 3)))
+        np.testing.assert_array_equal(eps, eps_copy)
+        np.testing.assert_array_equal(x, x_copy)
+        assert not np.shares_memory(dx, model._train_work[0])
+
+    def test_a_ring_batch_allocates_no_weight_sized_array(self):
+        # The ring model's per-batch arrays took about 950 KB at their peak,
+        # which is what made glibc trim and refault the heap every batch.
+        model = ConditionalDenoiser(2, 1, (128, 128, 128), 64, seed=0)
+        rng = np.random.default_rng(12)
+        x, y, up = rng.normal(size=(64, 2)), rng.normal(size=(64, 1)), rng.normal(size=(64, 2))
+        t = rng.integers(1, 100, size=64)
+        model.forward(x, y, t)
+        model.backward(up)
+        tracemalloc.start()
+        try:
+            model.forward(x, y, t)
+            model.backward(up)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 128 * 8
 
 
 class TestSharedCondition:
