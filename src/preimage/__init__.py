@@ -50,9 +50,11 @@ from .evaluation import (
     InversionResult,
     SweepRow,
     VerificationResult,
+    cell_seed,
     diversity,
     energy_distance,
     guidance_sweep,
+    identity_distances,
     identity_error,
     rejection_oracle,
     verification_accuracy,

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .diffusion import SampleConfig, TrainConfig, is_seed, null_attr_token, sample_batch, train
+from .diffusion import SampleConfig, TrainConfig, is_seed, sample_batch, train
 from .embedders import (
     DatasetSpec,
     EmbedderInfo,
@@ -26,9 +26,11 @@ from .embedders import (
 )
 from .errors import ConfigurationError, PreimageError
 from .evaluation import (
+    cell_seed,
     diversity,
     energy_distance,
     guidance_sweep,
+    identity_distances,
     identity_error,
     rejection_oracle,
     verification_accuracy,
@@ -167,9 +169,18 @@ def _parse_vector(text: str, flag: str) -> np.ndarray:
     try:
         values = np.array([float(v) for v in text.split(",") if v.strip() != ""])
     except ValueError:
-        raise _UsageError(f"{flag} expects comma-separated floats, got {text!r}") from None
-    if not np.isfinite(values).all():
-        raise _UsageError(f"{flag} expects finite numbers, got {text!r}")
+        values = None
+    if values is None or not len(values) or not np.isfinite(values).all():
+        raise _UsageError(f"{flag} expects comma-separated finite numbers, got {text!r}")
+    return values
+
+
+def _parse_target(text: str, flag: str, width: int) -> np.ndarray:
+    """_parse_vector of text, refused unless it has the model's width entries."""
+    values = _parse_vector(text, flag)
+    if len(values) != width:
+        raise ConfigurationError(
+            f"{flag} has {len(values)} entries but the model expects {width}")
     return values
 
 
@@ -183,17 +194,6 @@ def _sample_config(args) -> SampleConfig:
         threshold={"on": True, "off": False}.get(getattr(args, "threshold", "auto"), "auto"),
         variance_mode=args.variance,
     )
-
-
-def _samples_csv(path, xs, ys_dist):
-    d = xs.shape[1]
-    header = ["sample_id"] + [f"x_{j}" for j in range(d)] + ["identity_distance"]
-    rows = [[i, *xs[i], ys_dist[i]] for i in range(len(xs))]
-    write_csv(path, header, rows)
-
-
-def _identity_distances(embedder, xs, target_y):
-    return np.linalg.norm(embedder.embed(xs) - target_y, axis=1)
 
 
 # -- subcommand implementations ----------------------------------------------
@@ -240,37 +240,18 @@ def _load_for_sampling(args):
     return ckpt, model, embedder
 
 
-def _default_attr(model):
-    """No-preference token for attribute-conditioned checkpoints.
-
-    Models trained with an attribute always saw the attribute term (a value
-    or the dropout token), so sampling them without one must use the token
-    rather than dropping the term from the compute path.
-    """
-    if model.attr_dim is None:
-        return None
-    return null_attr_token(model.attr_dim)
-
-
 def cmd_sample(args) -> int:
     ckpt, model, embedder = _load_for_sampling(args)
-    y = _parse_vector(args.target_y, "--target-y")
-    if len(y) != model.id_dim:
-        raise ConfigurationError(
-            f"--target-y has {len(y)} entries but the model expects {model.id_dim}"
-        )
-    if args.attr is not None:
-        a = _parse_vector(args.attr, "--attr")
-    else:
-        a = _default_attr(model)
-        if a is not None:
-            print("attribute-conditioned model: sampling with the "
-                  "no-preference token (pass --attr to condition)")
-    cfg = _sample_config(args)
-    xs = sample_batch(model, y, ckpt.schedule, cfg, args.n, a=a)
-    dists = _identity_distances(embedder, xs, y)
+    y = _parse_target(args.target_y, "--target-y", model.id_dim)
+    a = None if args.attr is None else _parse_vector(args.attr, "--attr")
+    if a is None and model.attr_dim is not None:
+        print("attribute-conditioned model: sampling with the "
+              "no-preference token (pass --attr to condition)")
+    xs = sample_batch(model, y, ckpt.schedule, _sample_config(args), args.n, a=a)
+    dists = identity_distances(xs, y, embedder)
     out = _resolve_out(args.out, ".")
-    _samples_csv(out, xs, dists)
+    write_csv(out, ["sample_id", *(f"x_{j}" for j in range(model.data_dim)), "identity_distance"],
+              [[i, *x, dist] for i, (x, dist) in enumerate(zip(xs, dists))])
     print(f"wrote {len(xs)} samples to {out} "
           f"(mean identity distance {dists.mean():.4f})")
     if args.scatter is not None:
@@ -284,12 +265,8 @@ def cmd_interpolate(args) -> int:
     if args.grid < 1:
         raise _UsageError(f"--grid must be >= 1, got {args.grid}")
     ckpt, model, embedder = _load_for_sampling(args)
-    y1 = _parse_vector(args.y1, "--y1")
-    y2 = _parse_vector(args.y2, "--y2")
-    if len(y1) != model.id_dim or len(y2) != model.id_dim:
-        raise ConfigurationError(
-            f"interpolation endpoints must have {model.id_dim} entries"
-        )
+    y1 = _parse_target(args.y1, "--y1", model.id_dim)
+    y2 = _parse_target(args.y2, "--y2", model.id_dim)
     blend = slerp if args.mode == "slerp" else lerp
     taus = np.linspace(0.0, 1.0, args.grid)
     base = _sample_config(args)
@@ -297,10 +274,9 @@ def cmd_interpolate(args) -> int:
     rows = []
     for idx, tau in enumerate(taus):
         y_tau = blend(y1, y2, float(tau))
-        seed = int(np.random.SeedSequence((args.seed, idx)).generate_state(1)[0])
-        xs = sample_batch(model, y_tau, ckpt.schedule, replace(base, seed=seed), args.n_per,
-                          a=_default_attr(model))
-        dists = _identity_distances(embedder, xs, y_tau)
+        cfg = replace(base, seed=cell_seed(args.seed, idx))
+        xs = sample_batch(model, y_tau, ckpt.schedule, cfg, args.n_per)
+        dists = identity_distances(xs, y_tau, embedder)
         for x_row, dist in zip(xs, dists):
             rows.append([float(tau), *x_row, dist])
     out = _resolve_out(args.out, ".")
@@ -376,21 +352,13 @@ def cmd_direction(args) -> int:
 
 def cmd_sweep(args) -> int:
     scales = _parse_vector(args.s, "--s")
-    if not len(scales):
-        raise _UsageError("--s expects comma-separated guidance scales")
     ckpt, model, embedder = _load_for_sampling(args)
-    targets = [_parse_vector(chunk, "--target-y")
+    targets = [_parse_target(chunk, "--target-y", model.id_dim)
                for chunk in args.target_y.split(";") if chunk.strip() != ""]
-    for t in targets:
-        if len(t) != model.id_dim:
-            raise ConfigurationError(
-                f"each target must have {model.id_dim} entries, got {len(t)}"
-            )
-    base = _sample_config(args)
-    attr = _default_attr(model)
-    attrs = None if attr is None else np.tile(attr, (len(targets), 1))
+    if not targets:
+        raise _UsageError("--target-y expects semicolon-separated targets")
     rows = guidance_sweep(model, ckpt.schedule, embedder, np.stack(targets),
-                          scales, args.n, base, attrs=attrs)
+                          scales, args.n, _sample_config(args))
     out = _resolve_out(args.out, ".")
     write_csv(out, ["s", "identity_error", "diversity", "n"],
               [[r.guidance_scale, r.identity_error, r.diversity, r.n_samples]
@@ -434,9 +402,8 @@ def cmd_eval(args) -> int:
             raise _UsageError("--target-y and --checkpoint are required for "
                               "--task identity")
         ckpt = load_checkpoint(args.checkpoint)
-        embedder = make_embedder(ckpt.embedder_info)
-        y = _parse_vector(args.target_y, "--target-y")
-        value = identity_error(xs, y, embedder)
+        y = _parse_target(args.target_y, "--target-y", ckpt.model.id_dim)
+        value = identity_error(xs, y, make_embedder(ckpt.embedder_info))
     out = _resolve_out(args.out, ".")
     write_csv(out, ["metric", "value", "n"], [[args.task, value, len(xs)]])
     print(f"{args.task} = {value:.6f} over {len(xs)} samples; wrote {out}")
@@ -446,16 +413,11 @@ def cmd_eval(args) -> int:
 def cmd_oracle_compare(args) -> int:
     cfg = load_run_config(args.config)
     ckpt, model, embedder = _load_for_sampling(args)
-    y = _parse_vector(args.target_y, "--target-y")
-    if len(y) != model.id_dim:
-        raise ConfigurationError(
-            f"--target-y has {len(y)} entries but the model expects {model.id_dim}"
-        )
+    y = _parse_target(args.target_y, "--target-y", model.id_dim)
     if args.gd_inits < 1:
         raise ConfigurationError(f"--gd-inits must be >= 1, got {args.gd_inits}")
 
-    xs = sample_batch(model, y, ckpt.schedule, _sample_config(args), args.n,
-                      a=_default_attr(model))
+    xs = sample_batch(model, y, ckpt.schedule, _sample_config(args), args.n)
 
     def draw(rng, count):
         return draw_points(cfg.dataset, rng, count)
@@ -577,8 +539,10 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    command = parser.prog
     try:
         args = parser.parse_args(argv)
+        command = args.command
         return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -588,6 +552,9 @@ def main(argv=None) -> int:
         return 1
     except (PreimageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:  # a valid request that this machine cannot hold
+        print(f"error: {command}: out of memory for this request", file=sys.stderr)
         return 2
 
 

@@ -90,7 +90,8 @@ def make_cosine_schedule(n_steps: int) -> NoiseSchedule:
         return math.cos((u + 0.008) / 1.008 * math.pi / 2.0) ** 2
 
     g0 = g(0.0)
-    bars = np.array([g(t / n_steps) / g0 for t in range(n_steps + 1)])
+    # One allocation up front: a step count too large to hold fails at once.
+    bars = np.fromiter((g(t / n_steps) / g0 for t in range(n_steps + 1)), float, n_steps + 1)
     betas = np.clip(1.0 - bars[1:] / bars[:-1], None, BETA_MAX)
     return schedule_from_betas(betas)
 
@@ -423,8 +424,10 @@ def sample_batch(model, y, schedule: NoiseSchedule, config: SampleConfig,
     """Draw n pre-images of y by running the guided reverse process.
 
     The model must be fitted. y (and a, if given) may be a single vector
-    shared by all rows or one row per sample. The inputs are validated here,
-    once. The request's plan is then two objects: the respaced schedule,
+    shared by all rows or one row per sample; on an attribute-conditioned
+    model, a None means no preference: the model's only other training input,
+    the null attribute token. The inputs are validated here, once. The
+    request's plan is then two objects: the respaced schedule,
     which carries every step's posterior coefficients, with sigma taken from
     it once for the variance mode; and the condition terms of every guidance
     branch at every step, built in one call (model.condition_terms). Each
@@ -446,11 +449,11 @@ def sample_batch(model, y, schedule: NoiseSchedule, config: SampleConfig,
 
     y = shared_or_rows(y, model.id_dim, n, "y")
     a_null = None
-    if a is not None:
-        if model.attr_dim is None:
-            raise ConfigurationError("model was built without attribute conditioning")
-        a = shared_or_rows(a, model.attr_dim, n, "a")
+    if model.attr_dim is not None:
         a_null = null_attr_token(model.attr_dim)
+        a = shared_or_rows(a_null if a is None else a, model.attr_dim, n, "a")
+    elif a is not None:
+        raise ConfigurationError("model was built without attribute conditioning")
 
     scale = cfg.guidance_scale
     branches = [(y, a)]

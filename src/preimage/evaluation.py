@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .diffusion import SampleConfig, sample_batch
+from .diffusion import SampleConfig, is_seed, sample_batch
 from .embedders import angles_over_pi
 from .errors import (
     AcceptanceStarvationError,
@@ -47,20 +47,27 @@ def _distance_sum(a: np.ndarray, b: np.ndarray) -> float:
     return total
 
 
-def identity_error(samples, target_y, embedder, metric: str = "euclidean") -> float:
-    """Mean distance between the embeddings of the samples and the target."""
+def identity_distances(samples, target_y, embedder, metric: str = "euclidean") -> np.ndarray:
+    """(n,) distances between the embeddings of the samples and the target,
+    Euclidean or angular (over pi); a target whose shape is not the
+    embeddings' trailing shape is a ShapeError."""
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 2 or samples.shape[0] == 0:
         raise ShapeError("expected a nonempty (n, d) array of samples")
     target_y = np.asarray(target_y, dtype=np.float64)
     ys = embedder.embed(samples)
+    if ys.ndim != 2 or ys.shape[1:] != target_y.shape:
+        raise ShapeError(f"expected a target of shape {ys.shape[1:]}, got {target_y.shape}")
     if metric == "euclidean":
-        return float(np.mean(np.linalg.norm(ys - target_y, axis=1)))
+        return np.linalg.norm(ys - target_y, axis=1)
     if metric == "angular":
-        if ys.ndim != 2 or ys.shape[1:] != target_y.shape:
-            raise ShapeError("expected embeddings and a target of equal length")
-        return float(np.mean(angles_over_pi(ys, target_y)))
+        return angles_over_pi(ys, target_y)
     raise ConfigurationError(f"unknown metric {metric!r}")
+
+
+def identity_error(samples, target_y, embedder, metric: str = "euclidean") -> float:
+    """Mean distance between the embeddings of the samples and the target."""
+    return float(np.mean(identity_distances(samples, target_y, embedder, metric)))
 
 
 def diversity(samples) -> float:
@@ -84,9 +91,12 @@ class SweepRow:
     n_samples: int
 
 
-def _cell_seed(base_seed: int, i: int, j: int) -> int:
-    """Stable per-cell seed so sweep cells have independent streams."""
-    return int(np.random.SeedSequence((base_seed, i, j)).generate_state(1)[0])
+def cell_seed(base_seed: int, *cell: int) -> int:
+    """Stable seed of one cell of a grid of requests (a sweep's scale and
+    target, an interpolation's point), so cells draw independent streams."""
+    if not is_seed(base_seed):
+        raise ConfigurationError(f"seed must be a nonnegative integer, got {base_seed!r}")
+    return int(np.random.SeedSequence((base_seed, *cell)).generate_state(1)[0])
 
 
 def guidance_sweep(model, schedule, embedder, targets, scales, n_per_target: int,
@@ -108,7 +118,7 @@ def guidance_sweep(model, schedule, embedder, targets, scales, n_per_target: int
     for i, s in enumerate(scales):
         errs, divs = [], []
         for j, y in enumerate(targets):
-            cfg = replace(base_config, seed=_cell_seed(base_config.seed, i, j),
+            cfg = replace(base_config, seed=cell_seed(base_config.seed, i, j),
                           guidance_scale=float(s))
             a = None if attrs is None else np.asarray(attrs)[j]
             xs = sample_batch(model, y, schedule, cfg, n_per_target, a=a)
@@ -172,11 +182,10 @@ def rejection_oracle(embedder, target_y, epsilon: float, draw, n: int, rng,
     acceptance rate) if nothing at all is kept; a nonempty partial result is
     returned as-is.
     """
-    if epsilon < 0:
+    if not epsilon >= 0:
         raise ConfigurationError(f"epsilon must be nonnegative, got {epsilon}")
     if n < 1:
         raise ConfigurationError(f"n must be >= 1, got {n}")
-    target_y = np.asarray(target_y, dtype=np.float64)
     kept = []
     n_kept = 0
     drawn = 0
@@ -184,8 +193,7 @@ def rejection_oracle(embedder, target_y, epsilon: float, draw, n: int, rng,
         count = min(batch_size, max_draws - drawn)
         xs = np.asarray(draw(rng, count), dtype=np.float64)
         drawn += count
-        ys = embedder.embed(xs)
-        ok = np.linalg.norm(ys - target_y, axis=1) <= epsilon
+        ok = identity_distances(xs, target_y, embedder) <= epsilon
         if ok.any():
             kept.append(xs[ok])
             n_kept += int(ok.sum())
@@ -227,11 +235,14 @@ def whitebox_gd_invert(embedder, target_y, x_init, step_size: float = 0.1,
         raise ConfigurationError(f"step_size must be positive, got {step_size}")
     target_y = np.asarray(target_y, dtype=np.float64)
     x = np.array(x_init, dtype=np.float64)
+    y = embedder.embed(x)
+    if y.shape != target_y.shape:
+        raise ShapeError(f"expected a target of shape {y.shape}, got {target_y.shape}")
     trace = []
     rising = 0
     steps_taken = 0
     while True:
-        resid = target_y - embedder.embed(x)
+        resid = target_y - y
         sq_norm = float(resid @ resid)
         trace.append(0.5 * sq_norm)
         converged = bool(math.sqrt(sq_norm) < tol)
@@ -243,6 +254,7 @@ def whitebox_gd_invert(embedder, target_y, x_init, step_size: float = 0.1,
         jac = embedder.embed_grad(x)
         x = x + step_size * (jac.T @ resid)
         steps_taken += 1
+        y = embedder.embed(x)
     return InversionResult(x, np.array(trace), converged, steps_taken)
 
 

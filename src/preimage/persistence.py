@@ -29,10 +29,24 @@ VERSION = 1
 _SCHEDULE_CODES = {"cosine": 0, "linear": 1}
 _SCHEDULE_NAMES = {v: k for k, v in _SCHEDULE_CODES.items()}
 
-_MAX_DIM = 1 << 20
-_MAX_HIDDEN = 64
-_MAX_STEPS = 1 << 24
-_MAX_NAME = 4096
+# The largest value of each u64 header field, hidden_dims[i] under
+# "hidden_dims"; save_checkpoint and load_checkpoint both refuse a larger one.
+_MAX_DIM, _MAX_U64 = 1 << 20, (1 << 64) - 1
+_BOUNDS = {
+    "data_dim": _MAX_DIM, "id_dim": _MAX_DIM, "attr_dim": _MAX_DIM, "time_embed_dim": _MAX_DIM,
+    "n_hidden": 64, "hidden_dims": _MAX_DIM, "n_steps": 1 << 24,
+    "schedule_kind": max(_SCHEDULE_CODES.values()), "embedder_name_len": 4096,
+    "embedder_input_dim": _MAX_DIM, "embedder_output_dim": _MAX_DIM,
+    "embedder_seed": _MAX_U64, "total_batches": 1 << 48, "batch_size": _MAX_DIM,
+    "train_seed": _MAX_U64,
+}
+
+
+def _in_bounds(field: str, v: int) -> int:
+    """v, if it lies in [0, the field's bound]."""
+    if not 0 <= v <= _BOUNDS[field.split("[")[0]]:
+        raise CheckpointFormatError(f"{field} value {v} is out of range")
+    return v
 
 
 def _atomic_write_bytes(path: str, data: bytes) -> None:
@@ -77,7 +91,17 @@ def _check_finite(params, ema_flat) -> None:
             raise CheckpointFormatError(f"{field} are not finite")
 
 
-def _encode(ckpt: Checkpoint) -> bytes:
+def _check_embedder(info: EmbedderInfo, topo: dict) -> None:
+    """Neither save nor load pairs a model with an embedder of other dimensions."""
+    for field, dim in (("input_dim", "data_dim"), ("output_dim", "id_dim")):
+        if getattr(info, field) != topo[dim]:
+            raise CheckpointFormatError(f"embedder_{field} {getattr(info, field)} differs "
+                                        f"from the model's {dim} {topo[dim]}")
+
+
+def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
+    """Serialize a checkpoint; the write is atomic, and nothing is written
+    unless load_checkpoint would read it back."""
     model = ckpt.model
     cfg = ckpt.train_config
     if cfg.schedule not in _SCHEDULE_CODES:
@@ -91,35 +115,36 @@ def _encode(ckpt: Checkpoint) -> bytes:
     if ema_flat.shape != params.shape:
         raise ShapeError("EMA payload does not match the model's parameter count")
     _check_finite(params, ema_flat)
+    topo = model.topology()
+    _check_embedder(ckpt.embedder_info, topo)
 
     buf = bytearray()
     buf += MAGIC
     buf += struct.pack("<I", VERSION)
 
-    def u64(v: int) -> None:
-        buf.extend(struct.pack("<Q", int(v)))
+    def u64(field: str, v: int) -> None:
+        buf.extend(struct.pack("<Q", _in_bounds(field, int(v))))
 
-    topo = model.topology()
-    u64(topo["data_dim"])
-    u64(topo["id_dim"])
-    u64(0 if topo["attr_dim"] is None else topo["attr_dim"])
-    u64(topo["time_embed_dim"])
-    u64(len(topo["hidden_dims"]))
-    for h in topo["hidden_dims"]:
-        u64(h)
-    u64(ckpt.schedule.n_steps)
-    u64(_SCHEDULE_CODES[cfg.schedule])
+    u64("data_dim", topo["data_dim"])
+    u64("id_dim", topo["id_dim"])
+    u64("attr_dim", 0 if topo["attr_dim"] is None else topo["attr_dim"])
+    u64("time_embed_dim", topo["time_embed_dim"])
+    u64("n_hidden", len(topo["hidden_dims"]))
+    for i, h in enumerate(topo["hidden_dims"]):
+        u64(f"hidden_dims[{i}]", h)
+    u64("n_steps", ckpt.schedule.n_steps)
+    u64("schedule_kind", _SCHEDULE_CODES[cfg.schedule])
 
     name_bytes = ckpt.embedder_info.name.encode("utf-8")
-    u64(len(name_bytes))
+    u64("embedder_name_len", len(name_bytes))
     buf += name_bytes
-    u64(ckpt.embedder_info.input_dim)
-    u64(ckpt.embedder_info.output_dim)
-    u64(ckpt.embedder_info.seed)
+    u64("embedder_input_dim", ckpt.embedder_info.input_dim)
+    u64("embedder_output_dim", ckpt.embedder_info.output_dim)
+    u64("embedder_seed", ckpt.embedder_info.seed)
 
-    u64(cfg.total_batches)
-    u64(cfg.batch_size)
-    u64(cfg.seed)
+    u64("total_batches", cfg.total_batches)
+    u64("batch_size", cfg.batch_size)
+    u64("train_seed", cfg.seed)
 
     floats = np.concatenate([
         [cfg.cond_dropout, cfg.learning_rate, cfg.ema_rate],
@@ -128,12 +153,7 @@ def _encode(ckpt: Checkpoint) -> bytes:
         ema_flat,
     ])
     buf += np.asarray(floats, dtype="<f8").tobytes()
-    return bytes(buf)
-
-
-def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
-    """Serialize a checkpoint; the write is atomic."""
-    _atomic_write_bytes(path, _encode(ckpt))
+    _atomic_write_bytes(path, bytes(buf))
 
 
 class _Reader:
@@ -151,11 +171,8 @@ class _Reader:
     def u32(self, field: str) -> int:
         return struct.unpack("<I", self.take(4, field))[0]
 
-    def u64(self, field: str, upper: int) -> int:
-        v = struct.unpack("<Q", self.take(8, field))[0]
-        if v > upper:
-            raise CheckpointFormatError(f"{field} value {v} is out of range")
-        return v
+    def u64(self, field: str) -> int:
+        return _in_bounds(field, struct.unpack("<Q", self.take(8, field))[0])
 
     def f64s(self, n: int, field: str) -> np.ndarray:
         raw = self.take(8 * n, field)
@@ -173,32 +190,32 @@ def load_checkpoint(path: str) -> Checkpoint:
     if version != VERSION:
         raise CheckpointFormatError(f"unsupported format version {version}")
 
-    data_dim = r.u64("data_dim", _MAX_DIM)
-    id_dim = r.u64("id_dim", _MAX_DIM)
-    attr_dim = r.u64("attr_dim", _MAX_DIM)
-    time_embed_dim = r.u64("time_embed_dim", _MAX_DIM)
-    n_hidden = r.u64("n_hidden", _MAX_HIDDEN)
-    hidden_dims = tuple(r.u64(f"hidden_dims[{i}]", _MAX_DIM) for i in range(n_hidden))
-    n_steps = r.u64("n_steps", _MAX_STEPS)
-    sched_code = r.u64("schedule_kind", max(_SCHEDULE_CODES.values()))
+    data_dim = r.u64("data_dim")
+    id_dim = r.u64("id_dim")
+    attr_dim = r.u64("attr_dim")
+    time_embed_dim = r.u64("time_embed_dim")
+    n_hidden = r.u64("n_hidden")
+    hidden_dims = tuple(r.u64(f"hidden_dims[{i}]") for i in range(n_hidden))
+    n_steps = r.u64("n_steps")
+    sched_code = r.u64("schedule_kind")
     if min(data_dim, id_dim, time_embed_dim, n_hidden, n_steps) < 1 or 0 in hidden_dims:
         raise CheckpointFormatError("topology contains a zero count")
 
-    name_len = r.u64("embedder_name_len", _MAX_NAME)
+    name_len = r.u64("embedder_name_len")
     try:
         name = r.take(name_len, "embedder_name").decode("utf-8")
     except UnicodeDecodeError as exc:
         raise CheckpointFormatError("embedder_name is not valid UTF-8") from exc
-    emb_in = r.u64("embedder_input_dim", _MAX_DIM)
-    emb_out = r.u64("embedder_output_dim", _MAX_DIM)
-    emb_seed = r.u64("embedder_seed", (1 << 64) - 1)
+    info = EmbedderInfo(name, r.u64("embedder_input_dim"), r.u64("embedder_output_dim"),
+                        r.u64("embedder_seed"))
 
-    total_batches = r.u64("total_batches", (1 << 48))
-    batch_size = r.u64("batch_size", _MAX_DIM)
-    train_seed = r.u64("train_seed", (1 << 64) - 1)
+    total_batches = r.u64("total_batches")
+    batch_size = r.u64("batch_size")
+    train_seed = r.u64("train_seed")
 
     topo = {"data_dim": data_dim, "id_dim": id_dim, "attr_dim": attr_dim or None,
             "time_embed_dim": time_embed_dim, "hidden_dims": hidden_dims}
+    _check_embedder(info, topo)
     n_params = param_count(topo)
     expected = 8 * (3 + n_steps + 2 * n_params)
     remaining = len(data) - r.off
@@ -237,7 +254,6 @@ def load_checkpoint(path: str) -> Checkpoint:
         ema_rate=float(ema_rate),
         total_batches=total_batches,
     )
-    info = EmbedderInfo(name, emb_in, emb_out, emb_seed)
     return Checkpoint(model, ema, schedule, info, train_config)
 
 

@@ -5,6 +5,7 @@ stays fast; one subprocess test confirms the module entry point is wired.
 """
 
 import json
+import os
 import subprocess
 import sys
 
@@ -12,7 +13,9 @@ import numpy as np
 import pytest
 
 from preimage.cli import _dataset_columns_from_csv, load_run_config, main
+from preimage.diffusion import SampleConfig, sample_batch
 from preimage.embedders import generate_dataset, make_embedder
+from preimage.evaluation import identity_distances
 from preimage.nn import param_count
 from preimage.persistence import load_checkpoint, read_csv
 
@@ -280,6 +283,13 @@ class TestSample:
         assert "finite" in capsys.readouterr().err
         assert not (tmp_path / "samples.csv").exists()
 
+    def test_empty_attr_is_usage_error(self, workspace, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("PREIMAGE_OUT", str(tmp_path))
+        assert main(["sample", "--checkpoint", workspace["checkpoint"], "--target-y", "1.0",
+                     "--attr", ",", "--seed", "1"]) == 1
+        assert capsys.readouterr().err.startswith("usage error: --attr")
+        assert not (tmp_path / "samples.csv").exists()
+
     def test_missing_checkpoint_is_runtime_error(self, tmp_path):
         assert main(["sample", "--checkpoint", str(tmp_path / "nope.ckpt"),
                      "--target-y", "1.0", "--seed", "1"]) == 2
@@ -314,6 +324,22 @@ class TestSample:
         assert main(["sample", "--checkpoint", workspace["checkpoint"],
                      "--target-y", "1.0", "--n", "3", "--seed", "2"]) == 0
         assert "no-preference" in capsys.readouterr().out
+
+    def test_attr_model_csv_equals_the_library(self, workspace, tmp_path, monkeypatch):
+        # Without --attr, sample asks the library for its own default, the
+        # no-preference token, and reports the library's identity distances.
+        monkeypatch.setenv("PREIMAGE_OUT", str(tmp_path))
+        assert main(["sample", "--checkpoint", workspace["checkpoint"],
+                     "--target-y", "1.0", "--n", "6", "--seed", "21"]) == 0
+        _, rows = read_csv(str(tmp_path / "samples.csv"))
+        ckpt = load_checkpoint(workspace["checkpoint"])
+        assert ckpt.model.attr_dim == 1
+        y = np.array([1.0])
+        xs = sample_batch(ckpt.ema_model(), y, ckpt.schedule, SampleConfig(seed=21), 6)
+        dists = identity_distances(xs, y, make_embedder(ckpt.embedder_info))
+        table = np.array(rows, dtype=np.float64)
+        assert table[:, 1:3].tobytes() == xs.tobytes()
+        assert table[:, 3].tobytes() == dists.tobytes()
 
     def test_attr_on_attrless_model_rejected(self, workspace, tmp_path, capsys):
         cfg = json.loads(json.dumps(TINY_CONFIG))
@@ -352,7 +378,14 @@ class TestInterpolate:
         code = main(["interpolate", "--checkpoint", workspace["checkpoint"],
                      "--y1", "0.7,0.1", "--y2", "1.3", "--seed", "4"])
         assert code == 1
-        assert "endpoints" in capsys.readouterr().err
+        assert "--y1" in capsys.readouterr().err
+
+    def test_negative_seed_exits_1(self, workspace, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("PREIMAGE_OUT", str(tmp_path))
+        assert main(["interpolate", "--checkpoint", workspace["checkpoint"],
+                     "--y1", "0.7", "--y2", "1.3", "--grid", "2", "--seed", "-1"]) == 1
+        assert "seed" in capsys.readouterr().err
+        assert not (tmp_path / "interpolation.csv").exists()
 
 
 class TestDirection:
@@ -431,6 +464,23 @@ class TestSweep:
         assert "--s" in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("targets, error", [(";", "usage"), ("1.0;1.0,2.0", "configuration")])
+    def test_no_target_or_a_wrong_width_exits_1(self, workspace, tmp_path, monkeypatch,
+                                                capsys, targets, error):
+        monkeypatch.setenv("PREIMAGE_OUT", str(tmp_path))
+        assert main(["sweep", "--checkpoint", workspace["checkpoint"], "--s", "2.0",
+                     "--target-y", targets, "--n", "2", "--seed", "7"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(error) and "--target-y" in err
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_negative_seed_exits_1(self, workspace, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("PREIMAGE_OUT", str(tmp_path))
+        assert main(["sweep", "--checkpoint", workspace["checkpoint"], "--s", "2.0",
+                     "--target-y", "1.0", "--n", "2", "--seed", "-1"]) == 1
+        assert "seed" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
 
 class TestEval:
     def _write_pairs(self, path):
@@ -502,6 +552,16 @@ class TestEval:
                      "--samples", str(tmp_path / "samples.csv"),
                      "--checkpoint", workspace["checkpoint"]]) == 1
 
+    def test_identity_target_width_checked(self, workspace, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("PREIMAGE_OUT", str(tmp_path))
+        assert main(["sample", "--checkpoint", workspace["checkpoint"],
+                     "--target-y", "1.0", "--n", "3", "--seed", "9"]) == 0
+        assert main(["eval", "--task", "identity", "--samples", str(tmp_path / "samples.csv"),
+                     "--checkpoint", workspace["checkpoint"], "--target-y", "1,2",
+                     "--out", "id.csv"]) == 1
+        assert "--target-y has 2 entries but the model expects 1" in capsys.readouterr().err
+        assert not (tmp_path / "id.csv").exists()
+
 
 class TestOracleCompare:
     def test_emits_energy_and_gd_rows(self, workspace, tmp_path, monkeypatch):
@@ -532,10 +592,60 @@ class TestOracleCompare:
         assert code == 1 and calls == []
         assert "--gd-inits" in capsys.readouterr().err
 
+    def test_nan_epsilon_exits_1_before_the_oracle_draws(self, workspace, tmp_path,
+                                                         monkeypatch, capsys):
+        monkeypatch.setenv("PREIMAGE_OUT", str(tmp_path))
+        draws = []
+        monkeypatch.setattr("preimage.cli.draw_points", lambda *a: draws.append(a))
+        assert main(["oracle-compare", "--checkpoint", workspace["checkpoint"],
+                     "--config", workspace["config"], "--target-y", "1.0",
+                     "--epsilon", "nan", "--seed", "13"]) == 1
+        assert draws == [] and "epsilon" in capsys.readouterr().err
+        assert not (tmp_path / "oracle_compare.csv").exists()
+
+
+def run_in_address_space(args, limit=2 << 30):
+    """python -m preimage with args, in a child process whose address space,
+    and only its own, is capped at limit bytes."""
+    resource = pytest.importorskip("resource")
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    return subprocess.run([sys.executable, "-m", "preimage", *args], capture_output=True,
+                          text=True, env=env, preexec_fn=cap, timeout=60)
+
 
 class TestEntryPoints:
     def test_no_command_is_usage_error(self, capsys):
         assert main([]) == 1
+
+    @pytest.mark.parametrize("command, section, values", [
+        ("dataset", "dataset", {"n_samples": 10**12}),
+        ("train", "model", {"hidden_dims": [10**6, 10**6]}),
+        ("train", "train", {"timesteps": 10**10}),
+        ("train", "train", {"batch_size": 10**11}),
+        ("sample", None, ["--target-y", "1.0", "--n", str(10**12)]),
+        ("interpolate", None, ["--y1", "0.7", "--y2", "1.3", "--grid", str(10**12)]),
+    ])
+    def test_oversized_count_exits_2_with_one_line(self, workspace, tmp_path, command,
+                                                   section, values):
+        # Valid requests that no machine here can hold: each one's first large
+        # allocation fails under the cap, and none may end in a traceback.
+        if section is None:
+            args = [command, "--checkpoint", workspace["checkpoint"], "--seed", "1",
+                    *values, "--out", str(tmp_path / "out.csv")]
+        else:
+            cfg = json.loads(json.dumps(TINY_CONFIG))
+            cfg[section].update(values)
+            cfg["output_dir"] = str(tmp_path)
+            (tmp_path / "big.json").write_text(json.dumps(cfg))
+            args = [command, "--config", str(tmp_path / "big.json"), "--out", "out"]
+        proc = run_in_address_space(args)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.splitlines() == [f"error: {command}: out of memory for this request"]
+        assert os.listdir(tmp_path) == (["big.json"] if section else [])
 
     def test_module_invocation(self):
         proc = subprocess.run([sys.executable, "-m", "preimage", "--help"],

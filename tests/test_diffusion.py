@@ -505,6 +505,15 @@ class TestSampler:
         assert out.shape == (2, 2)
         assert np.isfinite(out).all()
 
+    @pytest.mark.parametrize("guidance", [1.0, 2.0])
+    def test_attr_model_without_a_samples_the_no_preference_token(self, guidance):
+        # The model saw only attributes and the null token in training.
+        model = fitted_toy_model(seed=8, attr_dim=2)
+        cfg = SampleConfig(seed=3, guidance_scale=guidance)
+        np.testing.assert_array_equal(
+            sample_batch(model, np.array([1.0]), self.sched, cfg, 4),
+            sample_batch(model, np.array([1.0]), self.sched, cfg, 4, a=null_attr_token(2)))
+
     @pytest.mark.parametrize("y", [np.array(1.0), np.array([1.0]), np.ones((3, 1))])
     def test_accepted_target_shapes(self, y):
         cfg = SampleConfig(seed=2)

@@ -19,9 +19,11 @@ from preimage.errors import (
 from preimage.evaluation import (
     DISTANCE_ROWS,
     _distance_sum,
+    cell_seed,
     diversity,
     energy_distance,
     guidance_sweep,
+    identity_distances,
     identity_error,
     rejection_oracle,
     verification_accuracy,
@@ -119,6 +121,23 @@ class TestIdentityError:
     def test_angular_target_length_mismatch_rejected(self, y):
         with pytest.raises(ShapeError):
             identity_error(np.ones((4, 2)), y, LinearEmbedder(np.eye(2)), metric="angular")
+
+    def test_distances_are_the_norms_and_their_mean_the_error(self):
+        rng = np.random.default_rng(4)
+        emb = LinearEmbedder(rng.normal(size=(3, 2)))
+        xs, y = rng.normal(size=(7, 2)), rng.normal(size=3)
+        dists = identity_distances(xs, y, emb)
+        assert dists.tobytes() == np.linalg.norm(emb.embed(xs) - y, axis=1).tobytes()
+        assert identity_error(xs, y, emb) == float(np.mean(dists))
+
+    @pytest.mark.parametrize("y", [np.ones(2), np.ones((1, 1)), np.ones(0)])
+    def test_target_shape_other_than_the_embeddings_rejected(self, y):
+        # A radius embedding is (n, 1): a 2-entry target used to broadcast to
+        # (n, 2) and return a number.
+        xs = np.ones((4, 2))
+        for distance in (identity_distances, identity_error):
+            with pytest.raises(ShapeError, match="target of shape"):
+                distance(xs, y, RadiusEmbedder(2))
 
 
 class TestDiversity:
@@ -317,6 +336,23 @@ class TestRejectionOracle:
             rejection_oracle(RadiusEmbedder(2), np.array([1.0]), -0.1,
                              annulus_draw, 1, np.random.default_rng(0))
 
+    def test_nan_epsilon_rejected_before_drawing(self):
+        draws = []
+
+        def draw(rng, count):
+            draws.append(count)
+            return annulus_draw(rng, count)
+
+        with pytest.raises(ConfigurationError, match="epsilon"):
+            rejection_oracle(RadiusEmbedder(2), np.array([1.0]), float("nan"),
+                             draw, 1, np.random.default_rng(0), max_draws=8192)
+        assert draws == []
+
+    def test_target_shape_other_than_the_embeddings_rejected(self):
+        with pytest.raises(ShapeError, match="target of shape"):
+            rejection_oracle(RadiusEmbedder(2), np.array([1.0, 1.0]), 0.5,
+                             annulus_draw, 1, np.random.default_rng(0))
+
 
 class TestWhiteboxGdInvert:
     def test_radius_descent_shrinks_along_ray(self):
@@ -433,6 +469,11 @@ class TestWhiteboxGdInvert:
 
         with pytest.raises(ConfigurationError):
             whitebox_gd_invert(Opaque(), np.array([0.0]), np.zeros(2))
+
+    @pytest.mark.parametrize("y", [np.ones(2), np.ones((1, 1))])
+    def test_target_shape_other_than_the_embedding_rejected(self, y):
+        with pytest.raises(ShapeError, match="target of shape"):
+            whitebox_gd_invert(RadiusEmbedder(2), y, np.array([2.0, 0.0]))
 
 
 class TestEnergyDistance:
@@ -577,3 +618,16 @@ class TestGuidanceSweep:
         with pytest.raises(ConfigurationError):
             guidance_sweep(self.model, self.sched, self.emb,
                            np.array([[1.0]]), [], 3, self.cfg)
+
+    @pytest.mark.parametrize("seed", [-1, True, 1.5])
+    def test_base_seed_that_is_not_a_seed_rejected(self, seed):
+        with pytest.raises(ConfigurationError, match="seed"):
+            guidance_sweep(self.model, self.sched, self.emb, np.array([[1.0]]), [2.0], 3,
+                           SampleConfig(seed=seed))
+
+    def test_cell_seed_is_the_seed_sequence_of_base_and_cell(self):
+        for cell in [(), (3,), (2, 5)]:
+            want = np.random.SeedSequence((7, *cell)).generate_state(1)[0]
+            assert cell_seed(7, *cell) == int(want)
+        with pytest.raises(ConfigurationError, match="seed"):
+            cell_seed(-1, 0)

@@ -3,6 +3,7 @@
 import os
 import struct
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -223,6 +224,53 @@ class TestHostileCheckpoints:
         data[end - 8:end] = struct.pack("<d", np.nan)
         path.write_bytes(bytes(data))
         with pytest.raises(CheckpointFormatError, match=f"^{vector} are not finite"):
+            load_checkpoint(str(path))
+
+    @staticmethod
+    def with_header(trained, name_len=6, **train_config):
+        return replace(trained, embedder_info=replace(trained.embedder_info, name="x" * name_len),
+                       train_config=replace(trained.train_config, **train_config))
+
+    @pytest.mark.parametrize("field, name_len, train_config", [
+        ("batch_size", 6, {"batch_size": (1 << 20) + 1}),
+        ("total_batches", 6, {"total_batches": (1 << 48) + 1}),
+        ("embedder_name_len", 5000, {}),
+    ])
+    def test_save_refuses_a_header_field_load_would_refuse(self, trained, tmp_path, field,
+                                                           name_len, train_config):
+        path = tmp_path / "wide.ckpt"
+        with pytest.raises(CheckpointFormatError, match=f"^{field} value .* is out of range"):
+            save_checkpoint(str(path), self.with_header(trained, name_len, **train_config))
+        assert not path.exists()
+
+    def test_header_fields_at_their_bound_round_trip(self, trained, tmp_path):
+        ckpt = self.with_header(trained, 4096, batch_size=1 << 20, total_batches=1 << 48)
+        path = str(tmp_path / "edge.ckpt")
+        save_checkpoint(path, ckpt)
+        loaded = load_checkpoint(path)
+        assert (loaded.embedder_info, loaded.train_config) == (ckpt.embedder_info,
+                                                               ckpt.train_config)
+
+    @pytest.mark.parametrize("dims, field", [((2, 3), "embedder_output_dim"),
+                                             ((3, 1), "embedder_input_dim")])
+    def test_save_refuses_an_embedder_of_other_dimensions(self, trained, tmp_path, dims, field):
+        # The model maps 2-D data and 1-D embeddings.
+        ckpt = replace(trained, embedder_info=EmbedderInfo("frozen-mlp", *dims))
+        path = tmp_path / "mismatch.ckpt"
+        with pytest.raises(CheckpointFormatError, match=f"^{field} "):
+            save_checkpoint(str(path), ckpt)
+        assert not path.exists()
+
+    def test_load_refuses_an_embedder_of_other_dimensions(self, trained, tmp_path):
+        path = tmp_path / "mismatch.ckpt"
+        save_checkpoint(str(path), trained)
+        data = path.read_bytes()
+        # embedder_output_dim follows eight counts, the hidden dims, the name's
+        # length, the name and embedder_input_dim.
+        at = 8 + 8 * (8 + len(trained.model.hidden_dims)) + len(b"radius") + 8
+        assert struct.unpack("<Q", data[at:at + 8]) == (1,)
+        path.write_bytes(data[:at] + struct.pack("<Q", 3) + data[at + 8:])
+        with pytest.raises(CheckpointFormatError, match="^embedder_output_dim 3"):
             load_checkpoint(str(path))
 
 
