@@ -243,7 +243,10 @@ def _load_for_sampling(args):
 def cmd_sample(args) -> int:
     ckpt, model, embedder = _load_for_sampling(args)
     y = _parse_target(args.target_y, "--target-y", model.id_dim)
-    a = None if args.attr is None else _parse_vector(args.attr, "--attr")
+    a = None
+    if args.attr is not None:
+        a = (_parse_vector(args.attr, "--attr") if model.attr_dim is None
+             else _parse_target(args.attr, "--attr", model.attr_dim))
     if a is None and model.attr_dim is not None:
         print("attribute-conditioned model: sampling with the "
               "no-preference token (pass --attr to condition)")
@@ -403,6 +406,10 @@ def cmd_eval(args) -> int:
                               "--task identity")
         ckpt = load_checkpoint(args.checkpoint)
         y = _parse_target(args.target_y, "--target-y", ckpt.model.id_dim)
+        if len(x_cols) != ckpt.model.data_dim:
+            raise ConfigurationError(
+                f"{args.samples} has {len(x_cols)} x_* columns but the checkpoint's "
+                f"data dimension is {ckpt.model.data_dim}")
         value = identity_error(xs, y, make_embedder(ckpt.embedder_info))
     out = _resolve_out(args.out, ".")
     write_csv(out, ["metric", "value", "n"], [[args.task, value, len(xs)]])

@@ -231,8 +231,12 @@ def whitebox_gd_invert(embedder, target_y, x_init, step_size: float = 0.1,
     """
     if not hasattr(embedder, "embed_grad"):
         raise ConfigurationError("white-box inversion needs an embedder with embed_grad")
-    if step_size <= 0:
+    # Written so that NaN fails too: a NaN step runs every step into NaN and
+    # a NaN tol never reports convergence.
+    if not step_size > 0:
         raise ConfigurationError(f"step_size must be positive, got {step_size}")
+    if not tol > 0:
+        raise ConfigurationError(f"tol must be positive, got {tol}")
     target_y = np.asarray(target_y, dtype=np.float64)
     x = np.array(x_init, dtype=np.float64)
     y = embedder.embed(x)

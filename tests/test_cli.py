@@ -341,6 +341,13 @@ class TestSample:
         assert table[:, 1:3].tobytes() == xs.tobytes()
         assert table[:, 3].tobytes() == dists.tobytes()
 
+    def test_attr_of_the_wrong_width_exits_1(self, workspace, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("PREIMAGE_OUT", str(tmp_path))
+        assert main(["sample", "--checkpoint", workspace["checkpoint"], "--target-y", "1.0",
+                     "--attr", "1,2", "--seed", "1"]) == 1
+        assert "--attr has 2 entries but the model expects 1" in capsys.readouterr().err
+        assert not (tmp_path / "samples.csv").exists()
+
     def test_attr_on_attrless_model_rejected(self, workspace, tmp_path, capsys):
         cfg = json.loads(json.dumps(TINY_CONFIG))
         del cfg["dataset"]["attribute"]
@@ -560,6 +567,18 @@ class TestEval:
                      "--checkpoint", workspace["checkpoint"], "--target-y", "1,2",
                      "--out", "id.csv"]) == 1
         assert "--target-y has 2 entries but the model expects 1" in capsys.readouterr().err
+        assert not (tmp_path / "id.csv").exists()
+
+    def test_identity_on_samples_of_another_width_exits_1(self, workspace, tmp_path,
+                                                         monkeypatch, capsys):
+        monkeypatch.setenv("PREIMAGE_OUT", str(tmp_path))
+        samples = tmp_path / "wide.csv"
+        samples.write_text("sample_id,x_0,x_1,x_2\n0,0.5,0.1,0.2\n1,0.2,0.3,0.4\n")
+        assert main(["eval", "--task", "identity", "--samples", str(samples),
+                     "--checkpoint", workspace["checkpoint"], "--target-y", "1.0",
+                     "--out", "id.csv"]) == 1
+        err = capsys.readouterr().err
+        assert str(samples) in err and "3 x_* columns" in err
         assert not (tmp_path / "id.csv").exists()
 
 

@@ -1,5 +1,6 @@
 """Unit tests for metrics and the rejection / gradient-descent baselines."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -397,6 +398,20 @@ class TestWhiteboxGdInvert:
         with pytest.raises(NumericalDomainError):
             whitebox_gd_invert(RadiusEmbedder(2), np.array([1.0]), np.zeros(2))
 
+    @pytest.mark.parametrize("step_size", [0.0, -0.1, math.nan])
+    def test_step_size_must_be_positive(self, step_size):
+        # A NaN step would run all max_steps and return x = [nan, nan].
+        with pytest.raises(ConfigurationError, match="step_size"):
+            whitebox_gd_invert(RadiusEmbedder(2), np.array([1.0]), np.array([2.0, 0.0]),
+                               step_size=step_size)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan])
+    def test_tol_must_be_positive(self, tol):
+        # A NaN tol would report a run that reached the target as not converged.
+        with pytest.raises(ConfigurationError, match="tol"):
+            whitebox_gd_invert(RadiusEmbedder(2), np.array([1.0]), np.array([2.0, 0.0]),
+                               tol=tol)
+
     @staticmethod
     def loop_reference(embedder, target_y, x_init, step_size=0.1, max_steps=1000, tol=1e-6):
         """The descent loop with np.linalg.norm for the residual norm and a
@@ -440,7 +455,8 @@ class TestWhiteboxGdInvert:
                  else rng.normal(size=d))
             kwargs = {"step_size": float(rng.uniform(0.01, 0.6)),
                       "max_steps": int(rng.choice([0, 1, 5, 40, 1000])),
-                      "tol": float(rng.choice([1e-6, 1e-3, 0.0]))}
+                      # 1e-300 stands for a tol no run reaches; 0 is refused.
+                      "tol": float(rng.choice([1e-6, 1e-3, 1e-300]))}
             cases.append((emb, y, rng.normal(size=d), kwargs))
         # Step 3 oscillates on the radius map until max_steps and diverges on the identity.
         cases.append((RadiusEmbedder(2), np.array([1.0]), np.array([1.5, 0.5]),

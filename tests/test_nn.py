@@ -646,8 +646,8 @@ BLOCK_ROWS = (1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 3)
 
 
 class TestInferencePath:
-    """condition_terms and denoise_step against forward, which tiles the
-    condition to every row and caches for backward."""
+    """step_tables, condition_terms and denoise_step against forward, which
+    tiles the condition to every row and caches for backward."""
 
     def setup_method(self):
         rng = np.random.default_rng(50)
@@ -667,7 +667,8 @@ class TestInferencePath:
     def step(self, x, branches, k):
         model = self.model
         work = model.workspace(len(x), len(branches))
-        return model.denoise_step(x, model.condition_terms(branches, self.t), k, work).copy()
+        terms = model.condition_terms(branches, model.step_tables(self.t))
+        return model.denoise_step(x, terms, k, work).copy()
 
     @pytest.mark.parametrize("y_kind, a_kind", [
         ("shared", None), ("shared", "shared"), ("rows", None),
@@ -683,7 +684,7 @@ class TestInferencePath:
             a = {None: None, "shared": self.a, "rows": self.a_all[:n]}[a_kind]
             conds = [(y, a), (np.zeros(2), None if a is None else -np.ones(2))]
             for n_branch in (1, 2):
-                terms = model.condition_terms(conds[:n_branch], self.t)
+                terms = model.condition_terms(conds[:n_branch], model.step_tables(self.t))
                 work = model.workspace(n, n_branch)
                 for k, t in enumerate(self.t):
                     got = model.denoise_step(x, terms, k, work)
@@ -705,21 +706,25 @@ class TestInferencePath:
     ])
     def test_each_branch_is_planned_on_its_own(self, y_kind, a_kind):
         # A branch's tables and rows do not depend on the branches beside it,
-        # and the timestep embedding they share is not changed by any of them.
+        # and the step tables they share are not changed by any of them.
         model = self.model
         y = self.y if y_kind == "shared" else self.y_rows
         a = {None: None, "shared": self.a, "rows": self.a_rows}[a_kind]
         branches = [(np.zeros(2), None if a is None else -np.ones(2)), (y, a),
                     (self.y, self.a)]
-        both = model.condition_terms(branches, self.t)
+        tables = model.step_tables(self.t)
+        kept = [table.copy() for table in tables]
+        both = model.condition_terms(branches, tables)
         for b, branch in enumerate(branches):
-            alone = model.condition_terms([branch], self.t)
+            alone = model.condition_terms([branch], model.step_tables(self.t))
             for (steps, rows), (one_steps, one_rows) in zip(both, alone, strict=True):
                 assert steps.shape == (len(self.t), len(branches), 1, one_steps.shape[-1])
                 np.testing.assert_array_equal(steps[:, b], one_steps[:, 0])
                 mine = [r for c, r in rows if c == b]
                 for got, (_, want) in zip(mine, one_rows, strict=True):
                     np.testing.assert_array_equal(got, want)
+        for table, before in zip(tables, kept, strict=True):
+            np.testing.assert_array_equal(table, before)
 
     def test_writes_no_cache(self):
         self.step(self.x, [(self.y_rows, self.a)], 0)
