@@ -184,8 +184,9 @@ def rejection_oracle(embedder, target_y, epsilon: float, draw, n: int, rng,
     """
     if not epsilon >= 0:
         raise ConfigurationError(f"epsilon must be nonnegative, got {epsilon}")
-    if n < 1:
-        raise ConfigurationError(f"n must be >= 1, got {n}")
+    for name, value in (("n", n), ("batch_size", batch_size), ("max_draws", max_draws)):
+        if not (is_seed(value) and value >= 1):
+            raise ConfigurationError(f"{name} must be a positive integer, got {value!r}")
     kept = []
     n_kept = 0
     drawn = 0
@@ -229,7 +230,8 @@ def whitebox_gd_invert(embedder, target_y, x_init, step_size: float = 0.1,
     DIVERGENCE_WINDOW consecutive steps raises a divergence diagnostic
     carrying the loss trace.
     """
-    if not hasattr(embedder, "embed_grad"):
+    embed, embed_grad = embedder.embed, getattr(embedder, "embed_grad", None)
+    if embed_grad is None:
         raise ConfigurationError("white-box inversion needs an embedder with embed_grad")
     # Written so that NaN fails too: a NaN step runs every step into NaN and
     # a NaN tol never reports convergence.
@@ -237,29 +239,37 @@ def whitebox_gd_invert(embedder, target_y, x_init, step_size: float = 0.1,
         raise ConfigurationError(f"step_size must be positive, got {step_size}")
     if not tol > 0:
         raise ConfigurationError(f"tol must be positive, got {tol}")
+    # is_seed is the nonnegative-integer test; a NaN or infinite budget on an
+    # unreachable target would never stop.
+    if not is_seed(max_steps):
+        raise ConfigurationError(f"max_steps must be a nonnegative integer, got {max_steps!r}")
     target_y = np.asarray(target_y, dtype=np.float64)
     x = np.array(x_init, dtype=np.float64)
-    y = embedder.embed(x)
+    y = embed(x)
     if y.shape != target_y.shape:
         raise ShapeError(f"expected a target of shape {y.shape}, got {target_y.shape}")
     trace = []
+    prev = math.inf
     rising = 0
     steps_taken = 0
     while True:
         resid = target_y - y
-        sq_norm = float(resid @ resid)
-        trace.append(0.5 * sq_norm)
-        converged = bool(math.sqrt(sq_norm) < tol)
+        sq_norm = float(resid.dot(resid))
+        loss = 0.5 * sq_norm
+        trace.append(loss)
+        converged = math.sqrt(sq_norm) < tol
         if converged or steps_taken >= max_steps:
             break
-        rising = rising + 1 if len(trace) > 1 and trace[-1] > trace[-2] else 0
+        rising = rising + 1 if loss > prev else 0
         if rising >= DIVERGENCE_WINDOW:
             raise DivergenceError(f"loss rose for {rising} consecutive steps; diverging", trace)
-        jac = embedder.embed_grad(x)
-        x = x + step_size * (jac.T @ resid)
+        prev = loss
+        step = embed_grad(x).T.dot(resid)
+        step *= step_size
+        x = x + step
         steps_taken += 1
-        y = embedder.embed(x)
-    return InversionResult(x, np.array(trace), converged, steps_taken)
+        y = embed(x)
+    return InversionResult(x, np.array(trace), bool(converged), steps_taken)
 
 
 def energy_distance(batch_a, batch_b) -> float:

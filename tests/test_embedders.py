@@ -62,6 +62,43 @@ class TestRadiusEmbedder:
         with pytest.raises(ShapeError):
             RadiusEmbedder(2).embed(np.zeros(3))
 
+    # Near overflow and underflow, signed zeros, subnormals, NaN and inf.
+    EDGE_VALUES = (0.0, -0.0, 1.0, -2.5, 1e-160, -3e-170, 5e-324, -1e-310, 1e154,
+                   -1.5e154, 1e200, 1.7e308, -1.7e308, np.nan, -np.nan, np.inf, -np.inf)
+
+    @classmethod
+    def edge_rows(cls, d, n=200, seed=0):
+        rng = np.random.default_rng([seed, d])
+        pool = np.array(cls.EDGE_VALUES)
+        rows = rng.choice(pool, size=(n, d))
+        mixed = rng.random((n, d)) < 0.3  # some rows mix edge values with plain ones
+        rows[mixed] = rng.normal(size=int(mixed.sum()))
+        return np.vstack([rows, np.zeros((1, d)), -np.zeros((1, d)),
+                          np.full((1, d), 1e-200), np.full((1, d), 1e160)])
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_embed_equals_linalg_norm_bitwise(self, d):
+        emb = RadiusEmbedder(d)
+        rows = self.edge_rows(d)
+        with np.errstate(over="ignore"):
+            want = np.linalg.norm(rows, axis=-1, keepdims=True)
+            assert emb.embed(rows).tobytes() == want.tobytes()
+            for row, w in zip(rows, want):
+                assert emb.embed(row).tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_embed_grad_equals_linalg_norm_bitwise(self, d):
+        emb = RadiusEmbedder(d)
+        for row in self.edge_rows(d, seed=1):
+            with np.errstate(over="ignore", invalid="ignore"):  # x.x overflows, inf / inf
+                norm = np.linalg.norm(row)
+                if norm == 0.0:
+                    with pytest.raises(NumericalDomainError):
+                        emb.embed_grad(row)
+                    continue
+                got, want = emb.embed_grad(row), (row / norm)[None, :]
+            assert got.tobytes() == want.tobytes()
+
 
 class TestFrozenMlpEmbedder:
     def test_output_unit_norm(self):

@@ -354,6 +354,24 @@ class TestRejectionOracle:
             rejection_oracle(RadiusEmbedder(2), np.array([1.0, 1.0]), 0.5,
                              annulus_draw, 1, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("kwargs", [{"batch_size": 0}, {"batch_size": -4},
+                                        {"max_draws": 0}, {"max_draws": -1},
+                                        {"n": 0}, {"n": 2.5}, {"n": math.nan}])
+    def test_sizes_must_be_positive_integers_before_drawing(self, kwargs):
+        # At batch_size 0 the first draw is empty, at -4 numpy refuses the
+        # size, max_draws 0 and n NaN starve without drawing at all, and
+        # n 2.5 fails slicing the kept draws.
+        draws = []
+
+        def draw(rng, count):
+            draws.append(count)
+            return annulus_draw(rng, count)
+
+        with pytest.raises(ConfigurationError, match=f"^{next(iter(kwargs))} "):
+            rejection_oracle(RadiusEmbedder(2), np.array([1.0]), 0.1, draw,
+                             **{"n": 1, **kwargs}, rng=np.random.default_rng(0))
+        assert draws == []
+
 
 class TestWhiteboxGdInvert:
     def test_radius_descent_shrinks_along_ray(self):
@@ -411,6 +429,20 @@ class TestWhiteboxGdInvert:
         with pytest.raises(ConfigurationError, match="tol"):
             whitebox_gd_invert(RadiusEmbedder(2), np.array([1.0]), np.array([2.0, 0.0]),
                                tol=tol)
+
+    @pytest.mark.parametrize("max_steps", [math.nan, math.inf, 2.5, -3, True, "10"])
+    def test_max_steps_must_be_a_nonnegative_integer(self, max_steps):
+        # The target is reachable, so an unchecked budget returns instead of
+        # raising; on an unreachable one a NaN or infinite budget never stops.
+        with pytest.raises(ConfigurationError, match="max_steps"):
+            whitebox_gd_invert(RadiusEmbedder(2), np.array([1.0]), np.array([2.0, 0.0]),
+                               max_steps=max_steps)
+
+    @pytest.mark.parametrize("max_steps", [0, 3, np.int64(3)])
+    def test_integer_max_steps_is_the_step_budget(self, max_steps):
+        res = whitebox_gd_invert(LinearEmbedder([[1.0, 0.0], [0.0, 0.0]]), np.array([1.0, 1.0]),
+                                 np.zeros(2), max_steps=max_steps)
+        assert res.n_steps == max_steps and not res.converged
 
     @staticmethod
     def loop_reference(embedder, target_y, x_init, step_size=0.1, max_steps=1000, tol=1e-6):
