@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .diffusion import SampleConfig, TrainConfig, is_seed, sample_batch, train
+from .diffusion import SEED_MAX, SampleConfig, TrainConfig, sample_batch, train
 from .embedders import (
     DatasetSpec,
     EmbedderInfo,
@@ -24,7 +24,7 @@ from .embedders import (
     generate_dataset,
     make_embedder,
 )
-from .errors import ConfigurationError, PreimageError
+from .errors import ConfigurationError, PreimageError, check_int, is_int
 from .evaluation import (
     cell_seed,
     diversity,
@@ -68,20 +68,18 @@ class RunConfig:
     output_dir: str = "."
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 # What each JSON value of a run config must be: a description for the error
-# message and the test.
+# message and the test. Every integer of a run config is a count or a
+# dimension, so "int" means a positive integer.
 _KINDS = {
-    "int": ("an integer", _is_int),
-    "seed": ("an integer in [0, 2**64)", lambda v: is_seed(v, 1 << 64)),
-    "number": ("a number", lambda v: _is_int(v) or isinstance(v, float)),
+    "int": ("a positive integer", lambda v: is_int(v, 1)),
+    "seed": ("an integer in [0, 2**64)", lambda v: is_int(v, 0, SEED_MAX)),
+    "number": ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
     "str": ("a string", lambda v: isinstance(v, str)),
     "str?": ("a string or null", lambda v: v is None or isinstance(v, str)),
     "object": ("an object", lambda v: isinstance(v, dict)),
-    "ints": ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_int, v))),
+    "ints": ("a nonempty list of positive integers",
+             lambda v: isinstance(v, list) and v and all(is_int(h, 1) for h in v)),
 }
 
 # Every key of every section of a run config and the kind of its value; a
@@ -148,10 +146,7 @@ def load_run_config(path: str) -> RunConfig:
             f"embedder input_dim {embedder_info.input_dim} does not match "
             f"dataset input_dim {dataset.input_dim}"
         )
-    if embedder_info.name == "radius" and embedder_info.output_dim != 1:
-        raise ConfigurationError("the radius embedder has output_dim 1")
-    if any(h < 1 for h in hidden_dims) or not hidden_dims:
-        raise ConfigurationError("model hidden_dims must be positive")
+    make_embedder(embedder_info)  # refuses a descriptor it cannot build
     if time_embed_dim < 2 or time_embed_dim % 2:
         raise ConfigurationError("model time_embed_dim must be even and >= 2")
     return cfg
@@ -265,8 +260,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_interpolate(args) -> int:
-    if args.grid < 1:
-        raise _UsageError(f"--grid must be >= 1, got {args.grid}")
+    check_int("--grid", args.grid, 1)
     ckpt, model, embedder = _load_for_sampling(args)
     y1 = _parse_target(args.y1, "--y1", model.id_dim)
     y2 = _parse_target(args.y2, "--y2", model.id_dim)
@@ -322,9 +316,7 @@ def cmd_direction(args) -> int:
     rows = []
     if args.mode == "pca":
         basis = fit_pca(ys)
-        n_axes = args.n_axes if args.n_axes is not None else k
-        if not (1 <= n_axes <= k):
-            raise ConfigurationError(f"--n-axes must lie in [1, {k}]")
+        n_axes = check_int("--n-axes", k if args.n_axes is None else args.n_axes, 1, k)
         for i in range(n_axes):
             rows.append([f"pca_{i}", "pca-axis", basis.eigenvalues[i], *basis.axes[i]])
     else:
@@ -421,8 +413,7 @@ def cmd_oracle_compare(args) -> int:
     cfg = load_run_config(args.config)
     ckpt, model, embedder = _load_for_sampling(args)
     y = _parse_target(args.target_y, "--target-y", model.id_dim)
-    if args.gd_inits < 1:
-        raise ConfigurationError(f"--gd-inits must be >= 1, got {args.gd_inits}")
+    check_int("--gd-inits", args.gd_inits, 1)
 
     xs = sample_batch(model, y, ckpt.schedule, _sample_config(args), args.n)
 

@@ -22,10 +22,14 @@ from .errors import (
     SamplingError,
     ShapeError,
     StateError,
+    check_int,
 )
 from .nn import Adam, ConditionalDenoiser, EmaParams, shared_or_rows
 
 BETA_MAX = 0.999
+
+# The largest seed a checkpoint holds: it stores the seed as a u64.
+SEED_MAX = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -83,8 +87,7 @@ def make_cosine_schedule(n_steps: int) -> NoiseSchedule:
     pi/2)^2, realized as a running product of per-step betas that are clipped
     at 0.999 to keep the open-interval invariant near t = T.
     """
-    if n_steps < 1:
-        raise ConfigurationError(f"n_steps must be >= 1, got {n_steps}")
+    check_int("n_steps", n_steps, 1)
 
     def g(u: float) -> float:
         return math.cos((u + 0.008) / 1.008 * math.pi / 2.0) ** 2
@@ -98,8 +101,7 @@ def make_cosine_schedule(n_steps: int) -> NoiseSchedule:
 
 def make_linear_schedule(n_steps: int) -> NoiseSchedule:
     """Linear beta schedule from 1e-4 to 0.02, rescaled by 1000/T."""
-    if n_steps < 1:
-        raise ConfigurationError(f"n_steps must be >= 1, got {n_steps}")
+    check_int("n_steps", n_steps, 1)
     scale = 1000.0 / n_steps
     betas = np.linspace(scale * 1e-4, scale * 0.02, n_steps)
     return schedule_from_betas(np.clip(betas, None, BETA_MAX))
@@ -122,20 +124,12 @@ def respace(schedule: NoiseSchedule, n_steps: int) -> NoiseSchedule:
     at the schedule that was respaced, composing across repeated respacing.
     """
     T = schedule.n_steps
-    if not (1 <= n_steps <= T):
-        raise ConfigurationError(f"respaced step count must lie in [1, {T}], got {n_steps}")
+    check_int("respaced n_steps", n_steps, 1, T)
     kept = np.unique(np.round(np.arange(1, n_steps + 1) * (T / n_steps)).astype(np.int64))
     kept_bars = schedule.alpha_bars[kept - 1]
     prev = np.concatenate(([1.0], kept_bars[:-1]))
     betas = 1.0 - kept_bars / prev
     return schedule_from_betas(betas, timestep_map=schedule.timestep_map[kept - 1])
-
-
-def is_seed(seed, bound: int | None = None) -> bool:
-    """Whether seed is an integer (not a bool) in [0, bound), bound None
-    meaning no upper limit."""
-    return (isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)
-            and 0 <= seed and (bound is None or seed < bound))
 
 
 @dataclass(frozen=True)
@@ -152,23 +146,18 @@ class TrainConfig:
     total_batches: int = 10000
 
     def validate(self) -> None:
-        if not is_seed(self.seed, 1 << 64):
-            # The checkpoint stores the seed as a u64.
-            raise ConfigurationError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
+        check_int("seed", self.seed, 0, SEED_MAX)
         if self.schedule not in ("cosine", "linear"):
             raise ConfigurationError(f"unknown schedule kind {self.schedule!r}")
-        if self.timesteps < 1:
-            raise ConfigurationError(f"timesteps must be >= 1, got {self.timesteps}")
+        for name in ("timesteps", "batch_size", "total_batches"):
+            check_int(name, getattr(self, name), 1)
         if not (0.0 <= self.cond_dropout <= 1.0):
             raise ConfigurationError(f"cond_dropout must lie in [0, 1], got {self.cond_dropout}")
-        if self.batch_size < 1:
-            raise ConfigurationError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.learning_rate <= 0:
-            raise ConfigurationError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not 0 < self.learning_rate < math.inf:  # NaN fails too
+            raise ConfigurationError(
+                f"learning_rate must be positive and finite, got {self.learning_rate}")
         if not (0.0 <= self.ema_rate <= 1.0):
             raise ConfigurationError(f"ema_rate must lie in [0, 1], got {self.ema_rate}")
-        if self.total_batches < 1:
-            raise ConfigurationError(f"total_batches must be >= 1, got {self.total_batches}")
 
 
 @dataclass(frozen=True)
@@ -191,8 +180,9 @@ class SampleConfig:
     def resolved(self) -> "SampleConfig":
         """Validate, clamp guidance below 1 (with a warning), resolve 'auto'."""
         cfg = self
-        if not is_seed(cfg.seed):
-            raise ConfigurationError(f"seed must be a nonnegative integer, got {cfg.seed!r}")
+        check_int("seed", cfg.seed)
+        if cfg.respace_steps is not None:
+            check_int("respace_steps", cfg.respace_steps, 1)
         if not math.isfinite(cfg.guidance_scale):
             raise ConfigurationError(f"guidance scale must be finite, got {cfg.guidance_scale}")
         if cfg.guidance_scale < 1.0:
@@ -369,8 +359,7 @@ def train(x0s, ys, config: TrainConfig, attrs=None, hidden_dims=(128, 128, 128),
     log_every > 0 prints the mean loss of every log_every batches.
     """
     config.validate()
-    if log_every < 0:
-        raise ConfigurationError(f"log_every must be >= 0, got {log_every}")
+    check_int("log_every", log_every)
     x0s = np.asarray(x0s, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     if x0s.ndim != 2 or ys.ndim != 2 or len(x0s) != len(ys):
@@ -504,8 +493,7 @@ def sample_batch(model, y, schedule: NoiseSchedule, config: SampleConfig,
     if not getattr(model, "fitted", False):
         raise StateError("model has not been fitted; train it or load a checkpoint")
     cfg = config.resolved()
-    if n < 1:
-        raise ConfigurationError(f"sample count must be >= 1, got {n}")
+    check_int("n", n, 1)
 
     steps = cfg.respace_steps
     if steps is None:

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalDomainError, ShapeError
+from .errors import ConfigurationError, NumericalDomainError, ShapeError, check_int
 
 
 @dataclass(frozen=True)
@@ -35,9 +35,7 @@ class RadiusEmbedder:
     """
 
     def __init__(self, input_dim: int):
-        if input_dim < 1:
-            raise ConfigurationError(f"input_dim must be >= 1, got {input_dim}")
-        self.input_dim = input_dim
+        self.input_dim = check_int("input_dim", input_dim, 1)
         self.output_dim = 1
 
     @property
@@ -76,11 +74,9 @@ class FrozenMlpEmbedder:
     HIDDEN = 32
 
     def __init__(self, input_dim: int, output_dim: int, seed: int = 0):
-        if input_dim < 1 or output_dim < 1:
-            raise ConfigurationError("dims must be positive")
-        self.input_dim = input_dim
-        self.output_dim = output_dim
-        self.seed = seed
+        self.input_dim = check_int("input_dim", input_dim, 1)
+        self.output_dim = check_int("output_dim", output_dim, 1)
+        self.seed = check_int("seed", seed)
         rng = np.random.default_rng(seed)
         self._w1 = rng.normal(scale=1.0 / np.sqrt(input_dim), size=(self.HIDDEN, input_dim))
         self._b1 = rng.normal(scale=0.1, size=self.HIDDEN)
@@ -116,7 +112,9 @@ class LinearEmbedder:
 
     @classmethod
     def from_seed(cls, input_dim: int, output_dim: int, seed: int = 0) -> "LinearEmbedder":
-        rng = np.random.default_rng(seed)
+        check_int("input_dim", input_dim, 1)
+        check_int("output_dim", output_dim, 1)
+        rng = np.random.default_rng(check_int("seed", seed))
         emb = cls(rng.normal(scale=1.0 / np.sqrt(input_dim), size=(output_dim, input_dim)))
         emb.seed = seed
         return emb
@@ -138,6 +136,8 @@ class LinearEmbedder:
 def make_embedder(info: EmbedderInfo):
     """Rebuild an embedder from its descriptor."""
     if info.name == "radius":
+        if info.output_dim != 1:
+            raise ConfigurationError("the radius embedder has output_dim 1")
         return RadiusEmbedder(info.input_dim)
     if info.name == "frozen-mlp":
         return FrozenMlpEmbedder(info.input_dim, info.output_dim, info.seed)
@@ -198,11 +198,9 @@ def _draw_annulus(spec: DatasetSpec, rng, n: int) -> tuple[np.ndarray, dict]:
 
 
 def _draw_gaussian_mixture(spec: DatasetSpec, rng, n: int) -> tuple[np.ndarray, dict]:
-    k = int(spec.params.get("n_components", 4))
+    k = check_int("n_components", spec.params.get("n_components", 4), 1)
     spread = float(spec.params.get("spread", 2.0))
     comp_std = float(spec.params.get("component_std", 0.5))
-    if k < 1:
-        raise ConfigurationError(f"n_components must be >= 1, got {k}")
     centers = rng.normal(scale=spread, size=(k, spec.input_dim))
     comp = rng.integers(0, k, size=n)
     xs = centers[comp] + comp_std * rng.standard_normal((n, spec.input_dim))
@@ -210,11 +208,9 @@ def _draw_gaussian_mixture(spec: DatasetSpec, rng, n: int) -> tuple[np.ndarray, 
 
 
 def _draw_clustered_identities(spec: DatasetSpec, rng, n: int) -> tuple[np.ndarray, dict]:
-    k = int(spec.params.get("n_identities", 10))
+    k = check_int("n_identities", spec.params.get("n_identities", 10), 1)
     cluster_std = float(spec.params.get("cluster_std", 0.1))
     center_scale = float(spec.params.get("center_scale", 1.0))
-    if k < 1:
-        raise ConfigurationError(f"n_identities must be >= 1, got {k}")
     centers = center_scale * rng.standard_normal((k, spec.input_dim))
     ident = rng.integers(0, k, size=n)
     xs = centers[ident] + cluster_std * rng.standard_normal((n, spec.input_dim))
@@ -230,6 +226,7 @@ _DISTRIBUTIONS = {
 
 def draw_points(spec: DatasetSpec, rng, n: int) -> np.ndarray:
     """Draw n unlabeled input points from spec.distribution."""
+    check_int("n", n)
     if spec.distribution not in _DISTRIBUTIONS:
         raise ConfigurationError(f"unknown distribution {spec.distribution!r}")
     xs, _ = _DISTRIBUTIONS[spec.distribution](spec, rng, n)
@@ -243,8 +240,8 @@ def generate_dataset(spec: DatasetSpec, embedder) -> Dataset:
     column that spec.attribute names. A fixed seed reproduces the dataset
     exactly.
     """
-    if spec.n_samples < 1:
-        raise ConfigurationError(f"n_samples must be >= 1, got {spec.n_samples}")
+    check_int("n_samples", spec.n_samples, 1)
+    check_int("seed", spec.seed)
     if embedder.input_dim != spec.input_dim:
         raise ConfigurationError(
             f"embedder expects input_dim {embedder.input_dim}, spec has {spec.input_dim}"

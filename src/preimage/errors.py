@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one check of the
+integer counts and seeds it accepts."""
+
+import numpy as np
 
 
 class PreimageError(Exception):
@@ -44,3 +47,19 @@ class DivergenceError(PreimageError, RuntimeError):
     def __init__(self, message: str, loss_trace):
         super().__init__(message)
         self.loss_trace = list(loss_trace)
+
+
+def is_int(value, lo: int = 0, hi: int | None = None) -> bool:
+    """Whether value is an int or numpy integer, not a bool, in [lo, hi]
+    (hi None: no upper limit)."""
+    return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and lo <= value and (hi is None or value <= hi))
+
+
+def check_int(name: str, value, lo: int = 0, hi: int | None = None) -> int:
+    """value as an int if is_int(value, lo, hi), else a ConfigurationError
+    that names it."""
+    if not is_int(value, lo, hi):
+        bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise ConfigurationError(f"{name} must be an integer {bound}, got {value!r}")
+    return int(value)

@@ -13,13 +13,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .diffusion import SampleConfig, is_seed, sample_batch
+from .diffusion import SampleConfig, sample_batch
 from .embedders import angles_over_pi
 from .errors import (
     AcceptanceStarvationError,
     ConfigurationError,
     DivergenceError,
+    NumericalDomainError,
     ShapeError,
+    check_int,
 )
 
 
@@ -94,8 +96,7 @@ class SweepRow:
 def cell_seed(base_seed: int, *cell: int) -> int:
     """Stable seed of one cell of a grid of requests (a sweep's scale and
     target, an interpolation's point), so cells draw independent streams."""
-    if not is_seed(base_seed):
-        raise ConfigurationError(f"seed must be a nonnegative integer, got {base_seed!r}")
+    check_int("seed", base_seed)
     return int(np.random.SeedSequence((base_seed, *cell)).generate_state(1)[0])
 
 
@@ -112,8 +113,7 @@ def guidance_sweep(model, schedule, embedder, targets, scales, n_per_target: int
     scales = list(scales)
     if not scales:
         raise ConfigurationError("at least one guidance scale is required")
-    if n_per_target < 2:
-        raise ConfigurationError("n_per_target must be >= 2 to measure diversity")
+    check_int("n_per_target", n_per_target, 2)  # diversity needs two samples
     rows = []
     for i, s in enumerate(scales):
         errs, divs = [], []
@@ -185,8 +185,7 @@ def rejection_oracle(embedder, target_y, epsilon: float, draw, n: int, rng,
     if not epsilon >= 0:
         raise ConfigurationError(f"epsilon must be nonnegative, got {epsilon}")
     for name, value in (("n", n), ("batch_size", batch_size), ("max_draws", max_draws)):
-        if not (is_seed(value) and value >= 1):
-            raise ConfigurationError(f"{name} must be a positive integer, got {value!r}")
+        check_int(name, value, 1)
     kept = []
     n_kept = 0
     drawn = 0
@@ -239,12 +238,13 @@ def whitebox_gd_invert(embedder, target_y, x_init, step_size: float = 0.1,
         raise ConfigurationError(f"step_size must be positive, got {step_size}")
     if not tol > 0:
         raise ConfigurationError(f"tol must be positive, got {tol}")
-    # is_seed is the nonnegative-integer test; a NaN or infinite budget on an
-    # unreachable target would never stop.
-    if not is_seed(max_steps):
-        raise ConfigurationError(f"max_steps must be a nonnegative integer, got {max_steps!r}")
+    # A NaN or infinite budget on an unreachable target would never stop.
+    check_int("max_steps", max_steps)
     target_y = np.asarray(target_y, dtype=np.float64)
     x = np.array(x_init, dtype=np.float64)
+    # A NaN loss never rises, so a non-finite start or target would run every step.
+    if not (np.isfinite(x).all() and np.isfinite(target_y).all()):
+        raise NumericalDomainError("x_init and target_y must be finite")
     y = embed(x)
     if y.shape != target_y.shape:
         raise ShapeError(f"expected a target of shape {y.shape}, got {target_y.shape}")

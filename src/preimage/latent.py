@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalDomainError, ShapeError
+from .errors import ConfigurationError, NumericalDomainError, ShapeError, check_int
 
 PROVENANCES = ("binary-split", "percentile-split", "pca-axis")
 PARALLEL_EPS = 1e-6
@@ -115,8 +115,7 @@ def project_first_k(y, basis: PcaBasis, n: int) -> np.ndarray:
 
     n = 0 collapses everything to the mean; n = k reconstructs y exactly.
     """
-    if not (0 <= n <= basis.n_axes):
-        raise ConfigurationError(f"n must lie in [0, {basis.n_axes}], got {n}")
+    check_int("n", n, 0, basis.n_axes)
     y = np.asarray(y, dtype=np.float64)
     if y.shape != basis.mean.shape:
         raise ShapeError(f"expected shape {basis.mean.shape}, got {y.shape}")

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigurationError, ShapeError, StateError
+from .errors import ConfigurationError, ShapeError, StateError, check_int
 
 MAX_PERIOD = 10000.0
 
@@ -83,8 +83,8 @@ def sinusoidal_embed(t, dim: int, out=None) -> np.ndarray:
     scalar t (returns shape (dim,)) or a 1-D array (returns (n, dim), in out
     if given).
     """
-    if dim < 2 or dim % 2 != 0:
-        raise ConfigurationError(f"embedding dim must be a positive even number, got {dim}")
+    if check_int("dim", dim, 2) % 2:
+        raise ConfigurationError(f"dim must be even, got {dim}")
     t_arr = np.asarray(t, dtype=np.float64)
     scalar = t_arr.ndim == 0
     if t_arr.ndim > 1:
@@ -196,21 +196,21 @@ class ConditionalDenoiser:
         seed: int = 0,
         params=None,
     ):
-        hidden_dims = tuple(int(h) for h in hidden_dims)
-        if data_dim <= 0 or id_dim <= 0:
-            raise ConfigurationError(f"dims must be positive, got data={data_dim} id={id_dim}")
-        if attr_dim is not None and attr_dim <= 0:
-            raise ConfigurationError(f"attr_dim must be positive or None, got {attr_dim}")
-        if not hidden_dims or min(hidden_dims) <= 0:
-            raise ConfigurationError(f"hidden_dims must be positive, got {hidden_dims}")
-        if time_embed_dim < 2 or time_embed_dim % 2 != 0:
+        check_int("data_dim", data_dim, 1)
+        check_int("id_dim", id_dim, 1)
+        if attr_dim is not None:
+            check_int("attr_dim", attr_dim, 1)
+        hidden_dims = tuple(check_int("hidden_dims entry", h, 1) for h in hidden_dims)
+        if not hidden_dims:
+            raise ConfigurationError("hidden_dims must not be empty")
+        if check_int("time_embed_dim", time_embed_dim, 2) % 2:
             raise ConfigurationError(f"time_embed_dim must be even, got {time_embed_dim}")
         self.data_dim = data_dim
         self.id_dim = id_dim
         self.attr_dim = attr_dim
         self.hidden_dims = hidden_dims
         self.time_embed_dim = time_embed_dim
-        self.seed = seed
+        self.seed = check_int("seed", seed)
         self.fitted = False
 
         dims = _layer_dims(self.topology())
@@ -496,8 +496,8 @@ class Adam:
     place through two scratch buffers, in the textbook per-entry order."""
 
     def __init__(self, params, lr: float = 1e-4):
-        if lr <= 0:
-            raise ConfigurationError(f"learning rate must be positive, got {lr}")
+        if not 0 < lr < math.inf:  # NaN fails too
+            raise ConfigurationError(f"learning rate must be positive and finite, got {lr}")
         self.lr = lr
         self.step_count = 0
         self.m = np.zeros(np.shape(params))

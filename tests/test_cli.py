@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -160,6 +161,27 @@ class TestDataset:
         err = capsys.readouterr().err
         assert err.startswith("configuration error") and repr(key) in err
 
+    @pytest.mark.parametrize("bad", ["float", "bool", "str", "below"])
+    @pytest.mark.parametrize("section, key, minimum", [
+        ("dataset", "input_dim", 1), ("dataset", "n_samples", 1), ("dataset", "seed", 0),
+        ("embedder", "input_dim", 1), ("embedder", "output_dim", 1), ("embedder", "seed", 0),
+        ("model", "hidden_dims", 1), ("model", "time_embed_dim", 1),
+        ("train", "seed", 0), ("train", "timesteps", 1), ("train", "batch_size", 1),
+        ("train", "total_batches", 1),
+    ])
+    def test_every_integer_key_is_checked_before_compute(self, tmp_path, capsys,
+                                                          section, key, minimum, bad):
+        value = {"float": 2.5, "bool": True, "str": "3", "below": minimum - 1}[bad]
+        cfg = json.loads(json.dumps(TINY_CONFIG))
+        cfg[section][key] = [8, value] if key == "hidden_dims" else value
+        cfg["output_dir"] = str(tmp_path / "out")
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["dataset", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and repr(key) in err
+        assert os.listdir(tmp_path) == ["bad.json"]
+
     def test_config_that_is_not_an_object_is_configuration_error(self, tmp_path, capsys):
         path = tmp_path / "list.json"
         path.write_text(json.dumps([TINY_CONFIG]))
@@ -214,6 +236,18 @@ class TestTrain:
                      "--out", "model.ckpt"]) == 1
         captured = capsys.readouterr()
         assert "log_every" in captured.err and "loss" not in captured.out
+        assert not (tmp_path / "model.ckpt").exists()
+
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+    def test_non_finite_learning_rate_exits_1_before_training(self, tmp_path, capsys, rate):
+        # json writes and reads the NaN and Infinity literals.
+        cfg = json.loads(json.dumps(TINY_CONFIG))
+        cfg["train"]["learning_rate"] = rate
+        cfg["output_dir"] = str(tmp_path)
+        path = tmp_path / "rate.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["train", "--config", str(path), "--out", "model.ckpt"]) == 1
+        assert "learning_rate" in capsys.readouterr().err
         assert not (tmp_path / "model.ckpt").exists()
 
     def test_config_without_train_section(self, tmp_path, capsys):
@@ -404,6 +438,15 @@ class TestDirection:
         assert header == ["label", "provenance", "weight", "v_0"]
         assert rows[0][0] == "upper" and rows[0][1] == "binary-split"
         assert abs(float(rows[0][3])) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("n_axes", ["0", "2"])
+    def test_n_axes_outside_the_embedding_width_exits_1(self, workspace, tmp_path,
+                                                        monkeypatch, capsys, n_axes):
+        monkeypatch.setenv("PREIMAGE_OUT", str(tmp_path))
+        assert main(["direction", "--data", workspace["data"], "--mode", "pca",
+                     "--n-axes", n_axes]) == 1
+        assert "--n-axes" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
 
     def test_percentile_split(self, workspace, tmp_path, monkeypatch):
         monkeypatch.setenv("PREIMAGE_OUT", str(tmp_path))
@@ -623,6 +666,15 @@ class TestOracleCompare:
         assert not (tmp_path / "oracle_compare.csv").exists()
 
 
+def child_env(**extra):
+    """os.environ plus extra, with this checkout's src first on PYTHONPATH,
+    so that a child's python -m preimage runs the code under test."""
+    env = {**os.environ, **extra}
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")) if p)
+    return env
+
+
 def run_in_address_space(args, limit=2 << 30):
     """python -m preimage with args, in a child process whose address space,
     and only its own, is capped at limit bytes."""
@@ -631,7 +683,7 @@ def run_in_address_space(args, limit=2 << 30):
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    env = child_env(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     return subprocess.run([sys.executable, "-m", "preimage", *args], capture_output=True,
                           text=True, env=env, preexec_fn=cap, timeout=60)
 
@@ -668,6 +720,6 @@ class TestEntryPoints:
 
     def test_module_invocation(self):
         proc = subprocess.run([sys.executable, "-m", "preimage", "--help"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=child_env())
         assert proc.returncode == 0
         assert "sample" in proc.stdout

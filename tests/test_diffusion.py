@@ -974,6 +974,11 @@ class TestTrainDriver:
         with pytest.raises(ConfigurationError):
             TrainConfig(seed=0, timesteps=0).validate()
 
+    @pytest.mark.parametrize("rate", [0.0, -1e-3, math.nan, math.inf])
+    def test_learning_rate_must_be_positive_and_finite(self, rate):
+        with pytest.raises(ConfigurationError, match="learning_rate"):
+            TrainConfig(seed=0, learning_rate=rate).validate()
+
     @pytest.mark.parametrize("seed", [-1, 1.5, 2**64, "3", True, None])
     def test_seed_must_fit_the_checkpoint_u64(self, seed):
         with pytest.raises(ConfigurationError, match="seed"):

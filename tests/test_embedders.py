@@ -158,6 +158,11 @@ class TestMakeEmbedder:
             x = np.random.default_rng(0).normal(size=emb.input_dim)
             np.testing.assert_array_equal(rebuilt.embed(x), emb.embed(x))
 
+    @pytest.mark.parametrize("output_dim", [0, 2, 3])
+    def test_radius_descriptor_of_another_width_rejected(self, output_dim):
+        with pytest.raises(ConfigurationError, match="output_dim 1"):
+            make_embedder(EmbedderInfo("radius", 2, output_dim))
+
     def test_unknown_name_rejected(self):
         with pytest.raises(ConfigurationError):
             make_embedder(EmbedderInfo("mystery", 2, 2))

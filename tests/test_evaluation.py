@@ -212,8 +212,10 @@ class TestVerificationAccuracy:
         rng = np.random.default_rng(seed)
         pairs = [(float(d), bool(l)) for d, l in
                  zip(rng.random(30), rng.random(30) < 0.7)]
-        labels = np.array([l for _, l in pairs])
-        prior = max(labels.mean(), 1 - labels.mean())
+        # The prior as the accuracy is computed, a count over n: 1 - 10/30
+        # rounds above 20/30.
+        n_same = sum(l for _, l in pairs)
+        prior = max(n_same, len(pairs) - n_same) / len(pairs)
         assert verification_accuracy(pairs).accuracy >= prior
 
     def test_empty_rejected(self):
@@ -415,6 +417,20 @@ class TestWhiteboxGdInvert:
     def test_origin_start_for_radius_rejected(self):
         with pytest.raises(NumericalDomainError):
             whitebox_gd_invert(RadiusEmbedder(2), np.array([1.0]), np.zeros(2))
+
+    @pytest.mark.parametrize("x_init, target", [
+        ([math.nan, 0.0], [1.0]), ([math.inf, 0.0], [1.0]),
+        ([2.0, 0.0], [math.nan]), ([2.0, 0.0], [-math.inf]),
+    ])
+    def test_non_finite_start_or_target_refused_before_any_step(self, x_init, target):
+        # A NaN loss never rises, so such a run took every step and
+        # returned x = [nan, nan] without an error.
+        emb = RadiusEmbedder(2)
+        calls = []
+        emb.embed = lambda x: calls.append(x)
+        with pytest.raises(NumericalDomainError, match="finite"):
+            whitebox_gd_invert(emb, np.array(target), np.array(x_init))
+        assert calls == []
 
     @pytest.mark.parametrize("step_size", [0.0, -0.1, math.nan])
     def test_step_size_must_be_positive(self, step_size):

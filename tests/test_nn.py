@@ -886,9 +886,10 @@ class TestAdam:
             np.testing.assert_array_equal(opt.v, v)
             np.testing.assert_array_equal(p, ref_p)
 
-    def test_bad_lr_rejected(self):
+    @pytest.mark.parametrize("lr", [0.0, -1e-3, np.nan, np.inf])
+    def test_bad_lr_rejected(self, lr):
         with pytest.raises(ConfigurationError):
-            Adam(np.zeros(1), lr=0.0)
+            Adam(np.zeros(1), lr=lr)
 
 
 class TestEma:
