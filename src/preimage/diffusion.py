@@ -426,6 +426,7 @@ class _SamplerPlan:
     x_coef: np.ndarray
     eps_coef: np.ndarray
     tables: list
+    null_tables: list
 
     def serves(self, model, schedule: NoiseSchedule, steps: int, variance_mode: str) -> bool:
         """Whether this plan is the one these arguments would build: the same
@@ -445,6 +446,9 @@ def _sampler_plan(model, schedule: NoiseSchedule, steps: int, variance_mode: str
         return plan
     sub = respace(schedule, steps)
     root_bars = np.sqrt(sub.alpha_bars)
+    tables = model.step_tables(sub.timestep_map)
+    null = (null_id_token(model.id_dim),
+            None if model.attr_dim is None else null_attr_token(model.attr_dim))
     plan = model.sampler_plan = _SamplerPlan(
         params=model.params.copy(),
         alpha_bars=schedule.alpha_bars.copy(),
@@ -455,7 +459,8 @@ def _sampler_plan(model, schedule: NoiseSchedule, steps: int, variance_mode: str
         sigmas=np.sqrt(sub.posterior_variances if variance_mode == "posterior" else sub.betas),
         x_coef=sub.coef_x0 / root_bars + sub.coef_xt,
         eps_coef=-sub.coef_x0 * np.sqrt(1.0 - sub.alpha_bars) / root_bars,
-        tables=model.step_tables(sub.timestep_map),
+        tables=tables,
+        null_tables=[steps[:, 0, 0] for steps, _ in model.condition_terms([null], tables)],
     )
     return plan
 
@@ -471,20 +476,23 @@ def sample_batch(model, y, schedule: NoiseSchedule, config: SampleConfig,
 
     What depends only on (model, schedule, steps, variance mode) is the
     model's sampler plan: the respaced schedule, sigma, the two folded
-    coefficients of an unthresholded step, and the timestep tables of every
-    hidden layer (model.step_tables). It is built on the first request and
-    kept on the model (model.sampler_plan), so repeated requests (other
-    seeds, guidance scales or targets) skip respace and the tables. It is
+    coefficients of an unthresholded step, the timestep tables of every
+    hidden layer (model.step_tables) and the unconditional branch's tables.
+    It is built on the first request and kept on the model
+    (model.sampler_plan), so repeated requests (other seeds, guidance scales
+    or targets) skip respace and the tables. It is
     reused only while the model's params are bit for bit those it was built
     from, and the schedule, step count and variance mode are equal; any
     other request builds a new plan, which replaces it. The check costs one
     comparison of the params; the plan holds a copy of them (459 KiB on the
     128x3 ring model) besides its tables.
 
-    Per request, each guidance branch's condition is added to the tables
+    Per request, the conditional branch's condition is added to the tables
     (model.condition_terms), and each reverse step is one cache-free pass
     for all branches together (model.denoise_step), block by block over the
-    rows, in buffers the request reuses (model.workspace). A thresholded
+    rows, the blocks split over nn.WORKERS threads, in buffers the request
+    reuses (model.workspace). The calling thread alone draws the noise and
+    combines, thresholds, updates and checks the state. A thresholded
     step goes through cfg_combine, predict_x0 and dynamic_threshold; an
     unthresholded one takes x_coef * x + eps_coef * eps. Deterministic for a
     fixed (model, y, a, config) including bitwise reproducibility of the
@@ -498,23 +506,22 @@ def sample_batch(model, y, schedule: NoiseSchedule, config: SampleConfig,
     steps = cfg.respace_steps
     if steps is None:
         steps = max(1, schedule.n_steps // 4)
+    # resolved() cannot see the schedule, so the upper bound is checked here.
+    check_int("respace_steps", steps, 1, schedule.n_steps)
     plan = _sampler_plan(model, schedule, steps, cfg.variance_mode)
     sub = plan.sub
 
     y = shared_or_rows(y, model.id_dim, n, "y")
-    a_null = None
     if model.attr_dim is not None:
-        a_null = null_attr_token(model.attr_dim)
-        a = shared_or_rows(a_null if a is None else a, model.attr_dim, n, "a")
+        a = shared_or_rows(null_attr_token(model.attr_dim) if a is None else a,
+                           model.attr_dim, n, "a")
     elif a is not None:
         raise ConfigurationError("model was built without attribute conditioning")
 
     scale = cfg.guidance_scale
-    branches = [(y, a)]
-    if scale != 1.0:
-        branches.append((null_id_token(model.id_dim), a_null))
-    terms = model.condition_terms(branches, plan.tables)
-    work = model.workspace(n, len(branches))
+    null = None if scale == 1.0 else plan.null_tables
+    terms = model.condition_terms([(y, a)], plan.tables, null)
+    work = model.workspace(n, 1 if null is None else 2)
     rng = np.random.default_rng(cfg.seed)
     x = rng.standard_normal((n, model.data_dim))
     for i in range(sub.n_steps, 0, -1):

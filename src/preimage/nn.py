@@ -7,12 +7,18 @@ gradients without an autograd framework. Sampling takes a separate inference
 path through the denoiser that caches nothing and checks no shapes per layer:
 the timestep tables of every step are built once for a sampler plan, one call
 per request adds every guidance branch's condition to them, and each step
-runs all branches in one pass over blocks of rows.
+runs all branches in one pass over blocks of rows. A request of more than one
+block splits its blocks over WORKERS threads, each with its own block scratch
+in its own core's L2: numpy's matmuls and float64 ufuncs release the GIL, and
+a block's bits do not depend on the thread that computes it.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -22,8 +28,51 @@ MAX_PERIOD = 10000.0
 
 # Rows per inference block: a guided block's (2, 256, 128) activations and
 # pre-activations take 1 MiB of a core's 2 MiB L2 on the 2-vCPU Xeon where
-# 128 to 256 rows ran equally fast at n = 4096, 512 took 16 % longer.
+# 128 to 256 rows ran equally fast at n = 4096, 512 took 16 % longer. Each
+# worker thread has its own block scratch, which sits in its own core's L2.
 ROW_BLOCK = 256
+
+
+def worker_count(environ, cores: int) -> int:
+    """Threads for the row blocks of one sampling step: cores // BLAS threads,
+    at least 1, so that block threads and BLAS threads together do not
+    outnumber the cores. The BLAS thread count is the first of
+    OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS that holds a
+    positive integer, else the core count (OpenBLAS's default); any other
+    value counts as unset."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        value = environ.get(var, "")
+        if value.isdecimal() and int(value) > 0:
+            return max(1, cores // int(value))
+    return 1
+
+
+# Read once, as BLAS read its thread count when numpy loaded.
+WORKERS = worker_count(os.environ, len(os.sched_getaffinity(0))
+                       if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+
+# The threads of every worker but the first, whose blocks run on the calling
+# thread. A forked child has none of them, and its copy of the lock may be
+# held, so it drops both.
+_pool, _pool_lock = None, threading.Lock()
+
+
+def _executor() -> ThreadPoolExecutor:
+    """The pool, made on first use."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max(1, WORKERS - 1), thread_name_prefix="preimage-block")
+        return _pool
+
+
+def _drop_pool() -> None:
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_pool)
 
 # Adam's moment decay rates and denominator floor (Kingma & Ba 2014).
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -402,20 +451,24 @@ class ConditionalDenoiser:
         return [np.add(temb @ inject.weight.T, main.bias)
                 for inject, main in zip(self.inject, self.mains)]
 
-    def condition_terms(self, branches, tables):
+    def condition_terms(self, branches, tables, null=None):
         """What every hidden layer adds to its pre-activation at every step
         of a request, for every guidance branch: step_tables' tables plus
         each branch's condition.
 
-        branches holds the request's B (y, a) pairs: y one (k,) vector or
+        branches holds the request's (y, a) pairs: y one (k,) vector or
         (n, k) rows, a likewise or None. tables is step_tables' result for
-        the request's S timesteps. Returns, per hidden layer, denoise_step's
-        input (steps, rows): steps is one (S, B, 1, h) array, so steps[k]
-        broadcasts over a block's rows, and rows lists (b, (n, h) rows) for
-        each branch b with per-row terms. A shared y and a give branch b the
-        table steps[:, b, 0] = tables[i] + inject_i(id_proj(y) +
-        attr_proj(a)), one (1, emb) row through inject_i. A per-row y or a
-        leaves steps[:, b, 0] = tables[i] and puts inject_i(id_proj(y) +
+        the request's S timesteps. null, if given, is one more branch, the
+        last, given as its per-layer (S, h) tables with its condition already
+        added (the steps[:, 0, 0] of an earlier call on that branch alone),
+        as the sampler plan keeps a guided request's null branch. Returns,
+        per hidden layer, denoise_step's input (steps, rows) for all B
+        branches: steps is one (S, B, 1, h) array, so steps[k] broadcasts
+        over a block's rows, and rows lists (b, (n, h) rows) for each branch
+        b with per-row terms. A shared y and a give branch b the table
+        steps[:, b, 0] = tables[i] + inject_i(id_proj(y) + attr_proj(a)),
+        one (1, emb) row through inject_i. A per-row y or a leaves
+        steps[:, b, 0] = tables[i] and puts inject_i(id_proj(y) +
         attr_proj(a)) in the rows, so no step multiplies an (n, emb)
         condition. Nothing is validated or cached: sample_batch checks the
         inputs once.
@@ -427,8 +480,8 @@ class ConditionalDenoiser:
                 cond = cond + self.attr_proj.forward(np.atleast_2d(a))
             conds.append(cond)
         terms = []
-        for inject, table in zip(self.inject, tables):
-            steps = np.empty((len(table), len(conds), 1, inject.out_dim))
+        for i, (inject, table) in enumerate(zip(self.inject, tables)):
+            steps = np.empty((len(table), len(conds) + (null is not None), 1, inject.out_dim))
             rows = []
             for b, cond in enumerate(conds):
                 if len(cond) == 1:
@@ -436,30 +489,38 @@ class ConditionalDenoiser:
                 else:
                     steps[:, b, 0] = table
                     rows.append((b, inject.forward(cond)))
+            if null is not None:
+                steps[:, -1, 0] = null[i]
             terms.append((steps, rows))
         return terms
 
     def workspace(self, n: int, branches: int):
-        """Scratch arrays for denoise_step on n rows and B = branches: three
-        flat buffers, reused by every block and hidden layer, for one block's
-        input projection and (B, r, h) pre-activations and activations,
-        r <= ROW_BLOCK, and the (B, n, d) output. Returns ([(rows, output
-        rows, projection, per hidden layer (z, z as (B*r, h), silu(z), that
-        as (B*r, h)))] per block, output): every step reuses these views."""
+        """Scratch arrays for denoise_step on n rows and B = branches. Block
+        j, rows j * ROW_BLOCK onward, goes to worker j mod W, W = min(WORKERS,
+        blocks). Each worker has three flat buffers, reused by its blocks and
+        hidden layers, for one block's input projection and (B, r, h)
+        pre-activations and activations, r <= ROW_BLOCK; all write one (B, n,
+        d) output. Returns ([per worker, [(rows, output rows, projection, per
+        hidden layer (z, z as (B*r, h), silu(z), that as (B*r, h)))] per
+        block], output): every step reuses these views."""
         h0, wide = self.hidden_dims[0], branches * max(self.hidden_dims)
-        rows = min(n, ROW_BLOCK)
-        proj, z_buf, h_buf = (np.empty(m * rows) for m in (h0, wide, wide))
+        rows, starts = min(n, ROW_BLOCK), range(0, n, ROW_BLOCK)
+        workers = min(WORKERS, len(starts))
         out = np.empty((branches, n, self.data_dim))
-        views = {}
-        for r in {rows, n % ROW_BLOCK or rows}:
-            by_width = {}
-            for h in set(self.hidden_dims):
-                z2, h2 = (buf[:branches * r * h].reshape(branches * r, h) for buf in (z_buf, h_buf))
-                by_width[h] = (z2.reshape(branches, r, h), z2, h2.reshape(branches, r, h), h2)
-            views[r] = (proj[:r * h0].reshape(r, h0), [by_width[h] for h in self.hidden_dims])
-        blocks = [(slice(r0, r0 + ROW_BLOCK), out[:, r0:r0 + ROW_BLOCK],
-                   *views[min(ROW_BLOCK, n - r0)]) for r0 in range(0, n, ROW_BLOCK)]
-        return blocks, out
+        lanes = []
+        for w in range(workers):
+            proj, z_buf, h_buf = (np.empty(m * rows) for m in (h0, wide, wide))
+            views = {}
+            for r in {rows, n % ROW_BLOCK or rows}:
+                by_width = {}
+                for h in set(self.hidden_dims):
+                    z2, h2 = (buf[:branches * r * h].reshape(branches * r, h)
+                              for buf in (z_buf, h_buf))
+                    by_width[h] = (z2.reshape(branches, r, h), z2, h2.reshape(branches, r, h), h2)
+                views[r] = (proj[:r * h0].reshape(r, h0), [by_width[h] for h in self.hidden_dims])
+            lanes.append([(slice(r0, r0 + ROW_BLOCK), out[:, r0:r0 + ROW_BLOCK],
+                           *views[min(ROW_BLOCK, n - r0)]) for r0 in starts[w::workers]])
+        return lanes, out
 
     def denoise_step(self, x, terms, k, work):
         """Noise predictions of every branch for the (n, d) state x at step k.
@@ -469,10 +530,27 @@ class ConditionalDenoiser:
         r <= ROW_BLOCK rows at a time, so a block stays in cache: its input
         projection x @ W.T, without the bias the terms carry, is shared by
         every branch, and each hidden layer is one matmul over its B * r
-        rows. Returns work's (B, n, d) output, which the next call
-        overwrites. Like condition_terms, this neither validates nor
-        caches."""
-        blocks, out = work
+        rows. The first worker's blocks run on the calling thread, the
+        others' on the module's pool, and the call returns once all are done,
+        raising the first worker's error if any. Returns work's (B, n, d)
+        output, which the next call overwrites. Like condition_terms, this
+        neither validates nor caches."""
+        lanes, out = work
+        if len(lanes) == 1:
+            self._blocks(x, terms, k, lanes[0])
+        else:
+            futures = [_executor().submit(self._blocks, x, terms, k, lane) for lane in lanes[1:]]
+            try:
+                self._blocks(x, terms, k, lanes[0])
+            finally:
+                wait(futures)
+            for future in futures:
+                future.result()
+        out += self.output.bias
+        return out
+
+    def _blocks(self, x, terms, k, blocks):
+        """denoise_step on one worker's blocks, without the output bias."""
         for rows_of, out_rows, proj, layers in blocks:
             for i, (main, (steps, rows), (z, z2, h, h2)) in enumerate(
                     zip(self.mains, terms, layers)):
@@ -487,8 +565,6 @@ class ConditionalDenoiser:
                 silu(z, out=h)
                 h2_prev = h2
             np.matmul(h, self.output.weight.T, out=out_rows)
-        out += self.output.bias
-        return out
 
 
 class Adam:

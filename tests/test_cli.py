@@ -296,6 +296,12 @@ class TestSample:
                      "--target-y", "1.0", "--seed", "-1"]) == 1
         assert "seed" in capsys.readouterr().err
 
+    def test_steps_beyond_the_schedule_exits_1_naming_respace_steps(self, workspace, capsys):
+        assert main(["sample", "--checkpoint", workspace["checkpoint"],
+                     "--target-y", "1.0", "--seed", "1", "--steps", "130"]) == 1
+        err = capsys.readouterr().err
+        assert "respace_steps must be an integer in [1, 8], got 130" in err
+
     def test_wrong_target_width(self, workspace, capsys):
         code = main(["sample", "--checkpoint", workspace["checkpoint"],
                      "--target-y", "1.0,2.0", "--seed", "1"])

@@ -2,9 +2,11 @@
 
 import math
 import os
+import signal
 import subprocess
 import sys
 import textwrap
+import threading
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -553,30 +555,34 @@ class TestSampler:
         model = fitted_toy_model(seed=8, attr_dim=2)
         calls = []
 
-        def recording(branches, tables):
-            terms = ConditionalDenoiser.condition_terms(model, branches, tables)
-            calls.append(([(np.array(y), np.array(a)) for y, a in branches], tables, terms))
+        def recording(branches, tables, null=None):
+            terms = ConditionalDenoiser.condition_terms(model, branches, tables, null)
+            calls.append(([(np.array(y), np.array(a)) for y, a in branches], tables, null, terms))
             return terms
 
         model.condition_terms = recording
         sample_batch(model, np.array([0.7]), self.sched,
                      SampleConfig(seed=0, guidance_scale=2.0, respace_steps=1), 4,
                      a=np.array([0.1, 0.2]))
-        [(branches, tables, terms)] = calls
-        (y_cond, a_cond), (y_null, a_null) = branches
+        # The plan conditions the null tokens once; the request its own branch.
+        [(null_branches, plan_tables, _, null_terms), (branches, tables, null, terms)] = calls
+        [(y_null, a_null)], [(y_cond, a_cond)] = null_branches, branches
         np.testing.assert_array_equal(y_cond, [0.7])
         np.testing.assert_array_equal(a_cond, [0.1, 0.2])
         np.testing.assert_array_equal(y_null, null_id_token(1))
         np.testing.assert_array_equal(a_null, null_attr_token(2))
         # The tables are the step tables of the request's respaced timesteps.
+        assert plan_tables is tables
         want_tables = model.step_tables(respace(self.sched, 1).timestep_map)
         for table, want in zip(tables, want_tables, strict=True):
             np.testing.assert_array_equal(table, want)
         expected = ConditionalDenoiser.condition_terms(
             model, [(null_id_token(1), null_attr_token(2))], tables)
-        for (steps, rows), (want_steps, want_rows) in zip(terms, expected, strict=True):
+        for (steps, rows), (want_steps, want_rows), kept, (plan_steps, _) in zip(
+                terms, expected, null, null_terms, strict=True):
             assert rows == [] and want_rows == []
             np.testing.assert_array_equal(steps[:, 1:], want_steps)
+            np.testing.assert_array_equal(kept, plan_steps[:, 0, 0])
 
     def test_sampling_writes_no_activation_cache(self):
         rng = np.random.default_rng(3)
@@ -629,6 +635,30 @@ class TestSamplerPlan:
             want = sample_batch(model.clone(), y, self.sched, cfg, 4, a=a)
             assert got.tobytes() == want.tobytes()
         assert model.sampler_plan is plan
+
+    def test_respace_steps_beyond_the_schedule_refused_by_name_before_planning(self):
+        model = self.model.clone()
+        with pytest.raises(ConfigurationError,
+                           match=r"respace_steps must be an integer in \[1, 20\], got 21"):
+            sample_batch(model, self.Y, self.sched, SampleConfig(seed=0, respace_steps=21), 3)
+        assert model.sampler_plan is None
+
+    @pytest.mark.parametrize("attr_dim", [None, 2])
+    def test_a_guided_request_conditions_one_branch(self, monkeypatch, attr_dim):
+        # The plan holds the null branch's tables, so a request on a kept
+        # plan runs id_proj, attr_proj and each inject map once.
+        model = fitted_toy_model(seed=6, attr_dim=attr_dim)
+        cfg = SampleConfig(seed=2, guidance_scale=2.0)
+        sample_batch(model, self.Y, self.sched, cfg, 3)
+        calls = {}
+        layers = [model.id_proj, *model.inject] + ([model.attr_proj] if attr_dim else [])
+        for layer in layers:
+            def counted(*args, layer=layer, forward=layer.forward, **kwargs):
+                calls[id(layer)] = calls.get(id(layer), 0) + 1
+                return forward(*args, **kwargs)
+            monkeypatch.setattr(layer, "forward", counted)
+        sample_batch(model, self.Y, self.sched, cfg, 3)
+        assert [calls.get(id(layer), 0) for layer in layers] == [1] * len(layers)
 
     def test_equal_schedule_object_reuses_the_plan(self):
         cfg = SampleConfig(seed=1)
@@ -713,10 +743,13 @@ class TestSamplerPlan:
         assert calls == {"respace": 1, "sinusoidal_embed": 1, "sample_batch": 20}
 
 
-def test_sampling_memory_does_not_grow_with_the_row_count():
-    # The workspace holds one row block per buffer plus the (B, n, d)
-    # output; the step's own (n, d) temporaries come on top. A workspace of
-    # (n, h) buffers per hidden layer, about 28 MB here, fails the bound.
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sampling_memory_does_not_grow_with_the_row_count(monkeypatch, workers):
+    # The workspace holds one row block per buffer and worker plus the
+    # (B, n, d) output; the step's own (n, d) temporaries come on top. A
+    # workspace of (n, h) buffers per hidden layer, about 28 MB here, fails
+    # the bound.
+    monkeypatch.setattr(nn, "WORKERS", workers)
     model = ConditionalDenoiser(2, 1, hidden_dims=(128, 128, 128), time_embed_dim=64, seed=0)
     model.fitted = True
     sched = make_cosine_schedule(100)
@@ -730,7 +763,7 @@ def test_sampling_memory_does_not_grow_with_the_row_count():
     finally:
         tracemalloc.stop()
     block = min(n, ROW_BLOCK)
-    workspace = 8 * (block * 128 + 2 * branches * block * 128 + branches * n * 2)
+    workspace = 8 * (workers * (block * 128 + 2 * branches * block * 128) + branches * n * 2)
     assert peak < 2 * workspace + 32 * 8 * n * 2, peak
 
 
@@ -846,9 +879,19 @@ class TestInferencePathMatchesForward:
 
 _THREAD_SAMPLER = textwrap.dedent("""
     import hashlib
+    import threading
     import numpy as np
+    from preimage import nn
     from preimage.diffusion import SampleConfig, make_cosine_schedule, sample_batch
     from preimage.nn import ROW_BLOCK, ConditionalDenoiser
+
+    threads, silu = set(), nn.silu
+
+    def silu_on_some_thread(*args, **kwargs):
+        threads.add(threading.get_ident())
+        return silu(*args, **kwargs)
+
+    nn.silu = silu_on_some_thread
 
     model = ConditionalDenoiser(2, 1, hidden_dims=(64, 64), time_embed_dim=16, seed=0)
     rng = np.random.default_rng(100)
@@ -874,21 +917,136 @@ _THREAD_SAMPLER = textwrap.dedent("""
                        ("rows_a", gallery, rng.normal(size=(2048, 3)))):
         out = sample_batch(attr_model, y, sched, cfg, 2048, a=a)
         print(kind, hashlib.sha256(out.tobytes()).hexdigest())
+    print("threads", len(threads))
 """)
 
 
 def test_sampling_bitwise_equal_across_blas_thread_counts():
+    # One BLAS thread leaves a core per block worker, so on two or more cores
+    # the "1" child runs its blocks on more than one thread: the digests then
+    # compare threaded blocks against the other child's.
     src = str(Path(__file__).resolve().parents[1] / "src")
-    digests = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                   MKL_NUM_THREADS=threads)
+    digests, threads = [], []
+    for blas in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas, OMP_NUM_THREADS=blas,
+                   MKL_NUM_THREADS=blas)
         env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
         proc = subprocess.run([sys.executable, "-c", _THREAD_SAMPLER], env=env,
                               capture_output=True, text=True, timeout=120, check=True)
-        digests.append(proc.stdout)
-    assert digests[0].count("\n") == 8
+        *lines, ran = proc.stdout.splitlines()
+        digests.append(lines)
+        threads.append(int(ran.removeprefix("threads ")))
+    assert len(digests[0]) == 8
     assert digests[0] == digests[1]
+    if len(os.sched_getaffinity(0)) >= 2:
+        assert threads[0] > 1
+
+
+_TINY = dict(hidden_dims=(16, 16), time_embed_dim=8)
+
+
+def tiny_model(seed, attr_dim=None):
+    model = ConditionalDenoiser(2, 1, attr_dim=attr_dim, seed=seed, **_TINY)
+    rng = np.random.default_rng(seed + 200)
+    for _, p in model.parameters():
+        p[...] = rng.normal(scale=0.3, size=p.shape)
+    model.fitted = True
+    return model
+
+
+class TestBlockWorkers:
+    """A request's row blocks split over worker threads give the bytes of
+    the serial path, whatever the machine: the worker count is forced."""
+
+    def setup_method(self):
+        self.sched = make_cosine_schedule(20)
+        self.rng = np.random.default_rng(31)
+
+    def run(self, monkeypatch, workers, model, y, cfg, n, a=None):
+        """sample_batch with nn.WORKERS = workers, and the threads that ran
+        the blocks."""
+        monkeypatch.setattr(nn, "WORKERS", workers)
+        threads, silu = set(), nn.silu
+
+        def recording(*args, **kwargs):
+            threads.add(threading.get_ident())
+            return silu(*args, **kwargs)
+
+        monkeypatch.setattr(nn, "silu", recording)
+        out = sample_batch(model, y, self.sched, cfg, n, a=a)
+        monkeypatch.setattr(nn, "silu", silu)
+        return out, len(threads)
+
+    @pytest.mark.parametrize("guidance", [1.0, 2.0])
+    @pytest.mark.parametrize("n", [256, 257, 1000])
+    @pytest.mark.parametrize("kind", ["shared", "gallery", "shared_a", "rows_a"])
+    def test_two_workers_give_the_serial_bytes(self, monkeypatch, kind, n, guidance):
+        model = tiny_model(3, attr_dim=None if kind in ("shared", "gallery") else 2)
+        y = (np.array([0.9]) if kind in ("shared", "shared_a")
+             else self.rng.uniform(0.5, 1.5, size=(n, 1)))
+        a = {"shared_a": np.array([0.4, -0.6]),
+             "rows_a": self.rng.normal(size=(n, 2))}.get(kind)
+        cfg = SampleConfig(seed=12, guidance_scale=guidance)
+        serial, one = self.run(monkeypatch, 1, model, y, cfg, n, a)
+        threaded, two = self.run(monkeypatch, 2, model, y, cfg, n, a)
+        assert one == 1 and two == (1 if n <= ROW_BLOCK else 2)
+        assert threaded.tobytes() == serial.tobytes()
+
+    def test_more_workers_than_cores_under_frequent_switches(self, monkeypatch):
+        # Four workers on a fresh pool of three threads, switching threads
+        # every microsecond: every block still lands bit for bit. A pool
+        # thread may take two workers' blocks, so only "more than one" holds.
+        model, cfg = tiny_model(7, attr_dim=2), SampleConfig(seed=8, guidance_scale=3.0)
+        y, a = self.rng.uniform(0.5, 1.5, size=(1000, 1)), self.rng.normal(size=(1000, 2))
+        serial, _ = self.run(monkeypatch, 1, model, y, cfg, 1000, a)
+        monkeypatch.setattr(nn, "_pool", None)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                threaded, threads = self.run(monkeypatch, 4, model, y, cfg, 1000, a)
+                assert threads > 1 and threaded.tobytes() == serial.tobytes()
+        finally:
+            sys.setswitchinterval(interval)
+            nn._pool.shutdown()
+
+    @pytest.mark.parametrize("where", ["worker", "caller"])
+    def test_an_error_in_a_block_reaches_the_caller(self, monkeypatch, where):
+        model, cfg, y = tiny_model(4), SampleConfig(seed=5), np.array([1.1])
+        serial, _ = self.run(monkeypatch, 1, model, y, cfg, 600)
+        monkeypatch.setattr(nn, "WORKERS", 2)
+        caller, silu = threading.get_ident(), nn.silu
+
+        def failing(*args, **kwargs):
+            if (threading.get_ident() == caller) == (where == "caller"):
+                raise FloatingPointError(f"block failed on the {where}")
+            return silu(*args, **kwargs)
+
+        monkeypatch.setattr(nn, "silu", failing)
+        with pytest.raises(FloatingPointError, match=where):
+            sample_batch(model, y, self.sched, cfg, 600)
+        monkeypatch.setattr(nn, "silu", silu)
+        again, threads = self.run(monkeypatch, 2, model, y, cfg, 600)
+        assert threads == 2 and again.tobytes() == serial.tobytes()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_runs_threaded_requests(self, monkeypatch):
+        # The child has none of the parent's pool threads: a pool kept across
+        # the fork takes its work and never runs it, and the child hangs.
+        model, cfg, y = tiny_model(5), SampleConfig(seed=6), np.array([0.8])
+        want, threads = self.run(monkeypatch, 2, model, y, cfg, 1024)
+        assert threads == 2
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                signal.alarm(20)
+                got = self.run(monkeypatch, 2, model, y, cfg, 1024)
+                code = 0 if got[0].tobytes() == want.tobytes() and got[1] == 2 else 3
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0, status
 
 
 class TestTrainDriver:

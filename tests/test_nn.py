@@ -20,6 +20,7 @@ from preimage.nn import (
     silu,
     silu_grad,
     sinusoidal_embed,
+    worker_count,
 )
 from preimage.persistence import Checkpoint
 
@@ -964,3 +965,31 @@ class TestEma:
     def test_bad_rate_rejected(self):
         with pytest.raises(ConfigurationError):
             EmaParams(np.zeros(1), rate=1.5)
+
+
+class TestWorkerCount:
+    """cores // BLAS threads, the BLAS count read from the first variable that
+    holds a positive integer; with none, BLAS takes every core and so one
+    worker runs the blocks."""
+
+    @pytest.mark.parametrize("value, cores, want", [
+        ("1", 2, 2), ("2", 2, 1), (None, 2, 1), ("", 2, 1), ("0", 2, 1),
+        ("abc", 2, 1), ("4,2", 2, 1), ("1", 1, 1), ("2", 8, 4), ("4", 2, 1),
+        ("-1", 2, 1), ("1.5", 2, 1), (None, 8, 1),
+    ])
+    @pytest.mark.parametrize("var", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                     "MKL_NUM_THREADS"])
+    def test_the_rule(self, var, value, cores, want):
+        environ = {} if value is None else {var: value}
+        assert worker_count(environ, cores) == want
+
+    @pytest.mark.parametrize("first", ["", "0", "abc", "4,2"])
+    def test_a_value_that_is_not_a_positive_integer_counts_as_unset(self, first):
+        environ = {"OPENBLAS_NUM_THREADS": first, "OMP_NUM_THREADS": "1",
+                   "MKL_NUM_THREADS": "2"}
+        assert worker_count(environ, 2) == 2
+
+    def test_the_first_set_variable_wins(self):
+        environ = {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}
+        assert worker_count(environ, 4) == 2
+        assert worker_count({"OMP_NUM_THREADS": "2", "MKL_NUM_THREADS": "1"}, 4) == 2
