@@ -244,8 +244,9 @@ def cfg_combine(eps_uncond, eps_cond, scale: float):
 
 
 def predict_x0(x_t, eps_hat, t: int, schedule: NoiseSchedule):
-    """Invert the corruption formula to the clean-signal estimate."""
-    bar = schedule.alpha_bars[t - 1]
+    """Invert the corruption formula to the clean-signal estimate; t is a
+    step in 1..T."""
+    bar = schedule.alpha_bars[check_int("t", t, 1, schedule.n_steps) - 1]
     if bar <= 0.0:
         raise NumericalDomainError(f"alpha_bar at step {t} is not positive")
     x_t = np.asarray(x_t, dtype=np.float64)
@@ -404,23 +405,18 @@ def train(x0s, ys, config: TrainConfig, attrs=None, hidden_dims=(128, 128, 128),
         if log_every and (step + 1) % log_every == 0:
             recent = np.mean(result.loss_history[-log_every:])
             print(f"batch {step + 1}/{config.total_batches}  loss {recent:.5f}")
-    model.fitted = True
+    model.freeze()
     return result
 
 
 @dataclass(frozen=True)
 class _SamplerPlan:
-    """sample_batch's state for one (params, schedule, steps, variance mode),
-    kept on the model (see sample_batch). An unthresholded step's posterior
-    mean coef_x0 * predict_x0(x, eps) + coef_xt * x is linear in (x, eps):
-    x_coef * x + eps_coef * eps. params, alpha_bars and timestep_map are
-    copies of what the plan was built from."""
+    """sample_batch's state for one (schedule, steps, variance mode), its
+    key, kept on the frozen model it was built for (see sample_batch). An
+    unthresholded step's posterior mean coef_x0 * predict_x0(x, eps) +
+    coef_xt * x is linear in (x, eps): x_coef * x + eps_coef * eps."""
 
-    params: np.ndarray
-    alpha_bars: np.ndarray
-    timestep_map: np.ndarray
-    steps: int
-    variance_mode: str
+    key: tuple
     sub: NoiseSchedule
     sigmas: np.ndarray
     x_coef: np.ndarray
@@ -428,21 +424,13 @@ class _SamplerPlan:
     tables: list
     null_tables: list
 
-    def serves(self, model, schedule: NoiseSchedule, steps: int, variance_mode: str) -> bool:
-        """Whether this plan is the one these arguments would build: the same
-        steps and variance mode, an equal schedule, and the model's params
-        bit for bit (compared as integers, so NaN and -0.0 count too)."""
-        return (self.steps == steps and self.variance_mode == variance_mode
-                and np.array_equal(self.alpha_bars, schedule.alpha_bars)
-                and np.array_equal(self.timestep_map, schedule.timestep_map)
-                and np.array_equal(self.params.view(np.int64), model.params.view(np.int64)))
-
 
 def _sampler_plan(model, schedule: NoiseSchedule, steps: int, variance_mode: str) -> _SamplerPlan:
-    """model.sampler_plan if it serves these arguments, else a new plan,
-    which replaces it."""
+    """model.sampler_plan if these arguments are its key, the schedule
+    compared bit for bit, else a new plan, which replaces it."""
+    key = (steps, variance_mode, schedule.alpha_bars.tobytes(), schedule.timestep_map.tobytes())
     plan = model.sampler_plan
-    if plan is not None and plan.serves(model, schedule, steps, variance_mode):
+    if plan is not None and plan.key == key:
         return plan
     sub = respace(schedule, steps)
     root_bars = np.sqrt(sub.alpha_bars)
@@ -450,11 +438,7 @@ def _sampler_plan(model, schedule: NoiseSchedule, steps: int, variance_mode: str
     null = (null_id_token(model.id_dim),
             None if model.attr_dim is None else null_attr_token(model.attr_dim))
     plan = model.sampler_plan = _SamplerPlan(
-        params=model.params.copy(),
-        alpha_bars=schedule.alpha_bars.copy(),
-        timestep_map=schedule.timestep_map.copy(),
-        steps=steps,
-        variance_mode=variance_mode,
+        key=key,
         sub=sub,
         sigmas=np.sqrt(sub.posterior_variances if variance_mode == "posterior" else sub.betas),
         x_coef=sub.coef_x0 / root_bars + sub.coef_xt,
@@ -469,10 +453,16 @@ def sample_batch(model, y, schedule: NoiseSchedule, config: SampleConfig,
                  n: int, a=None) -> np.ndarray:
     """Draw n pre-images of y by running the guided reverse process.
 
-    The model must be fitted. y (and a, if given) may be a single vector
-    shared by all rows or one row per sample; on an attribute-conditioned
-    model, a None means no preference: the model's only other training input,
-    the null attribute token. The inputs are validated here, once.
+    The model must be fitted, that is frozen: read-only, as train,
+    load_checkpoint and both ema_model()s leave it, else StateError. A
+    writable copy of m, to freeze() before it samples, is ConditionalDenoiser(
+    **m.topology(), seed=m.seed, params=m.params); setting the store's
+    writeable flag back on and editing it is outside the contract. y (and a,
+    if given) may be a single vector shared by all rows or one row per
+    sample; on an attribute-conditioned model, a None means no preference:
+    the model's only other training input, the null attribute token. The
+    inputs are validated here, once, before any draw: a non-finite y or a
+    raises NumericalDomainError.
 
     What depends only on (model, schedule, steps, variance mode) is the
     model's sampler plan: the respaced schedule, sigma, the two folded
@@ -480,12 +470,9 @@ def sample_batch(model, y, schedule: NoiseSchedule, config: SampleConfig,
     hidden layer (model.step_tables) and the unconditional branch's tables.
     It is built on the first request and kept on the model
     (model.sampler_plan), so repeated requests (other seeds, guidance scales
-    or targets) skip respace and the tables. It is
-    reused only while the model's params are bit for bit those it was built
-    from, and the schedule, step count and variance mode are equal; any
-    other request builds a new plan, which replaces it. The check costs one
-    comparison of the params; the plan holds a copy of them (459 KiB on the
-    128x3 ring model) besides its tables.
+    or targets) skip respace and the tables. The model is frozen, so the plan
+    serves while the schedule, steps and variance mode are equal; any other
+    request builds a new plan, which replaces it.
 
     Per request, the conditional branch's condition is added to the tables
     (model.condition_terms), and each reverse step is one cache-free pass
@@ -498,8 +485,8 @@ def sample_batch(model, y, schedule: NoiseSchedule, config: SampleConfig,
     fixed (model, y, a, config) including bitwise reproducibility of the
     result, whether or not a plan was kept.
     """
-    if not getattr(model, "fitted", False):
-        raise StateError("model has not been fitted; train it or load a checkpoint")
+    if not model.fitted:
+        raise StateError("model has not been fitted; train it, load a checkpoint or freeze it")
     cfg = config.resolved()
     check_int("n", n, 1)
 
@@ -508,8 +495,6 @@ def sample_batch(model, y, schedule: NoiseSchedule, config: SampleConfig,
         steps = max(1, schedule.n_steps // 4)
     # resolved() cannot see the schedule, so the upper bound is checked here.
     check_int("respace_steps", steps, 1, schedule.n_steps)
-    plan = _sampler_plan(model, schedule, steps, cfg.variance_mode)
-    sub = plan.sub
 
     y = shared_or_rows(y, model.id_dim, n, "y")
     if model.attr_dim is not None:
@@ -517,6 +502,11 @@ def sample_batch(model, y, schedule: NoiseSchedule, config: SampleConfig,
                            model.attr_dim, n, "a")
     elif a is not None:
         raise ConfigurationError("model was built without attribute conditioning")
+    for name, v in (("y", y), ("a", a)):
+        if v is not None and not np.isfinite(v).all():
+            raise NumericalDomainError(f"{name} holds non-finite values")
+    plan = _sampler_plan(model, schedule, steps, cfg.variance_mode)
+    sub = plan.sub
 
     scale = cfg.guidance_scale
     null = None if scale == 1.0 else plan.null_tables

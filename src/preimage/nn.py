@@ -11,6 +11,12 @@ runs all branches in one pass over blocks of rows. A request of more than one
 block splits its blocks over WORKERS threads, each with its own block scratch
 in its own core's L2: numpy's matmuls and float64 ufuncs release the GIL, and
 a block's bits do not depend on the thread that computes it.
+
+A fitted model is a frozen one, its parameters read-only: train and
+load_checkpoint freeze their models, and a clone of a frozen model is frozen.
+A writable copy of m is ConditionalDenoiser(**m.topology(), seed=m.seed,
+params=m.params). Setting the store's writeable flag back on and editing it
+is outside the contract.
 """
 
 from __future__ import annotations
@@ -231,8 +237,8 @@ class ConditionalDenoiser:
     Layers run backward one at a time, so every layer's scratch views the
     front of one buffer as large as the largest weight.
     mains holds each hidden layer's own map: input_proj, then hidden_0, ...
-    sampler_plan is what diffusion.sample_batch keeps for the next request on
-    this model (None until the first); a clone starts without one.
+    sampler_plan is what diffusion.sample_batch keeps on a frozen model for
+    the next request (None until the first); a clone starts without one.
     """
 
     def __init__(
@@ -260,7 +266,6 @@ class ConditionalDenoiser:
         self.hidden_dims = hidden_dims
         self.time_embed_dim = time_embed_dim
         self.seed = check_int("seed", seed)
-        self.fitted = False
 
         dims = _layer_dims(self.topology())
         self.params = np.zeros(param_count(self.topology()))
@@ -295,21 +300,10 @@ class ConditionalDenoiser:
 
     # -- parameter bookkeeping -------------------------------------------
 
-    def parameters(self):
-        """Ordered (name, array) pairs; arrays are views of params."""
-        return [(f"{name}.{attr}", getattr(layer, attr))
-                for name, layer in self._layers for attr in ("weight", "bias")]
-
     def gradients(self):
-        """Ordered (name, array) pairs mirroring parameters(); views of grads."""
+        """Ordered (name, array) pairs, weight then bias per layer; views of grads."""
         return [(f"{name}.{attr}", getattr(layer, f"{attr}_grad"))
                 for name, layer in self._layers for attr in ("weight", "bias")]
-
-    def zero_grad(self) -> None:
-        self.grads.fill(0.0)
-
-    def n_params(self) -> int:
-        return self.params.size
 
     def params_flat(self) -> np.ndarray:
         """A copy of the parameter vector."""
@@ -318,8 +312,21 @@ class ConditionalDenoiser:
     def set_params_flat(self, flat: np.ndarray) -> None:
         flat = np.asarray(flat, dtype=np.float64)
         if flat.shape != self.params.shape:
-            raise ShapeError(f"expected flat vector of length {self.n_params()}, got {flat.shape}")
+            raise ShapeError(f"expected flat vector of length {self.params.size}, got {flat.shape}")
         self.params[...] = flat
+
+    def freeze(self) -> None:
+        """Make params read-only: an edit then raises numpy's ValueError.
+        The store's flag does not reach views made before it, so every
+        layer's weight and bias gets its own."""
+        for _, layer in self._layers:
+            layer.weight.flags.writeable = layer.bias.flags.writeable = False
+        self.params.flags.writeable = False
+
+    @property
+    def fitted(self) -> bool:
+        """Whether the model is frozen; only a fitted model samples."""
+        return not self.params.flags.writeable
 
     def topology(self) -> dict:
         return {
@@ -331,10 +338,11 @@ class ConditionalDenoiser:
         }
 
     def clone(self, params=None) -> "ConditionalDenoiser":
-        """A copy of this model, around params instead of its own if given."""
+        """A copy of this model, around params if given, frozen if this is."""
         other = ConditionalDenoiser(**self.topology(), seed=self.seed,
                                     params=self.params if params is None else params)
-        other.fitted = self.fitted
+        if self.fitted:
+            other.freeze()
         return other
 
     # -- forward / backward ----------------------------------------------
@@ -367,7 +375,7 @@ class ConditionalDenoiser:
             t_arr = np.full(n, float(t_arr))
         if t_arr.shape != (n,):
             raise ShapeError(f"t must be a scalar or shape ({n},), got {t_arr.shape}")
-        if np.any(t_arr < 0):
+        if not (t_arr >= 0).all():  # NaN fails too
             raise ConfigurationError("timesteps must be nonnegative")
 
         cond, emb, layers = self._training_workspace(n)[:3]

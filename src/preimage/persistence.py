@@ -241,7 +241,7 @@ def load_checkpoint(path: str) -> Checkpoint:
         model = ConditionalDenoiser(**topo, params=params)
     except ConfigurationError as exc:
         raise CheckpointFormatError(f"topology is not a valid model: {exc}") from exc
-    model.fitted = True
+    model.freeze()
     ema = EmaParams(ema_flat, rate=ema_rate)
 
     train_config = TrainConfig(

@@ -91,7 +91,7 @@ def count_calls(monkeypatch, names):
 def test_a_guided_thresholded_request_calls_every_sampling_name(monkeypatch):
     assert set(SAMPLING_NAMES) <= set(wrapped_names())
     model = ConditionalDenoiser(2, 1, hidden_dims=(8, 8), time_embed_dim=8, seed=0)
-    model.fitted = True
+    model.freeze()
     calls = count_calls(monkeypatch, SAMPLING_NAMES)
     cfg = SampleConfig(seed=0, guidance_scale=2.0, threshold=True, respace_steps=3)
     sample_batch(model, np.array([1.0]), make_cosine_schedule(12), cfg, 4)

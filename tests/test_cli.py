@@ -349,7 +349,7 @@ class TestSample:
         # parameter payload resized to match, passes every length check.
         model = load_checkpoint(workspace["checkpoint"]).model
         data = open(workspace["checkpoint"], "rb").read()
-        params_at = len(data) - 16 * model.n_params()
+        params_at = len(data) - 16 * model.params.size
         n_params = param_count({**model.topology(), "time_embed_dim": 7})
         path = tmp_path / "odd.ckpt"
         path.write_bytes(data[:32] + (7).to_bytes(8, "little") + data[40:params_at]

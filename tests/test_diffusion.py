@@ -47,7 +47,8 @@ from preimage import diffusion, nn
 from preimage.diffusion import _quantile_last_axis
 from preimage.embedders import RadiusEmbedder
 from preimage.evaluation import guidance_sweep
-from preimage.nn import ROW_BLOCK, ConditionalDenoiser
+from preimage.nn import ROW_BLOCK, Adam, ConditionalDenoiser
+from preimage.persistence import Checkpoint, load_checkpoint, save_checkpoint
 
 
 def cosine_bar_closed_form(t: int, n_steps: int) -> float:
@@ -72,7 +73,6 @@ class NoiseRecoveringStub:
         self.schedule = schedule
         self.offset = offset
         self.seen = {}
-        self.fitted = True
         self.data_dim = self.x0.shape[1]
         self.id_dim = 1
         self.attr_dim = 1
@@ -241,6 +241,12 @@ class TestPredictX0:
         with pytest.raises(NumericalDomainError):
             predict_x0(np.zeros(2), np.zeros(2), 1, bad)
 
+    @pytest.mark.parametrize("t", [0, -1, 11, 2.0, np.nan])
+    def test_out_of_range_step_rejected(self, t):
+        # t = 0 once read alpha_bars[-1], and t = T + 1 raised a bare IndexError.
+        with pytest.raises(ConfigurationError, match=r"t must be an integer in \[1, 10\]"):
+            predict_x0(np.zeros(2), np.zeros(2), t, make_cosine_schedule(10))
+
 
 class TestDynamicThreshold:
     def test_in_range_values_unchanged(self):
@@ -401,14 +407,19 @@ class TestTrainingLoss:
                           np.random.default_rng(0), dropout_prob=1.5)
 
 
-def fitted_toy_model(seed=0, attr_dim=None):
-    """A tiny randomized denoiser marked as fitted, for sampler plumbing tests."""
+def toy_model(seed=0, attr_dim=None):
+    """A tiny randomized denoiser, still writable."""
     model = ConditionalDenoiser(2, 1, hidden_dims=(8, 8), time_embed_dim=8,
                                 attr_dim=attr_dim, seed=seed)
-    rng = np.random.default_rng(seed + 100)
-    for _, p in model.parameters():
-        p[...] = rng.normal(scale=0.2, size=p.shape)
-    model.fitted = True
+    model.params[...] = np.random.default_rng(seed + 100).normal(scale=0.2,
+                                                                size=model.params.size)
+    return model
+
+
+def fitted_toy_model(seed=0, attr_dim=None):
+    """toy_model, frozen, for sampler plumbing tests."""
+    model = toy_model(seed, attr_dim)
+    model.freeze()
     return model
 
 
@@ -436,9 +447,10 @@ class TestSampler:
         # With the id projection zeroed, conditional and unconditional
         # branches coincide, so any guidance scale reproduces the scale-1
         # trajectory bitwise.
-        model = fitted_toy_model(seed=3)
+        model = toy_model(seed=3)
         model.id_proj.weight[...] = 0.0
         model.id_proj.bias[...] = 0.0
+        model.freeze()
         y = np.array([2.0])
         base = SampleConfig(seed=9, guidance_scale=1.0, threshold=False)
         guided = SampleConfig(seed=9, guidance_scale=2.0, threshold=False)
@@ -458,6 +470,36 @@ class TestSampler:
         model = ConditionalDenoiser(2, 1, (8,), 8)
         with pytest.raises(StateError):
             sample(model, np.array([1.0]), self.sched, SampleConfig(seed=0))
+        # The documented writable copy of a fitted model is not fitted either.
+        m = self.model
+        with pytest.raises(StateError):
+            sample(ConditionalDenoiser(**m.topology(), seed=m.seed, params=m.params),
+                   np.array([1.0]), self.sched, SampleConfig(seed=0))
+
+    @pytest.mark.parametrize("name, y, a", [
+        ("y", [np.nan], None), ("y", [np.inf], None), ("y", np.array([[1.0], [-np.inf]]), None),
+        ("a", [1.0], [np.nan]), ("a", [1.0], np.array([[0.5], [np.nan]])),
+    ])
+    @pytest.mark.parametrize("guidance", [1.0, 2.0])
+    def test_non_finite_target_or_attribute_refused_before_any_work(
+            self, monkeypatch, name, y, a, guidance):
+        # These once ran a reverse step and then blamed the model with a
+        # SamplingError; now nothing is planned or drawn.
+        model = fitted_toy_model(seed=8, attr_dim=1)
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a generator was made")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        with pytest.raises(NumericalDomainError, match=f"^{name} holds non-finite values"):
+            sample_batch(model, np.asarray(y), self.sched,
+                         SampleConfig(seed=0, guidance_scale=guidance), 2, a=a)
+        assert model.sampler_plan is None
+
+    def test_guidance_sweep_refuses_a_non_finite_target(self):
+        with pytest.raises(NumericalDomainError, match="^y holds non-finite values"):
+            guidance_sweep(self.model, self.sched, RadiusEmbedder(2), np.array([[1.0], [np.nan]]),
+                           [1.0, 2.0], 2, SampleConfig(seed=0))
 
     def test_guidance_below_one_clamped_with_warning(self):
         with pytest.warns(UserWarning):
@@ -494,8 +536,9 @@ class TestSampler:
                    SampleConfig(seed=0, variance_mode="sigma"))
 
     def test_nan_model_aborts_with_step_diagnostic(self):
-        model = fitted_toy_model(seed=2)
+        model = toy_model(seed=2)
         model.output.weight[...] = np.nan
+        model.freeze()
         with pytest.raises(SamplingError, match="step"):
             sample(model, np.array([1.0]), self.sched, SampleConfig(seed=0))
 
@@ -596,9 +639,32 @@ class TestSampler:
         assert model._cache is None
 
 
+@pytest.fixture(scope="module")
+def ring_fit(tmp_path_factory):
+    """A small trained ring model and the path of its saved checkpoint."""
+    x = np.random.default_rng(0).normal(size=(64, 2))
+    result = train(x, np.linalg.norm(x, axis=1, keepdims=True),
+                   TrainConfig(seed=1, timesteps=20, total_batches=10, batch_size=8),
+                   hidden_dims=(8, 8), time_embed_dim=8)
+    path = str(tmp_path_factory.mktemp("ring") / "ring.ckpt")
+    save_checkpoint(path, Checkpoint.from_train_result(result, RadiusEmbedder(2).info))
+    return result, path
+
+
+def sampled_models(ring_fit):
+    """(model, schedule) of each way the benchmark and the CLI get a model to
+    sample, fresh: TrainResult.ema_model(), Checkpoint.ema_model() and the
+    loaded ckpt.model of --no-ema."""
+    result, path = ring_fit
+    ema_ckpt, live_ckpt = load_checkpoint(path), load_checkpoint(path)
+    return {"TrainResult.ema_model()": (result.ema_model(), result.schedule),
+            "Checkpoint.ema_model()": (ema_ckpt.ema_model(), ema_ckpt.schedule),
+            "ckpt.model": (live_ckpt.model, live_ckpt.schedule)}
+
+
 class TestSamplerPlan:
-    """The plan sample_batch keeps on the model: reused while the params,
-    schedule, step count and variance mode are those it was built from,
+    """The plan sample_batch keeps on a fitted, so frozen, model: reused while
+    the schedule, step count and variance mode are those it was built from,
     rebuilt otherwise, and never a cause of other bytes."""
 
     Y = np.array([0.8])
@@ -667,27 +733,51 @@ class TestSamplerPlan:
         sample_batch(self.model, self.Y, make_cosine_schedule(20), cfg, 3)
         assert self.model.sampler_plan is plan
 
-    @pytest.mark.parametrize("edit", ["weight", "bias", "negative_zero"])
-    def test_in_place_param_edit_rebuilds_the_plan(self, edit):
-        cfg = SampleConfig(seed=2, guidance_scale=2.0)
-        model = self.model
-        if edit == "negative_zero":
-            # Equal as floats, other bits: the check compares bits.
-            model.inject[0].weight[0, 0] = 0.0
-        sample_batch(model, self.Y, self.sched, cfg, 3)
-        plan = model.sampler_plan
-        if edit == "weight":
-            model.inject[1].weight[0, 0] += 0.5
-        elif edit == "bias":
-            # c_1, which only the plan's tables carry.
-            model.mains[1].bias[0] -= 0.25
+    @pytest.mark.parametrize("kind", ["train", "TrainResult.ema_model()",
+                                      "Checkpoint.ema_model()", "ckpt.model", "clone()"])
+    def test_a_fitted_model_refuses_every_edit(self, ring_fit, kind):
+        # A kept plan is valid because nothing can change the params under it.
+        result = ring_fit[0]
+        if kind == "train":
+            model = result.model
+        elif kind == "clone()":
+            model = result.model.clone()
         else:
-            model.inject[0].weight[0, 0] = -0.0
-        got = sample_batch(model, self.Y, self.sched, cfg, 3)
-        assert model.sampler_plan is not plan
-        assert np.array_equal(model.sampler_plan.params.view(np.int64),
-                              model.params.view(np.int64))
-        assert got.tobytes() == self.fresh(cfg).tobytes()
+            model = sampled_models(ring_fit)[kind][0]
+        sample_batch(model, self.Y, result.schedule, SampleConfig(seed=0), 2)
+        before = model.params.copy()
+        edits = [lambda: model.params.__setitem__(0, 1.0),
+                 lambda: model.set_params_flat(before + 1.0),
+                 lambda: Adam(before).step(model.params, np.ones_like(before))]
+        edits += [lambda view=view: view.__iadd__(0.5)
+                  for _, layer in model._layers for view in (layer.weight, layer.bias)]
+        assert model.fitted and len(edits) == 3 + 2 * len(model._layers)
+        for edit in edits:
+            with pytest.raises(ValueError, match="read-only"):
+                edit()
+        assert model.params.tobytes() == before.tobytes()
+
+    def test_the_bench_and_cli_request_mix_keeps_one_plan_per_model(self, monkeypatch,
+                                                                    ring_fit):
+        calls = {}
+        step_tables = ConditionalDenoiser.step_tables
+
+        def counted(model, t):
+            calls[id(model)] = calls.get(id(model), 0) + 1
+            return step_tables(model, t)
+
+        monkeypatch.setattr(ConditionalDenoiser, "step_tables", counted)
+        gallery = np.random.default_rng(3).uniform(0.5, 1.5, size=(64, 1))
+        mix = [(self.Y, 1, 1.0), (self.Y, 1, 2.0), (self.Y, 64, 2.0), (gallery, 64, 2.0)]
+        for name, (model, schedule) in sampled_models(ring_fit).items():
+            for seed in range(20):
+                y, n, guidance = mix[seed % len(mix)]
+                cfg = SampleConfig(seed=100 + seed, guidance_scale=guidance)
+                assert sample_batch(model, y, schedule, cfg, n).shape == (n, 2)
+                if not seed:
+                    plan = model.sampler_plan
+                assert model.sampler_plan is plan, (name, seed)
+            assert calls.pop(id(model)) == 1, name
 
     @pytest.mark.parametrize("change", ["schedule", "steps", "variance_mode"])
     def test_other_key_rebuilds_the_plan(self, change):
@@ -751,7 +841,7 @@ def test_sampling_memory_does_not_grow_with_the_row_count(monkeypatch, workers):
     # the bound.
     monkeypatch.setattr(nn, "WORKERS", workers)
     model = ConditionalDenoiser(2, 1, hidden_dims=(128, 128, 128), time_embed_dim=64, seed=0)
-    model.fitted = True
+    model.freeze()
     sched = make_cosine_schedule(100)
     cfg = SampleConfig(seed=0, guidance_scale=2.0, respace_steps=3)
     y, n, branches = np.array([1.0]), 4096, 2
@@ -895,9 +985,8 @@ _THREAD_SAMPLER = textwrap.dedent("""
 
     model = ConditionalDenoiser(2, 1, hidden_dims=(64, 64), time_embed_dim=16, seed=0)
     rng = np.random.default_rng(100)
-    for _, p in model.parameters():
-        p[...] = rng.normal(scale=0.2, size=p.shape)
-    model.fitted = True
+    model.params[...] = rng.normal(scale=0.2, size=model.params.size)
+    model.freeze()
     sched = make_cosine_schedule(20)
     cfg = SampleConfig(seed=7, guidance_scale=2.0)
     for n in (1, 64, 2048, 3 * ROW_BLOCK + 5):
@@ -910,9 +999,8 @@ _THREAD_SAMPLER = textwrap.dedent("""
     print("g1", hashlib.sha256(out.tobytes()).hexdigest())
     attr_model = ConditionalDenoiser(2, 1, hidden_dims=(64, 64), time_embed_dim=16,
                                      attr_dim=3, seed=1)
-    for _, p in attr_model.parameters():
-        p[...] = rng.normal(scale=0.2, size=p.shape)
-    attr_model.fitted = True
+    attr_model.params[...] = rng.normal(scale=0.2, size=attr_model.params.size)
+    attr_model.freeze()
     for kind, y, a in (("shared_a", np.array([1.0]), np.array([0.5, -1.0, 0.25])),
                        ("rows_a", gallery, rng.normal(size=(2048, 3)))):
         out = sample_batch(attr_model, y, sched, cfg, 2048, a=a)
@@ -947,10 +1035,8 @@ _TINY = dict(hidden_dims=(16, 16), time_embed_dim=8)
 
 def tiny_model(seed, attr_dim=None):
     model = ConditionalDenoiser(2, 1, attr_dim=attr_dim, seed=seed, **_TINY)
-    rng = np.random.default_rng(seed + 200)
-    for _, p in model.parameters():
-        p[...] = rng.normal(scale=0.3, size=p.shape)
-    model.fitted = True
+    model.params[...] = np.random.default_rng(seed + 200).normal(scale=0.3, size=model.params.size)
+    model.freeze()
     return model
 
 

@@ -636,10 +636,8 @@ class TestEnergyDistance:
 
 def tiny_fitted_model(seed=0):
     model = ConditionalDenoiser(2, 1, hidden_dims=(8,), time_embed_dim=8, seed=seed)
-    rng = np.random.default_rng(seed + 50)
-    for _, p in model.parameters():
-        p[...] = rng.normal(scale=0.2, size=p.shape)
-    model.fitted = True
+    model.params[...] = np.random.default_rng(seed + 50).normal(scale=0.2, size=model.params.size)
+    model.freeze()
     return model
 
 

@@ -33,7 +33,7 @@ from preimage.nn import ConditionalDenoiser, sinusoidal_embed
 
 SCHEDULE = make_cosine_schedule(8)
 MODEL = ConditionalDenoiser(2, 1, hidden_dims=(4,), time_embed_dim=4)
-MODEL.fitted = True
+MODEL.freeze()
 X = np.random.default_rng(0).normal(size=(8, 2))
 Y = np.linalg.norm(X, axis=1, keepdims=True)
 TINY_TRAIN = TrainConfig(seed=0, timesteps=4, batch_size=4, total_batches=1)

@@ -28,34 +28,29 @@ from preimage.persistence import Checkpoint
 def finite_difference_grads(model, x, y, t, a, upstream, h=1e-6):
     """Independent oracle: central differences through the full forward pass.
 
-    Returns (analytic, numeric, max_rel_err) where the relative error of each
-    entry is guarded by a 1e-3 magnitude floor so that float64 evaluation
+    Returns the largest relative error over the flat parameter vector, each
+    entry's guarded by a 1e-3 magnitude floor so that float64 evaluation
     noise on near-zero gradients does not register as disagreement.
     """
-    model.zero_grad()
+    model.grads.fill(0.0)
     model.forward(x, y, t, a=a)
     model.backward(upstream)
-    analytic = {name: g.copy() for name, g in model.gradients()}
+    analytic = model.grads.copy()
 
     def objective():
         return float(np.sum(model.forward(x, y, t, a=a) * upstream))
 
-    max_rel = 0.0
-    for name, param in model.parameters():
-        ana = analytic[name]
-        it = np.nditer(param, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            orig = param[idx]
-            param[idx] = orig + h
-            f_plus = objective()
-            param[idx] = orig - h
-            f_minus = objective()
-            param[idx] = orig
-            numeric = (f_plus - f_minus) / (2.0 * h)
-            denom = max(abs(ana[idx]), abs(numeric), 1e-3)
-            max_rel = max(max_rel, abs(ana[idx] - numeric) / denom)
-    return analytic, max_rel
+    max_rel, params = 0.0, model.params
+    for i, orig in enumerate(params.copy()):
+        params[i] = orig + h
+        f_plus = objective()
+        params[i] = orig - h
+        f_minus = objective()
+        params[i] = orig
+        numeric = (f_plus - f_minus) / (2.0 * h)
+        denom = max(abs(analytic[i]), abs(numeric), 1e-3)
+        max_rel = max(max_rel, abs(analytic[i] - numeric) / denom)
+    return max_rel
 
 
 def small_model(seed=0, attr_dim=2):
@@ -67,9 +62,7 @@ def small_model(seed=0, attr_dim=2):
 
 def randomize_params(model, seed):
     """Overwrite all parameters, including the zero-initialized output layer."""
-    rng = np.random.default_rng(seed)
-    for _, p in model.parameters():
-        p[...] = rng.normal(scale=0.5, size=p.shape)
+    model.params[...] = np.random.default_rng(seed).normal(scale=0.5, size=model.params.size)
 
 
 class TestSinusoidalEmbed:
@@ -286,6 +279,12 @@ class TestDenoiserForward:
         with pytest.raises(ShapeError):
             model.forward(np.ones(3), np.ones(5), 1)
 
+    @pytest.mark.parametrize("t", [-1.0, np.nan, np.array([2.0, np.nan, 3.0])])
+    def test_negative_or_nan_timesteps_rejected(self, t):
+        # NaN < 0 is false: a NaN timestep once gave NaN noise without an error.
+        with pytest.raises(ConfigurationError, match="timesteps must be nonnegative"):
+            small_model().forward(np.ones((3, 3)), np.ones(2), t)
+
     def test_odd_time_embed_dim_rejected(self):
         with pytest.raises(ConfigurationError):
             ConditionalDenoiser(3, 2, (4,), time_embed_dim=7)
@@ -313,7 +312,7 @@ class TestDenoiserBackward:
         a = rng.normal(size=(4, 2))
         t = np.array([1, 5, 9, 2])
         upstream = rng.normal(size=(4, 3))
-        _, max_rel = finite_difference_grads(model, x, y, t, a, upstream)
+        max_rel = finite_difference_grads(model, x, y, t, a, upstream)
         assert max_rel < 1e-5
 
     def test_gradcheck_without_attr_pathway(self):
@@ -324,7 +323,7 @@ class TestDenoiserBackward:
         y = rng.normal(size=(3, 1))
         t = np.array([2, 4, 8])
         upstream = rng.normal(size=(3, 2))
-        _, max_rel = finite_difference_grads(model, x, y, t, None, upstream)
+        max_rel = finite_difference_grads(model, x, y, t, None, upstream)
         assert max_rel < 1e-5
 
     def test_unused_attr_proj_gets_zero_grad(self):
@@ -332,7 +331,6 @@ class TestDenoiserBackward:
         # compute path, so their gradient stays exactly zero.
         model = small_model(seed=2)
         randomize_params(model, 22)
-        model.zero_grad()
         model.forward(np.ones(3), np.ones(2), 3, a=None)
         model.backward(np.ones(3))
         grads = dict(model.gradients())
@@ -343,7 +341,6 @@ class TestDenoiserBackward:
     def test_zero_upstream_zero_grads(self):
         model = small_model(seed=3)
         randomize_params(model, 23)
-        model.zero_grad()
         model.forward(np.ones(3), np.ones(2), 3, a=np.ones(2))
         model.backward(np.zeros(3))
         for _, g in model.gradients():
@@ -600,7 +597,7 @@ class TestSharedCondition:
     @pytest.mark.parametrize("with_attr", [False, True])
     def test_gradients_match_tiled_rows(self, with_attr):
         def grads(y, t, a):
-            self.model.zero_grad()
+            self.model.grads.fill(0.0)
             self.model.forward(self.x, y, t, a=a)
             dx = self.model.backward(self.upstream)
             return dx, {name: g.copy() for name, g in self.model.gradients()}
@@ -615,8 +612,8 @@ class TestSharedCondition:
                                        err_msg=name)
 
     def test_gradcheck_on_shared_condition(self):
-        _, max_rel = finite_difference_grads(self.model, self.x, self.y, 5, self.a,
-                                             self.upstream)
+        max_rel = finite_difference_grads(self.model, self.x, self.y, 5, self.a,
+                                          self.upstream)
         assert max_rel < 1e-5
 
     def test_mixed_per_row_and_shared_inputs(self):
@@ -737,7 +734,7 @@ class TestInferencePath:
         model.forward(self.x, self.y_rows, self.t[0], a=self.a_rows)
         model.backward(upstream)
         before = model.grads.copy()
-        model.zero_grad()
+        model.grads.fill(0.0)
         model.forward(self.x, self.y_rows, self.t[0], a=self.a_rows)
         self.step(self.x, [(self.y, self.a)], 2)
         model.backward(upstream)
@@ -747,12 +744,12 @@ class TestInferencePath:
 class TestFlatStore:
     def test_layer_arrays_view_the_store(self):
         model = small_model(seed=1)
-        for (_, p), (_, g) in zip(model.parameters(), model.gradients()):
+        views = [v for _, layer in model._layers for v in (layer.weight, layer.bias)]
+        for p, (_, g) in zip(views, model.gradients(), strict=True):
             assert np.shares_memory(p, model.params)
             assert np.shares_memory(g, model.grads)
-        np.testing.assert_array_equal(
-            np.concatenate([p.ravel() for _, p in model.parameters()]), model.params)
-        assert model.params.size == model.n_params() == param_count(model.topology())
+        np.testing.assert_array_equal(np.concatenate([p.ravel() for p in views]), model.params)
+        assert model.params.size == param_count(model.topology())
 
     def test_writes_show_through_both_sides(self):
         model = small_model(seed=2)
@@ -761,25 +758,12 @@ class TestFlatStore:
         model.params[:] = 0.0
         assert not model.input_proj.weight.any()
 
-    def test_zero_grad_clears_every_gradient(self):
-        model = small_model(seed=3)
-        randomize_params(model, 3)
-        rng = np.random.default_rng(3)
-        model.forward(rng.normal(size=(4, 3)), rng.normal(size=(4, 2)),
-                      np.array([1, 2, 3, 4]), a=rng.normal(size=(4, 2)))
-        model.backward(rng.normal(size=(4, 3)))
-        assert all(g.any() for _, g in model.gradients())
-        model.zero_grad()
-        assert not model.grads.any()
-        assert not any(g.any() for _, g in model.gradients())
-
     def test_clone_is_independent_of_its_source(self):
         model = small_model(seed=4)
         randomize_params(model, 4)
-        model.fitted = True
         other = model.clone()
         np.testing.assert_array_equal(other.params, model.params)
-        assert other.fitted
+        assert not other.fitted
         assert not np.shares_memory(other.params, model.params)
         before = model.params.copy()
         other.params += 1.0
@@ -787,13 +771,15 @@ class TestFlatStore:
         np.testing.assert_array_equal(model.params, before)
         assert not model.grads.any()
         assert np.shares_memory(other.output.weight, other.params)
+        model.freeze()
+        assert model.clone().fitted
 
     def test_model_built_from_a_vector_equals_its_source_and_draws_nothing(
             self, monkeypatch):
         source = small_model(seed=6)
         randomize_params(source, 6)
-        source.fitted = True
-        ema = EmaParams(np.random.default_rng(6).normal(size=source.n_params()))
+        source.freeze()
+        ema = EmaParams(np.random.default_rng(6).normal(size=source.params.size))
         x = np.random.default_rng(7).normal(size=(4, 3))
         want = source.forward(x, np.ones(2), 5, a=np.zeros(2))
 
@@ -810,6 +796,8 @@ class TestFlatStore:
             np.testing.assert_array_equal(other.params, vec)
             assert not np.shares_memory(other.params, vec)
             assert np.shares_memory(other.output.weight, other.params)
+        # The constructor gives the writable copy; clone and ema_model keep the state.
+        assert [m.fitted for m in copies] == [False, True, True]
         np.testing.assert_array_equal(built.forward(x, np.ones(2), 5, a=np.zeros(2)), want)
         with pytest.raises(ShapeError):
             ConditionalDenoiser(**source.topology(), params=source.params[:-1])
@@ -823,7 +811,7 @@ class TestFlatStore:
     def test_set_params_flat_rejects_wrong_length(self):
         model = small_model()
         with pytest.raises(ShapeError):
-            model.set_params_flat(np.zeros(model.n_params() + 1))
+            model.set_params_flat(np.zeros(model.params.size + 1))
 
 
 class TestAdam:
@@ -951,8 +939,8 @@ class TestEma:
     def test_ema_model_carries_the_shadow(self):
         model = small_model(seed=6)
         randomize_params(model, 6)
-        model.fitted = True
-        ema = EmaParams(np.random.default_rng(6).normal(size=model.n_params()))
+        model.freeze()
+        ema = EmaParams(np.random.default_rng(6).normal(size=model.params.size))
         live = model.params.copy()
         for holder in (TrainResult(model, ema, None, None),
                        Checkpoint(model, ema, None, None, None)):

@@ -206,8 +206,11 @@ class TestHostileCheckpoints:
 
     @pytest.mark.parametrize("vector", ["model", "ema"])
     def test_save_refuses_non_finite_parameters(self, trained, vector, tmp_path):
-        ckpt = Checkpoint(trained.model.clone(), EmaParams(trained.ema.shadow),
-                          trained.schedule, trained.embedder_info, trained.train_config)
+        # A trained model is frozen; the NaN goes into a writable copy.
+        m = trained.model
+        ckpt = Checkpoint(ConditionalDenoiser(**m.topology(), seed=m.seed, params=m.params),
+                          EmaParams(trained.ema.shadow), trained.schedule,
+                          trained.embedder_info, trained.train_config)
         (ckpt.model.params if vector == "model" else ckpt.ema.shadow)[3] = np.nan
         path = tmp_path / "nan.ckpt"
         with pytest.raises(CheckpointFormatError, match="not finite"):
@@ -220,7 +223,7 @@ class TestHostileCheckpoints:
         save_checkpoint(str(path), trained)
         data = bytearray(path.read_bytes())
         # The payload ends with the live parameters, then the EMA parameters.
-        end = len(data) - (8 * trained.model.n_params() if vector == "parameters" else 0)
+        end = len(data) - (8 * trained.model.params.size if vector == "parameters" else 0)
         data[end - 8:end] = struct.pack("<d", np.nan)
         path.write_bytes(bytes(data))
         with pytest.raises(CheckpointFormatError, match=f"^{vector} are not finite"):
