@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 import warnings
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -61,7 +63,7 @@ def schedule_from_betas(betas: np.ndarray, timestep_map=None) -> NoiseSchedule:
     betas = np.asarray(betas, dtype=np.float64)
     if betas.ndim != 1 or len(betas) == 0:
         raise ConfigurationError("betas must be a nonempty 1-D array")
-    if np.any(betas <= 0.0) or np.any(betas >= 1.0):
+    if not ((betas > 0.0) & (betas < 1.0)).all():  # NaN fails too
         raise ConfigurationError("every beta must lie strictly inside (0, 1)")
     alphas = 1.0 - betas
     alpha_bars = np.cumprod(alphas)
@@ -214,15 +216,15 @@ def null_attr_token(attr_dim: int) -> np.ndarray:
 def q_sample(x0, t, noise, schedule: NoiseSchedule):
     """Corrupt x0 to step t: sqrt(abar_t) x0 + sqrt(1 - abar_t) noise.
 
-    t is a step in 1..T, scalar or per-row for batched x0.
+    t is an integer step in 1..T, scalar or per-row for batched x0.
     """
     x0 = np.asarray(x0, dtype=np.float64)
     noise = np.asarray(noise, dtype=np.float64)
     if noise.shape != x0.shape:
         raise ShapeError(f"noise shape {noise.shape} must match x0 shape {x0.shape}")
-    t_arr = np.asarray(t, dtype=np.int64)
-    if np.any(t_arr < 1) or np.any(t_arr > schedule.n_steps):
-        raise ConfigurationError(f"t must lie in [1, {schedule.n_steps}]")
+    t_arr = np.asarray(t)
+    if t_arr.dtype.kind not in "iu" or not ((t_arr >= 1) & (t_arr <= schedule.n_steps)).all():
+        raise ConfigurationError(f"t must be an integer in [1, {schedule.n_steps}], got {t!r}")
     bars = schedule.alpha_bars[t_arr - 1]
     if x0.ndim == 2 and bars.ndim == 1:
         bars = bars[:, None]
@@ -477,13 +479,16 @@ def sample_batch(model, y, schedule: NoiseSchedule, config: SampleConfig,
     Per request, the conditional branch's condition is added to the tables
     (model.condition_terms), and each reverse step is one cache-free pass
     for all branches together (model.denoise_step), block by block over the
-    rows, the blocks split over nn.WORKERS threads, in buffers the request
-    reuses (model.workspace). The calling thread alone draws the noise and
-    combines, thresholds, updates and checks the state. A thresholded
-    step goes through cfg_combine, predict_x0 and dynamic_threshold; an
-    unthresholded one takes x_coef * x + eps_coef * eps. Deterministic for a
-    fixed (model, y, a, config) including bitwise reproducibility of the
-    result, whether or not a plan was kept.
+    rows, the blocks split over nn.WORKERS lanes, in buffers the request
+    reuses (model.workspace). The calling thread runs the first lane; a
+    request of more than one lane opens a pool for the others and closes it
+    before it returns or raises, so no thread outlives it. The calling
+    thread alone draws the noise and combines, thresholds, updates and
+    checks the state. A thresholded step goes through cfg_combine,
+    predict_x0 and dynamic_threshold; an unthresholded one takes
+    x_coef * x + eps_coef * eps. Deterministic for a fixed (model, y, a,
+    config) including bitwise reproducibility of the result, whether or not
+    a plan was kept.
     """
     if not model.fitted:
         raise StateError("model has not been fitted; train it, load a checkpoint or freeze it")
@@ -512,23 +517,26 @@ def sample_batch(model, y, schedule: NoiseSchedule, config: SampleConfig,
     null = None if scale == 1.0 else plan.null_tables
     terms = model.condition_terms([(y, a)], plan.tables, null)
     work = model.workspace(n, 1 if null is None else 2)
+    lanes = len(work[0])
     rng = np.random.default_rng(cfg.seed)
     x = rng.standard_normal((n, model.data_dim))
-    for i in range(sub.n_steps, 0, -1):
-        eps = model.denoise_step(x, terms, i - 1, work)
-        eps_hat = eps[0] if scale == 1.0 else cfg_combine(eps[1], eps[0], scale)
-        if cfg.threshold:
-            x0_hat = dynamic_threshold(predict_x0(x, eps_hat, i, sub))
-            x = sub.coef_x0[i - 1] * x0_hat + sub.coef_xt[i - 1] * x
-        else:
-            x = plan.x_coef[i - 1] * x + plan.eps_coef[i - 1] * eps_hat
-        if i > 1:
-            x += plan.sigmas[i - 1] * rng.standard_normal((n, model.data_dim))
-        if not np.isfinite(x).all():
-            raise SamplingError(
-                f"non-finite state at reverse step {i} "
-                f"(original step {sub.timestep_map[i - 1]}); aborting"
-            )
+    with (ThreadPoolExecutor(lanes - 1, thread_name_prefix="preimage-block") if lanes > 1
+          else nullcontext()) as pool:
+        for i in range(sub.n_steps, 0, -1):
+            eps = model.denoise_step(x, terms, i - 1, work, pool)
+            eps_hat = eps[0] if scale == 1.0 else cfg_combine(eps[1], eps[0], scale)
+            if cfg.threshold:
+                x0_hat = dynamic_threshold(predict_x0(x, eps_hat, i, sub))
+                x = sub.coef_x0[i - 1] * x0_hat + sub.coef_xt[i - 1] * x
+            else:
+                x = plan.x_coef[i - 1] * x + plan.eps_coef[i - 1] * eps_hat
+            if i > 1:
+                x += plan.sigmas[i - 1] * rng.standard_normal((n, model.data_dim))
+            if not np.isfinite(x).all():
+                raise SamplingError(
+                    f"non-finite state at reverse step {i} "
+                    f"(original step {sub.timestep_map[i - 1]}); aborting"
+                )
     return x
 
 

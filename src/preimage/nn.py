@@ -8,9 +8,11 @@ path through the denoiser that caches nothing and checks no shapes per layer:
 the timestep tables of every step are built once for a sampler plan, one call
 per request adds every guidance branch's condition to them, and each step
 runs all branches in one pass over blocks of rows. A request of more than one
-block splits its blocks over WORKERS threads, each with its own block scratch
-in its own core's L2: numpy's matmuls and float64 ufuncs release the GIL, and
-a block's bits do not depend on the thread that computes it.
+block splits its blocks over WORKERS lanes, each with its own block scratch in
+its own core's L2: the calling thread runs the first lane, and threads of a
+pool the request opens and closes run the others. numpy's matmuls and float64
+ufuncs release the GIL, and a block's bits do not depend on the thread that
+computes it.
 
 A fitted model is a frozen one, its parameters read-only: train and
 load_checkpoint freeze their models, and a clone of a frozen model is frozen.
@@ -23,8 +25,7 @@ from __future__ import annotations
 
 import math
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import wait
 
 import numpy as np
 
@@ -56,29 +57,6 @@ def worker_count(environ, cores: int) -> int:
 # Read once, as BLAS read its thread count when numpy loaded.
 WORKERS = worker_count(os.environ, len(os.sched_getaffinity(0))
                        if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
-
-# The threads of every worker but the first, whose blocks run on the calling
-# thread. A forked child has none of them, and its copy of the lock may be
-# held, so it drops both.
-_pool, _pool_lock = None, threading.Lock()
-
-
-def _executor() -> ThreadPoolExecutor:
-    """The pool, made on first use."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(max(1, WORKERS - 1), thread_name_prefix="preimage-block")
-        return _pool
-
-
-def _drop_pool() -> None:
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_drop_pool)
 
 # Adam's moment decay rates and denominator floor (Kingma & Ba 2014).
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -375,8 +353,8 @@ class ConditionalDenoiser:
             t_arr = np.full(n, float(t_arr))
         if t_arr.shape != (n,):
             raise ShapeError(f"t must be a scalar or shape ({n},), got {t_arr.shape}")
-        if not (t_arr >= 0).all():  # NaN fails too
-            raise ConfigurationError("timesteps must be nonnegative")
+        if not ((t_arr >= 0) & (t_arr < math.inf)).all():  # NaN fails too
+            raise ConfigurationError("timesteps must be nonnegative and finite")
 
         cond, emb, layers = self._training_workspace(n)[:3]
         sinusoidal_embed(t_arr, self.time_embed_dim, out=cond)
@@ -530,7 +508,7 @@ class ConditionalDenoiser:
                            *views[min(ROW_BLOCK, n - r0)]) for r0 in starts[w::workers]])
         return lanes, out
 
-    def denoise_step(self, x, terms, k, work):
+    def denoise_step(self, x, terms, k, work, pool):
         """Noise predictions of every branch for the (n, d) state x at step k.
 
         terms is condition_terms' result for B branches, work a
@@ -539,15 +517,16 @@ class ConditionalDenoiser:
         projection x @ W.T, without the bias the terms carry, is shared by
         every branch, and each hidden layer is one matmul over its B * r
         rows. The first worker's blocks run on the calling thread, the
-        others' on the module's pool, and the call returns once all are done,
-        raising the first worker's error if any. Returns work's (B, n, d)
-        output, which the next call overwrites. Like condition_terms, this
-        neither validates nor caches."""
+        others' on pool, an executor the caller owns (None if work has one
+        worker), and the call returns once all are done, raising the first
+        worker's error if any. Returns work's (B, n, d) output, which the
+        next call overwrites. Like condition_terms, this neither validates
+        nor caches."""
         lanes, out = work
         if len(lanes) == 1:
             self._blocks(x, terms, k, lanes[0])
         else:
-            futures = [_executor().submit(self._blocks, x, terms, k, lane) for lane in lanes[1:]]
+            futures = [pool.submit(self._blocks, x, terms, k, lane) for lane in lanes[1:]]
             try:
                 self._blocks(x, terms, k, lanes[0])
             finally:
@@ -590,9 +569,12 @@ class Adam:
         self._b = np.empty_like(self.m)
 
     def step(self, params, grads) -> None:
-        """Update params in place from grads, then zero the grads."""
+        """Update params in place from grads, then zero the grads. Read-only
+        params, a fitted model's, raise StateError before any state moves."""
         if params.shape != self.m.shape or grads.shape != self.m.shape:
             raise ShapeError("parameter/gradient vectors do not match optimizer state")
+        if not params.flags.writeable:
+            raise StateError("params are read-only: a fitted model is not trained further")
         self.step_count += 1
         bc1 = 1.0 - ADAM_BETA1 ** self.step_count
         bc2 = 1.0 - ADAM_BETA2 ** self.step_count

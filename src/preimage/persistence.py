@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffusion import NoiseSchedule, TrainConfig, TrainResult, schedule_from_betas
-from .embedders import EmbedderInfo
+from .embedders import EmbedderInfo, make_embedder
 from .errors import CheckpointFormatError, ConfigurationError, PreimageError, ShapeError
 from .nn import ConditionalDenoiser, EmaParams, param_count
 
@@ -101,11 +101,11 @@ def _check_embedder(info: EmbedderInfo, topo: dict) -> None:
 
 def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
     """Serialize a checkpoint; the write is atomic, and nothing is written
-    unless load_checkpoint would read it back."""
+    unless load_checkpoint would read it back: an invalid training config or
+    an embedder descriptor make_embedder refuses raises ConfigurationError."""
     model = ckpt.model
     cfg = ckpt.train_config
-    if cfg.schedule not in _SCHEDULE_CODES:
-        raise ConfigurationError(f"unknown schedule kind {cfg.schedule!r}")
+    cfg.validate()
     if ckpt.schedule.n_steps != cfg.timesteps:
         raise ConfigurationError(
             f"schedule has {ckpt.schedule.n_steps} steps but config says {cfg.timesteps}"
@@ -145,6 +145,7 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
     u64("total_batches", cfg.total_batches)
     u64("batch_size", cfg.batch_size)
     u64("train_seed", cfg.seed)
+    make_embedder(ckpt.embedder_info)  # after the header's bounds, as load_checkpoint
 
     floats = np.concatenate([
         [cfg.cond_dropout, cfg.learning_rate, cfg.ema_rate],
@@ -180,7 +181,9 @@ class _Reader:
 
 
 def load_checkpoint(path: str) -> Checkpoint:
-    """Parse a checkpoint file, validating layout and every count field."""
+    """Parse a checkpoint file, validating layout and every count field; a
+    training config TrainConfig.validate refuses, an embedder descriptor
+    make_embedder refuses or a topology the model refuses is a format error."""
     with open(path, "rb") as fh:
         data = fh.read()
     r = _Reader(data)
@@ -234,16 +237,6 @@ def load_checkpoint(path: str) -> Checkpoint:
         schedule = schedule_from_betas(betas)
     except PreimageError as exc:
         raise CheckpointFormatError(f"betas are not a valid schedule: {exc}") from exc
-    if not (0.0 <= ema_rate <= 1.0):
-        raise CheckpointFormatError(f"ema_rate {ema_rate} is out of range")
-
-    try:
-        model = ConditionalDenoiser(**topo, params=params)
-    except ConfigurationError as exc:
-        raise CheckpointFormatError(f"topology is not a valid model: {exc}") from exc
-    model.freeze()
-    ema = EmaParams(ema_flat, rate=ema_rate)
-
     train_config = TrainConfig(
         seed=train_seed,
         schedule=_SCHEDULE_NAMES[sched_code],
@@ -254,6 +247,14 @@ def load_checkpoint(path: str) -> Checkpoint:
         ema_rate=float(ema_rate),
         total_batches=total_batches,
     )
+    try:
+        train_config.validate()
+        make_embedder(info)
+        model = ConditionalDenoiser(**topo, params=params)
+    except ConfigurationError as exc:
+        raise CheckpointFormatError(f"not a valid checkpoint: {exc}") from exc
+    model.freeze()
+    ema = EmaParams(ema_flat, rate=ema_rate)
     return Checkpoint(model, ema, schedule, info, train_config)
 
 

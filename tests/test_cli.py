@@ -358,6 +358,18 @@ class TestSample:
                      "--target-y", "1.0", "--seed", "1"]) == 2
         assert "time_embed_dim must be even" in capsys.readouterr().err
 
+    def test_an_unknown_embedder_in_the_checkpoint_is_runtime_error(self, workspace,
+                                                                     tmp_path, capsys):
+        # The file is at fault, not the command line: exit 2, not 1.
+        data = open(workspace["checkpoint"], "rb").read()
+        old = (6).to_bytes(8, "little") + b"radius"
+        assert data.count(old) == 1
+        path = tmp_path / "bogus.ckpt"
+        path.write_bytes(data.replace(old, (5).to_bytes(8, "little") + b"bogus"))
+        assert main(["sample", "--checkpoint", str(path),
+                     "--target-y", "1.0", "--seed", "1"]) == 2
+        assert "unknown embedder 'bogus'" in capsys.readouterr().err
+
     def test_attr_model_defaults_to_no_preference_token(self, workspace, tmp_path,
                                                         monkeypatch, capsys):
         monkeypatch.setenv("PREIMAGE_OUT", str(tmp_path))

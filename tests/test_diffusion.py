@@ -143,6 +143,10 @@ class TestSchedules:
             schedule_from_betas(np.array([0.1, 1.0]))
         with pytest.raises(ConfigurationError):
             schedule_from_betas(np.array([]))
+        # NaN <= 0 and NaN >= 1 are both false: [nan, 0.1] once gave NaN alpha_bars.
+        for betas in ([np.nan, 0.1], [0.1, np.nan], [np.nan]):
+            with pytest.raises(ConfigurationError, match="strictly inside"):
+                schedule_from_betas(np.array(betas))
 
 
 class TestQSample:
@@ -178,6 +182,14 @@ class TestQSample:
             q_sample(np.zeros(2), 0, np.zeros(2), sched)
         with pytest.raises(ConfigurationError):
             q_sample(np.zeros(2), 11, np.zeros(2), sched)
+
+    @pytest.mark.parametrize("t", [2.5, 2.0, np.nan, np.array([1, 2.5]), True])
+    def test_non_integer_step_rejected(self, t):
+        # 2.5 once read step 2 and NaN ended in numpy's own ValueError.
+        sched = make_cosine_schedule(10)
+        x0 = np.zeros((2, 2)) if np.ndim(t) else np.zeros(2)
+        with pytest.raises(ConfigurationError, match="t must be an integer in"):
+            q_sample(x0, t, np.zeros_like(x0), sched)
 
     def test_noise_shape_mismatch_rejected(self):
         sched = make_cosine_schedule(10)
@@ -747,14 +759,19 @@ class TestSamplerPlan:
         sample_batch(model, self.Y, result.schedule, SampleConfig(seed=0), 2)
         before = model.params.copy()
         edits = [lambda: model.params.__setitem__(0, 1.0),
-                 lambda: model.set_params_flat(before + 1.0),
-                 lambda: Adam(before).step(model.params, np.ones_like(before))]
+                 lambda: model.set_params_flat(before + 1.0)]
         edits += [lambda view=view: view.__iadd__(0.5)
                   for _, layer in model._layers for view in (layer.weight, layer.bias)]
-        assert model.fitted and len(edits) == 3 + 2 * len(model._layers)
+        assert model.fitted and len(edits) == 2 + 2 * len(model._layers)
         for edit in edits:
             with pytest.raises(ValueError, match="read-only"):
                 edit()
+        # Adam refuses before it moves its own state, so a caller that catches
+        # the error holds an optimizer that has not stepped.
+        opt = Adam(before)
+        with pytest.raises(StateError, match="read-only"):
+            opt.step(model.params, np.ones_like(before))
+        assert opt.step_count == 0 and not opt.m.any() and not opt.v.any()
         assert model.params.tobytes() == before.tobytes()
 
     def test_the_bench_and_cli_request_mix_keeps_one_plan_per_model(self, monkeypatch,
@@ -1079,13 +1096,13 @@ class TestBlockWorkers:
         assert threaded.tobytes() == serial.tobytes()
 
     def test_more_workers_than_cores_under_frequent_switches(self, monkeypatch):
-        # Four workers on a fresh pool of three threads, switching threads
-        # every microsecond: every block still lands bit for bit. A pool
-        # thread may take two workers' blocks, so only "more than one" holds.
+        # Four workers, so each request opens a pool of three threads,
+        # switching threads every microsecond: every block still lands bit
+        # for bit. A pool thread may take two workers' blocks, so only "more
+        # than one" holds.
         model, cfg = tiny_model(7, attr_dim=2), SampleConfig(seed=8, guidance_scale=3.0)
         y, a = self.rng.uniform(0.5, 1.5, size=(1000, 1)), self.rng.normal(size=(1000, 2))
         serial, _ = self.run(monkeypatch, 1, model, y, cfg, 1000, a)
-        monkeypatch.setattr(nn, "_pool", None)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -1094,7 +1111,29 @@ class TestBlockWorkers:
                 assert threads > 1 and threaded.tobytes() == serial.tobytes()
         finally:
             sys.setswitchinterval(interval)
-            nn._pool.shutdown()
+
+    @pytest.mark.parametrize("outcome", ["returns", "raises"])
+    def test_no_block_thread_outlives_its_request(self, monkeypatch, outcome):
+        def block_threads():
+            return [t for t in threading.enumerate() if t.name.startswith("preimage-block")]
+
+        assert block_threads() == []
+        model, cfg, y = tiny_model(6), SampleConfig(seed=4), np.array([1.2])
+        if outcome == "raises":
+            caller, silu = threading.get_ident(), nn.silu
+
+            def failing(*args, **kwargs):
+                if threading.get_ident() != caller:
+                    raise FloatingPointError("block failed on a worker")
+                return silu(*args, **kwargs)
+
+            monkeypatch.setattr(nn, "silu", failing)
+            monkeypatch.setattr(nn, "WORKERS", 3)
+            with pytest.raises(FloatingPointError, match="worker"):
+                sample_batch(model, y, self.sched, cfg, 900)
+        else:
+            assert self.run(monkeypatch, 3, model, y, cfg, 900)[1] == 3
+        assert block_threads() == []
 
     @pytest.mark.parametrize("where", ["worker", "caller"])
     def test_an_error_in_a_block_reaches_the_caller(self, monkeypatch, where):

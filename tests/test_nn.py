@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from preimage import nn
 from preimage.diffusion import TrainResult
 from preimage.errors import ConfigurationError, ShapeError, StateError
 from preimage.nn import (
@@ -279,10 +280,12 @@ class TestDenoiserForward:
         with pytest.raises(ShapeError):
             model.forward(np.ones(3), np.ones(5), 1)
 
-    @pytest.mark.parametrize("t", [-1.0, np.nan, np.array([2.0, np.nan, 3.0])])
+    @pytest.mark.parametrize("t", [-1.0, np.nan, np.array([2.0, np.nan, 3.0]), np.inf,
+                                   np.array([2.0, np.inf, 3.0])])
     def test_negative_or_nan_timesteps_rejected(self, t):
-        # NaN < 0 is false: a NaN timestep once gave NaN noise without an error.
-        with pytest.raises(ConfigurationError, match="timesteps must be nonnegative"):
+        # NaN < 0 is false and inf >= 0 holds: a NaN or infinite timestep once
+        # gave NaN noise without an error.
+        with pytest.raises(ConfigurationError, match="timesteps must be nonnegative and finite"):
             small_model().forward(np.ones((3, 3)), np.ones(2), t)
 
     def test_odd_time_embed_dim_rejected(self):
@@ -647,6 +650,12 @@ class TestInferencePath:
     """step_tables, condition_terms and denoise_step against forward, which
     tiles the condition to every row and caches for backward."""
 
+    @pytest.fixture(autouse=True)
+    def one_worker(self, monkeypatch):
+        # These calls pass no pool, so every block runs on the calling thread
+        # whatever the BLAS setting; tests/test_diffusion.py covers the pool.
+        monkeypatch.setattr(nn, "WORKERS", 1)
+
     def setup_method(self):
         rng = np.random.default_rng(50)
         self.model = small_model(seed=7)
@@ -666,7 +675,7 @@ class TestInferencePath:
         model = self.model
         work = model.workspace(len(x), len(branches))
         terms = model.condition_terms(branches, model.step_tables(self.t))
-        return model.denoise_step(x, terms, k, work).copy()
+        return model.denoise_step(x, terms, k, work, None).copy()
 
     @pytest.mark.parametrize("y_kind, a_kind", [
         ("shared", None), ("shared", "shared"), ("rows", None),
@@ -685,7 +694,7 @@ class TestInferencePath:
                 terms = model.condition_terms(conds[:n_branch], model.step_tables(self.t))
                 work = model.workspace(n, n_branch)
                 for k, t in enumerate(self.t):
-                    got = model.denoise_step(x, terms, k, work)
+                    got = model.denoise_step(x, terms, k, work, None)
                     assert got.shape == (n_branch, n, 3)
                     for (yb, ab), eps in zip(conds, got):
                         want = model.forward(x, yb, int(t), a=ab)
@@ -848,6 +857,20 @@ class TestAdam:
             opt.step(np.zeros(4), np.zeros(4))
         with pytest.raises(ShapeError):
             opt.step(np.zeros(3), np.zeros(2))
+
+    def test_read_only_params_refused_before_any_state_moves(self):
+        p, g = np.array([0.0, 1.0]), np.array([1.0, -1.0])
+        opt = Adam(p, lr=0.1)
+        opt.step(p, g)
+        p.flags.writeable = False
+        state = (opt.step_count, opt.m.copy(), opt.v.copy(), p.copy())
+        g[...] = 1.0
+        with pytest.raises(StateError, match="read-only"):
+            opt.step(p, g)
+        assert opt.step_count == state[0] == 1
+        for got, want in zip((opt.m, opt.v, p), state[1:]):
+            assert got.tobytes() == want.tobytes()
+        assert (g == 1.0).all()
 
     def test_constant_grad_keeps_direction(self):
         p = np.array([0.0])

@@ -10,7 +10,7 @@ import pytest
 
 from preimage.diffusion import SampleConfig, TrainConfig, sample_batch, train
 from preimage.embedders import EmbedderInfo, RadiusEmbedder
-from preimage.errors import CheckpointFormatError, ShapeError
+from preimage.errors import CheckpointFormatError, ConfigurationError, ShapeError
 from preimage.nn import ConditionalDenoiser, EmaParams, param_count
 from preimage.persistence import (
     MAGIC,
@@ -171,6 +171,13 @@ def crafted_header(hidden_dims, payload_floats=0, time_embed_dim=64, n_steps=100
     return head + bytes(8 * payload_floats)
 
 
+def renamed(data: bytes, name: bytes) -> bytes:
+    """A radius checkpoint's bytes with the embedder's name replaced."""
+    old = struct.pack("<Q", 6) + b"radius"
+    assert data.count(old) == 1
+    return data.replace(old, struct.pack("<Q", len(name)) + name)
+
+
 class TestHostileCheckpoints:
     @pytest.mark.parametrize("hidden", [(4096, 4096, 4096), (1 << 20, 1 << 20, 1 << 20)])
     def test_header_bomb_rejected_before_any_allocation(self, hidden, tmp_path,
@@ -247,12 +254,71 @@ class TestHostileCheckpoints:
         assert not path.exists()
 
     def test_header_fields_at_their_bound_round_trip(self, trained, tmp_path):
-        ckpt = self.with_header(trained, 4096, batch_size=1 << 20, total_batches=1 << 48)
-        path = str(tmp_path / "edge.ckpt")
-        save_checkpoint(path, ckpt)
-        loaded = load_checkpoint(path)
+        ckpt = replace(trained, train_config=replace(trained.train_config, batch_size=1 << 20,
+                                                     total_batches=1 << 48))
+        path = tmp_path / "edge.ckpt"
+        save_checkpoint(str(path), ckpt)
+        loaded = load_checkpoint(str(path))
         assert (loaded.embedder_info, loaded.train_config) == (ckpt.embedder_info,
                                                                ckpt.train_config)
+        # No embedder has a 4096-byte name: one at the bound passes the
+        # reader's bound and is refused by make_embedder.
+        path.write_bytes(renamed(path.read_bytes(), b"x" * 4096))
+        with pytest.raises(CheckpointFormatError, match="unknown embedder 'xxx"):
+            load_checkpoint(str(path))
+
+    CONFIG_FLOATS = ("cond_dropout", "learning_rate", "ema_rate")
+    BAD_CONFIGS = [("learning_rate", np.nan), ("learning_rate", -1.0),
+                   ("cond_dropout", 2.0), ("cond_dropout", np.nan), ("ema_rate", 1.5)]
+
+    @pytest.mark.parametrize("field, value", BAD_CONFIGS)
+    def test_save_refuses_a_training_config_validate_refuses(self, trained, tmp_path,
+                                                             field, value):
+        path = tmp_path / "config.ckpt"
+        with pytest.raises(ConfigurationError, match=field):
+            save_checkpoint(str(path), replace(
+                trained, train_config=replace(trained.train_config, **{field: value})))
+        assert not path.exists()
+
+    @pytest.mark.parametrize("field, value", BAD_CONFIGS)
+    def test_load_refuses_a_training_config_validate_refuses(self, trained, tmp_path,
+                                                             field, value):
+        # A NaN or negative learning rate or an out-of-range dropout once
+        # loaded, sampled and saved again.
+        path = tmp_path / "config.ckpt"
+        save_checkpoint(str(path), trained)
+        data = bytearray(path.read_bytes())
+        # The payload opens with the three config floats, then the betas.
+        n_floats = 3 + trained.schedule.n_steps + 2 * trained.model.params.size
+        at = len(data) - 8 * n_floats + 8 * self.CONFIG_FLOATS.index(field)
+        data[at:at + 8] = struct.pack("<d", value)
+        path.write_bytes(bytes(data))
+        with pytest.raises(CheckpointFormatError, match=field):
+            load_checkpoint(str(path))
+
+    def test_an_embedder_make_embedder_refuses_is_neither_saved_nor_loaded(self, trained,
+                                                                           tmp_path):
+        path = tmp_path / "bogus.ckpt"
+        with pytest.raises(ConfigurationError, match="unknown embedder 'bogus'"):
+            save_checkpoint(str(path), replace(
+                trained, embedder_info=replace(trained.embedder_info, name="bogus")))
+        assert not path.exists()
+        save_checkpoint(str(path), trained)
+        path.write_bytes(renamed(path.read_bytes(), b"bogus"))
+        with pytest.raises(CheckpointFormatError, match="unknown embedder 'bogus'"):
+            load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("step", [0, 5])
+    def test_load_refuses_a_nan_beta(self, trained, tmp_path, step):
+        # Such a file once loaded, and sampling failed at reverse step 2.
+        path = tmp_path / "nan-beta.ckpt"
+        save_checkpoint(str(path), trained)
+        data = bytearray(path.read_bytes())
+        at = len(data) - 8 * (trained.schedule.n_steps - step + 2 * trained.model.params.size)
+        data[at:at + 8] = struct.pack("<d", np.nan)
+        path.write_bytes(bytes(data))
+        with pytest.raises(CheckpointFormatError, match="betas are not a valid schedule"):
+            load_checkpoint(str(path))
 
     @pytest.mark.parametrize("dims, field", [((2, 3), "embedder_output_dim"),
                                              ((3, 1), "embedder_input_dim")])
