@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -26,7 +24,7 @@ from .errors import (
     StateError,
     check_int,
 )
-from .nn import Adam, ConditionalDenoiser, EmaParams, shared_or_rows
+from .nn import Adam, ConditionalDenoiser, EmaParams, lane_pool, shared_or_rows
 
 BETA_MAX = 0.999
 
@@ -481,11 +479,11 @@ def sample_batch(model, y, schedule: NoiseSchedule, config: SampleConfig,
     for all branches together (model.denoise_step), block by block over the
     rows, the blocks split over nn.WORKERS lanes, in buffers the request
     reuses (model.workspace). The calling thread runs the first lane; a
-    request of more than one lane opens a pool for the others and closes it
-    before it returns or raises, so no thread outlives it. The calling
-    thread alone draws the noise and combines, thresholds, updates and
-    checks the state. A thresholded step goes through cfg_combine,
-    predict_x0 and dynamic_threshold; an unthresholded one takes
+    request of more than one lane opens a pool for the others (nn.lane_pool)
+    and closes it before it returns or raises, so no thread outlives it.
+    The calling thread alone draws the noise and combines, thresholds,
+    updates and checks the state. A thresholded step goes through
+    cfg_combine, predict_x0 and dynamic_threshold; an unthresholded one takes
     x_coef * x + eps_coef * eps. Deterministic for a fixed (model, y, a,
     config) including bitwise reproducibility of the result, whether or not
     a plan was kept.
@@ -517,11 +515,9 @@ def sample_batch(model, y, schedule: NoiseSchedule, config: SampleConfig,
     null = None if scale == 1.0 else plan.null_tables
     terms = model.condition_terms([(y, a)], plan.tables, null)
     work = model.workspace(n, 1 if null is None else 2)
-    lanes = len(work[0])
     rng = np.random.default_rng(cfg.seed)
     x = rng.standard_normal((n, model.data_dim))
-    with (ThreadPoolExecutor(lanes - 1, thread_name_prefix="preimage-block") if lanes > 1
-          else nullcontext()) as pool:
+    with lane_pool(len(work[0])) as pool:
         for i in range(sub.n_steps, 0, -1):
             eps = model.denoise_step(x, terms, i - 1, work, pool)
             eps_hat = eps[0] if scale == 1.0 else cfg_combine(eps[1], eps[0], scale)

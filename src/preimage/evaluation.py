@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import nn
 from .diffusion import SampleConfig, sample_batch
 from .embedders import angles_over_pi
 from .errors import (
@@ -28,25 +29,46 @@ from .errors import (
 # Rows per block of _distance_sum. At m = 2000 its two (32, m) buffers take
 # 1 MiB of a core's 2 MiB L2 on the 2-vCPU Xeon, where 8 to 64 rows ran within
 # 7 % of each other in 2-D, and at d = 64 16 or 32 rows took 0.59 s, 128 0.73 s.
+# Each lane has its own pair, in its own core's L2.
 DISTANCE_ROWS = 32
 
 
 def _distance_sum(a: np.ndarray, b: np.ndarray) -> float:
     """Sum of ||a_i - b_j|| over all row pairs of a (n, d) and b (m, d), d >= 1,
-    DISTANCE_ROWS rows of a at a time, one coordinate at a time, in O(DISTANCE_ROWS
-    * m) memory. The squares add in coordinate order, a block's distances by
-    numpy's pairwise sum, the block sums in row order."""
+    DISTANCE_ROWS rows of a at a time, one coordinate at a time, in
+    O(W * DISTANCE_ROWS * m) memory. Block j goes to lane j mod W, W =
+    min(blocks, nn.WORKERS), through nn.run_lanes; each lane has its own
+    buffers and each block its own slot. The squares add in coordinate
+    order, a block's distances by numpy's pairwise sum, and the caller adds
+    the slots in block order, so every W gives the same bits."""
     a_cols, b_cols = a.T.copy(), b.T.copy()
-    acc_buf, sq_buf = np.empty((2, min(DISTANCE_ROWS, len(a)), len(b)))
+    starts = range(0, len(a), DISTANCE_ROWS)
+    lanes = min(len(starts), nn.WORKERS)
+    sums = [0.0] * len(starts)
+
+    def lane(w):
+        acc_buf, sq_buf = np.empty((2, min(DISTANCE_ROWS, len(a)), len(b)))
+        for j in range(w, len(starts), lanes):
+            block = a_cols[:, starts[j]:starts[j] + DISTANCE_ROWS]
+            acc, sq = acc_buf[:block.shape[1]], sq_buf[:block.shape[1]]
+            np.square(np.subtract.outer(block[0], b_cols[0], out=acc), out=acc)
+            for ak, bk in zip(block[1:], b_cols[1:]):
+                acc += np.square(np.subtract.outer(ak, bk, out=sq), out=sq)
+            sums[j] = float(np.sqrt(acc, out=acc).sum())
+
+    with nn.lane_pool(lanes) as pool:
+        nn.run_lanes(lane, range(lanes), pool)
     total = 0.0
-    for r0 in range(0, len(a), DISTANCE_ROWS):
-        block = a_cols[:, r0:r0 + DISTANCE_ROWS]
-        acc, sq = acc_buf[:block.shape[1]], sq_buf[:block.shape[1]]
-        np.square(np.subtract.outer(block[0], b_cols[0], out=acc), out=acc)
-        for ak, bk in zip(block[1:], b_cols[1:]):
-            acc += np.square(np.subtract.outer(ak, bk, out=sq), out=sq)
-        total += float(np.sqrt(acc, out=acc).sum())
+    for block_sum in sums:  # not sum(): Python 3.12 compensates a float sum
+        total += block_sum
     return total
+
+
+def _check_finite(name: str, batch: np.ndarray) -> None:
+    """A NumericalDomainError naming batch if it holds a NaN or an infinity,
+    before any distance block runs."""
+    if not np.isfinite(batch).all():
+        raise NumericalDomainError(f"{name} holds non-finite values")
 
 
 def identity_distances(samples, target_y, embedder, metric: str = "euclidean") -> np.ndarray:
@@ -75,10 +97,12 @@ def identity_error(samples, target_y, embedder, metric: str = "euclidean") -> fl
 def diversity(samples) -> float:
     """Mean Euclidean distance over all unordered pairs of samples: the
     _distance_sum over all ordered pairs, whose diagonal is exactly zero, over
-    n (n - 1), in O(DISTANCE_ROWS * n) memory."""
+    n (n - 1), in O(W * DISTANCE_ROWS * n) memory. Samples holding a NaN or an
+    infinity are a NumericalDomainError."""
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 2 or samples.shape[0] < 2 or samples.shape[1] == 0:
         raise ShapeError("diversity needs at least two samples of dimension >= 1")
+    _check_finite("samples", samples)
     n = samples.shape[0]
     return _distance_sum(samples, samples) / (n * (n - 1))
 
@@ -180,7 +204,8 @@ def rejection_oracle(embedder, target_y, epsilon: float, draw, n: int, rng,
     lies within Euclidean epsilon of the target, until n are kept or the draw
     budget is exhausted. Raises a starvation diagnostic (with the observed
     acceptance rate) if nothing at all is kept; a nonempty partial result is
-    returned as-is.
+    returned as-is. A draw that returns another number of rows than count
+    is a ShapeError.
     """
     if not epsilon >= 0:
         raise ConfigurationError(f"epsilon must be nonnegative, got {epsilon}")
@@ -192,6 +217,9 @@ def rejection_oracle(embedder, target_y, epsilon: float, draw, n: int, rng,
     while n_kept < n and drawn < max_draws:
         count = min(batch_size, max_draws - drawn)
         xs = np.asarray(draw(rng, count), dtype=np.float64)
+        if xs.shape[:1] != (count,):
+            raise ShapeError(f"draw(rng, {count}) must return {count} rows, "
+                             f"got {len(xs) if xs.ndim else 0}")
         drawn += count
         ok = identity_distances(xs, target_y, embedder) <= epsilon
         if ok.any():
@@ -276,8 +304,9 @@ def energy_distance(batch_a, batch_b) -> float:
     """Energy distance 2 E||a-b|| - E||a-a'|| - E||b-b'|| between two (n, d)
     and (m, d) sample batches, with the expectations taken over all index
     pairs including the diagonal (V-statistics). Each term is a _distance_sum
-    through the same code path, in O(DISTANCE_ROWS * max(n, m)) memory, so
-    identical batches give exactly zero.
+    through the same code path, in O(W * DISTANCE_ROWS * max(n, m)) memory,
+    so identical batches give exactly zero. A batch holding a NaN or an
+    infinity is a NumericalDomainError that names it.
     """
     a = np.asarray(batch_a, dtype=np.float64)
     b = np.asarray(batch_b, dtype=np.float64)
@@ -285,6 +314,8 @@ def energy_distance(batch_a, batch_b) -> float:
         raise ShapeError("expected two nonempty (n, d) batches")
     if a.shape[1] != b.shape[1]:
         raise ShapeError("batches must share a dimension")
+    _check_finite("batch_a", a)
+    _check_finite("batch_b", b)
     n, m = a.shape[0], b.shape[0]
     return (2.0 * _distance_sum(a, b) / (n * m) - _distance_sum(a, a) / (n * n)
             - _distance_sum(b, b) / (m * m))

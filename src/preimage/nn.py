@@ -9,10 +9,11 @@ the timestep tables of every step are built once for a sampler plan, one call
 per request adds every guidance branch's condition to them, and each step
 runs all branches in one pass over blocks of rows. A request of more than one
 block splits its blocks over WORKERS lanes, each with its own block scratch in
-its own core's L2: the calling thread runs the first lane, and threads of a
-pool the request opens and closes run the others. numpy's matmuls and float64
-ufuncs release the GIL, and a block's bits do not depend on the thread that
-computes it.
+its own core's L2, through run_lanes: the calling thread runs the first lane,
+and threads of a pool the request opens and closes (lane_pool) run the others.
+evaluation's distance sums run their row blocks on the same two helpers.
+numpy's matmuls and float64 ufuncs release the GIL, and a block's bits do not
+depend on the thread that computes it.
 
 A fitted model is a frozen one, its parameters read-only: train and
 load_checkpoint freeze their models, and a clone of a frozen model is frozen.
@@ -25,7 +26,9 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import wait
+from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import nullcontext
+from functools import partial
 
 import numpy as np
 
@@ -41,9 +44,9 @@ ROW_BLOCK = 256
 
 
 def worker_count(environ, cores: int) -> int:
-    """Threads for the row blocks of one sampling step: cores // BLAS threads,
-    at least 1, so that block threads and BLAS threads together do not
-    outnumber the cores. The BLAS thread count is the first of
+    """Threads for the row blocks of one sampling step or distance sum:
+    cores // BLAS threads, at least 1, so that block threads and BLAS threads
+    together do not outnumber the cores. The BLAS thread count is the first of
     OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS that holds a
     positive integer, else the core count (OpenBLAS's default); any other
     value counts as unset."""
@@ -57,6 +60,32 @@ def worker_count(environ, cores: int) -> int:
 # Read once, as BLAS read its thread count when numpy loaded.
 WORKERS = worker_count(os.environ, len(os.sched_getaffinity(0))
                        if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+
+
+def lane_pool(lanes: int):
+    """The executor a caller of run_lanes owns, as a context manager: a pool
+    of lanes - 1 threads named preimage-block, joined when the block exits,
+    or None for one lane."""
+    if lanes > 1:
+        return ThreadPoolExecutor(lanes - 1, thread_name_prefix="preimage-block")
+    return nullcontext()
+
+
+def run_lanes(fn, lanes, pool) -> None:
+    """fn(lane) for every lane: lanes[0] on the calling thread, the others on
+    pool, lane_pool's executor (None for one lane). Returns once every lane
+    is done, raising the first error in lane order if any."""
+    if len(lanes) == 1:
+        fn(lanes[0])
+        return
+    futures = [pool.submit(fn, lane) for lane in lanes[1:]]
+    try:
+        fn(lanes[0])
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()
+
 
 # Adam's moment decay rates and denominator floor (Kingma & Ba 2014).
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -516,23 +545,19 @@ class ConditionalDenoiser:
         r <= ROW_BLOCK rows at a time, so a block stays in cache: its input
         projection x @ W.T, without the bias the terms carry, is shared by
         every branch, and each hidden layer is one matmul over its B * r
-        rows. The first worker's blocks run on the calling thread, the
-        others' on pool, an executor the caller owns (None if work has one
-        worker), and the call returns once all are done, raising the first
-        worker's error if any. Returns work's (B, n, d) output, which the
-        next call overwrites. Like condition_terms, this neither validates
-        nor caches."""
+        rows. More than one worker runs through run_lanes: the first
+        worker's blocks on the calling thread, the others' on pool, the
+        caller's lane_pool, and the call returns once all are done, raising
+        the first worker's error if any. Returns work's (B, n, d) output,
+        which the next call overwrites. Like condition_terms, this neither
+        validates nor caches."""
         lanes, out = work
         if len(lanes) == 1:
+            # A partial and a run_lanes call every step made the benchmark's
+            # n = 1 requests 1-3 % slower; one worker needs neither.
             self._blocks(x, terms, k, lanes[0])
         else:
-            futures = [pool.submit(self._blocks, x, terms, k, lane) for lane in lanes[1:]]
-            try:
-                self._blocks(x, terms, k, lanes[0])
-            finally:
-                wait(futures)
-            for future in futures:
-                future.result()
+            run_lanes(partial(self._blocks, x, terms, k), lanes, pool)
         out += self.output.bias
         return out
 

@@ -5,12 +5,15 @@ rename in the package, or a refactor that stops calling a name, would first
 show in a traced benchmark run. These tests read the WRAPPED table from
 bench/shims.py without importing it, check that every name resolves as the
 shims look it up, and check that one sampling request and one oracle-compare
-pass call the names they are traced by.
+pass call the names they are traced by. The shims' tracer keeps one span
+stack, so an oracle-compare pass on two distance lanes must call every
+wrapped name on the calling thread.
 """
 
 import ast
 import importlib
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +21,7 @@ import pytest
 
 from preimage import embedders as M
 from preimage import evaluation as E
+from preimage import nn
 from preimage.diffusion import SampleConfig, make_cosine_schedule, sample_batch
 from preimage.nn import ConditionalDenoiser
 
@@ -61,15 +65,18 @@ SAMPLING_NAMES = (
 )
 
 
-def count_calls(monkeypatch, names):
+def count_calls(monkeypatch, names, threads=None):
     """Patch each (module, qualified name) with a call counter, as the shims
     patch: a method on its class, a function under every module namespace
-    of the package that holds it. Returns the counts by name."""
+    of the package that holds it. Returns the counts by name; threads, a
+    set if given, gets the ident of every thread that calls a name."""
     calls = dict.fromkeys(names, 0)
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
             calls[key] += 1
+            if threads is not None:
+                threads.add(threading.get_ident())
             return fn(*args, **kwargs)
         return wrapper
 
@@ -118,7 +125,16 @@ def test_an_oracle_compare_pass_calls_every_oracle_compare_name(monkeypatch):
             q.startswith("RadiusEmbedder.")} - set(ORACLE_COMPARE_NAMES) == \
         {("evaluation", "verification_accuracy")}
     calls = count_calls(monkeypatch, ORACLE_COMPARE_NAMES)
-    # Looked up on the modules at call time, as bench/run.py calls them.
+    runs = oracle_compare_pass(20)
+    assert all(calls.values()), calls
+    # One gradient per descent step: the traced bench counts these calls.
+    assert calls["embedders", "RadiusEmbedder.embed_grad"] == sum(r.n_steps for r in runs) > 0
+
+
+def oracle_compare_pass(n):
+    """bench/run.py's oracle-compare pass on n oracle draws a side; returns
+    the white-box runs. The names are looked up on the modules at call time,
+    as bench/run.py calls them."""
     embedder, target = M.RadiusEmbedder(2), np.array([1.0])
     spec = M.DatasetSpec("annulus", 2, 1, seed=0)
 
@@ -126,12 +142,31 @@ def test_an_oracle_compare_pass_calls_every_oracle_compare_name(monkeypatch):
         return M.draw_points(spec, rng, count)
 
     rng = np.random.default_rng(0)
-    oracle_a = E.rejection_oracle(embedder, target, 0.1, draw, 20, rng, batch_size=256)
-    oracle_b = E.rejection_oracle(embedder, target, 0.1, draw, 20, rng, batch_size=256)
+    oracle_a = E.rejection_oracle(embedder, target, 0.1, draw, n, rng, batch_size=256)
+    oracle_b = E.rejection_oracle(embedder, target, 0.1, draw, n, rng, batch_size=256)
     E.energy_distance(oracle_a, oracle_b)
     E.identity_error(oracle_a, target, embedder)
-    runs = [E.whitebox_gd_invert(embedder, target, x0)
+    return [E.whitebox_gd_invert(embedder, target, x0)
             for x0 in M.draw_points(spec, np.random.default_rng(1), 3)]
-    assert all(calls.values()), calls
-    # One gradient per descent step: the traced bench counts these calls.
-    assert calls["embedders", "RadiusEmbedder.embed_grad"] == sum(r.n_steps for r in runs) > 0
+
+
+def test_an_oracle_compare_pass_on_two_lanes_calls_every_name_on_the_caller(monkeypatch):
+    # The bench's Tracer keeps one span stack, so its spans are exact only
+    # while every wrapped name runs on the calling thread: the distance
+    # lanes must call none of them.
+    monkeypatch.setattr(nn, "WORKERS", 2)
+    lane_threads, run_lanes = set(), nn.run_lanes
+
+    def recording(fn, lanes, pool):
+        def lane(w):
+            lane_threads.add(threading.get_ident())
+            return fn(w)
+        return run_lanes(lane, lanes, pool)
+
+    monkeypatch.setattr(nn, "run_lanes", recording)
+    callers = set()
+    calls = count_calls(monkeypatch, wrapped_names(), callers)
+    oracle_compare_pass(3 * E.DISTANCE_ROWS + 5)
+    assert all(calls[name] for name in ORACLE_COMPARE_NAMES), calls
+    assert len(lane_threads) == 2
+    assert callers == {threading.get_ident()}

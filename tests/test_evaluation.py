@@ -1,13 +1,21 @@
 """Unit tests for metrics and the rejection / gradient-descent baselines."""
 
 import math
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from preimage import evaluation, nn
 from preimage.diffusion import SampleConfig, make_cosine_schedule
 from preimage.embedders import LinearEmbedder, RadiusEmbedder, angular_distance
 from preimage.errors import (
@@ -30,7 +38,7 @@ from preimage.evaluation import (
     verification_accuracy,
     whitebox_gd_invert,
 )
-from preimage.nn import ConditionalDenoiser
+from preimage.nn import ConditionalDenoiser, run_lanes
 
 R = DISTANCE_ROWS
 
@@ -141,6 +149,10 @@ class TestIdentityError:
                 distance(xs, y, RadiusEmbedder(2))
 
 
+def no_sums(a, b):
+    raise AssertionError("a distance sum ran")
+
+
 class TestDiversity:
     def test_two_points(self):
         assert diversity(np.array([[0.0, 0.0], [3.0, 4.0]])) == 5.0
@@ -171,6 +183,14 @@ class TestDiversity:
             dists = pairwise_reference(xs, xs)
             want = dists[np.triu_indices(n, k=1)].mean()
             assert diversity(xs) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_samples_refused_before_any_block(self, monkeypatch, bad):
+        monkeypatch.setattr(evaluation, "_distance_sum", no_sums)
+        xs = np.random.default_rng(4).normal(size=(2 * R + 3, 2))
+        xs[R + 1, 1] = bad
+        with pytest.raises(NumericalDomainError, match="samples"):
+            diversity(xs)
 
     def test_near_duplicates_match_the_pairwise_tensor(self):
         rng = np.random.default_rng(5)
@@ -355,6 +375,17 @@ class TestRejectionOracle:
         with pytest.raises(ShapeError, match="target of shape"):
             rejection_oracle(RadiusEmbedder(2), np.array([1.0, 1.0]), 0.5,
                              annulus_draw, 1, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("returned", [1, 6])
+    def test_a_draw_of_another_row_count_refused_naming_both(self, returned):
+        # A short draw used to count as 5 draws, so n_draws and the
+        # acceptance rate were wrong and the partial result came back.
+        def draw(rng, count):
+            return annulus_draw(rng, returned)
+
+        with pytest.raises(ShapeError, match=f"draw\\(rng, 5\\) must return 5 rows, got {returned}$"):
+            rejection_oracle(RadiusEmbedder(2), np.array([1.0]), 0.1, draw, 3,
+                             np.random.default_rng(0), batch_size=5)
 
     @pytest.mark.parametrize("kwargs", [{"batch_size": 0}, {"batch_size": -4},
                                         {"max_draws": 0}, {"max_draws": -1},
@@ -586,6 +617,17 @@ class TestEnergyDistance:
         with pytest.raises(ShapeError):
             energy_distance(a, b)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["batch_a", "batch_b"])
+    def test_non_finite_batch_refused_by_name_before_any_block(self, monkeypatch, name, bad):
+        monkeypatch.setattr(evaluation, "_distance_sum", no_sums)
+        rng = np.random.default_rng(8)
+        batches = {"batch_a": rng.normal(size=(2 * R + 3, 2)),
+                   "batch_b": rng.normal(size=(R + 1, 2))}
+        batches[name][R, 0] = bad
+        with pytest.raises(NumericalDomainError, match=name):
+            energy_distance(**batches)
+
     def test_identical_batches_zero_across_blocks(self):
         a = np.random.default_rng(3).normal(size=(2 * R + 3, 64))
         assert energy_distance(a, a) == 0.0
@@ -632,6 +674,157 @@ class TestEnergyDistance:
         finally:
             tracemalloc.stop()
         assert peak < 100e6
+
+
+def distance_lanes(monkeypatch, workers):
+    """Force nn.WORKERS to workers and record the threads that run distance
+    lanes; returns the set, filled as the lanes run."""
+    monkeypatch.setattr(nn, "WORKERS", workers)
+    threads = set()
+
+    def recording(fn, lanes, pool):
+        def lane(w):
+            threads.add(threading.get_ident())
+            return fn(w)
+        return run_lanes(lane, lanes, pool)
+
+    monkeypatch.setattr(nn, "run_lanes", recording)
+    return threads
+
+
+def block_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("preimage-block")]
+
+
+class TestDistanceWorkers:
+    """The distance sums' row blocks split over worker lanes give the bits
+    of the serial sums, whatever the machine: the worker count is forced."""
+
+    # (n, m): n < R, m = 1, n a multiple of R and not, one block and many.
+    SIZES = [(1, 1), (5, 7), (R - 1, 1), (R, R + 1), (R + 1, 1), (2 * R + 3, R - 1),
+             (3 * R, 2 * R + 5), (5 * R + 7, 3)]
+
+    def serial_and_lanes(self, monkeypatch, workers, fn):
+        """fn() at one worker and at workers, with the threads of the latter."""
+        distance_lanes(monkeypatch, 1)
+        serial = fn()
+        threads = distance_lanes(monkeypatch, workers)
+        return serial, fn(), len(threads)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 64])
+    def test_every_worker_count_gives_the_serial_bits(self, monkeypatch, d, workers):
+        rng = np.random.default_rng(200 + d)
+        for n, m in self.SIZES:
+            a, b = rng.normal(size=(n, d)), rng.normal(loc=0.2, size=(m, d))
+            serial, threaded, threads = self.serial_and_lanes(
+                monkeypatch, workers, lambda: _distance_sum(a, b))
+            # A pool thread may take two lanes, so three lanes may run on two.
+            lanes = min(workers, -(-n // R))
+            assert threaded.hex() == serial.hex() and (threads > 1) == (lanes > 1)
+            assert threads <= lanes
+            for fn in (lambda: energy_distance(a, b), lambda: diversity(a) if n > 1 else 0.0):
+                serial, threaded, _ = self.serial_and_lanes(monkeypatch, workers, fn)
+                assert threaded.hex() == serial.hex(), (n, m)
+
+    def test_identical_batches_still_zero(self, monkeypatch):
+        threads = distance_lanes(monkeypatch, 2)
+        a = np.random.default_rng(9).normal(size=(3 * R + 5, 64))
+        assert energy_distance(a, a) == 0.0
+        assert energy_distance(a, a.copy()) == 0.0
+        assert len(threads) == 2
+
+    @pytest.mark.parametrize("where", ["worker", "caller"])
+    def test_an_error_in_a_lane_reaches_the_caller(self, monkeypatch, where):
+        rng = np.random.default_rng(10)
+        a, b = rng.normal(size=(3 * R, 2)), rng.normal(size=(2 * R, 2))
+        want = energy_distance(a, b)
+        monkeypatch.setattr(nn, "WORKERS", 2)
+        caller = threading.get_ident()
+
+        def failing(fn, lanes, pool):
+            def lane(w):
+                if (threading.get_ident() == caller) == (where == "caller"):
+                    raise FloatingPointError(f"block failed on the {where}")
+                return fn(w)
+            return run_lanes(lane, lanes, pool)
+
+        monkeypatch.setattr(nn, "run_lanes", failing)
+        with pytest.raises(FloatingPointError, match=where):
+            energy_distance(a, b)
+        assert block_threads() == []
+        threads = distance_lanes(monkeypatch, 2)
+        assert energy_distance(a, b).hex() == want.hex() and len(threads) == 2
+
+    def test_no_block_thread_outlives_a_call(self, monkeypatch):
+        assert block_threads() == []
+        threads = distance_lanes(monkeypatch, 3)
+        rng = np.random.default_rng(11)
+        energy_distance(rng.normal(size=(4 * R, 2)), rng.normal(size=(4 * R, 2)))
+        assert len(threads) > 1 and block_threads() == []
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_runs_a_threaded_energy_distance(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        a, b = rng.normal(size=(4 * R, 2)), rng.normal(size=(3 * R, 2))
+        threads = distance_lanes(monkeypatch, 2)
+        want = energy_distance(a, b)
+        assert len(threads) == 2
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                signal.alarm(20)
+                threads.clear()
+                got = energy_distance(a, b)
+                code = 0 if got.hex() == want.hex() and len(threads) == 2 else 3
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0, status
+
+
+_THREAD_DISTANCES = textwrap.dedent("""
+    import threading
+    import numpy as np
+    from preimage import nn
+    from preimage.evaluation import diversity, energy_distance
+
+    threads, run_lanes = set(), nn.run_lanes
+
+    def recording(fn, lanes, pool):
+        def lane(w):
+            threads.add(threading.get_ident())
+            return fn(w)
+        return run_lanes(lane, lanes, pool)
+
+    nn.run_lanes = recording
+    rng = np.random.default_rng(13)
+    for n, d in ((2000, 2), (300, 64)):
+        a, b = rng.normal(size=(n, d)), rng.normal(loc=0.1, size=(n, d))
+        print(n, d, energy_distance(a, b).hex(), diversity(a).hex())
+    print("threads", len(threads))
+""")
+
+
+def test_distances_bitwise_equal_across_blas_thread_counts():
+    # One BLAS thread leaves a core per distance lane, so on two or more
+    # cores the "1" child sums its blocks on more than one thread.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs, threads = [], []
+    for blas in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas, OMP_NUM_THREADS=blas,
+                   MKL_NUM_THREADS=blas)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", _THREAD_DISTANCES], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        *lines, ran = proc.stdout.splitlines()
+        outputs.append(lines)
+        threads.append(int(ran.removeprefix("threads ")))
+    assert len(outputs[0]) == 2
+    assert outputs[0] == outputs[1]
+    if len(os.sched_getaffinity(0)) >= 2:
+        assert threads[0] > 1
 
 
 def tiny_fitted_model(seed=0):

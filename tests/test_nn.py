@@ -1,5 +1,6 @@
 """Unit tests for the manually differentiated network core."""
 
+import threading
 import tracemalloc
 
 import numpy as np
@@ -16,7 +17,9 @@ from preimage.nn import (
     ConditionalDenoiser,
     EmaParams,
     LinearLayer,
+    lane_pool,
     param_count,
+    run_lanes,
     sigmoid,
     silu,
     silu_grad,
@@ -1004,3 +1007,42 @@ class TestWorkerCount:
         environ = {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}
         assert worker_count(environ, 4) == 2
         assert worker_count({"OMP_NUM_THREADS": "2", "MKL_NUM_THREADS": "1"}, 4) == 2
+
+
+class TestRunLanes:
+    """run_lanes runs lane 0 on the calling thread and the others on the
+    caller's lane_pool, and returns or raises only once every lane is done."""
+
+    def run(self, lanes, fn):
+        with lane_pool(len(lanes)) as pool:
+            run_lanes(fn, lanes, pool)
+
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_every_lane_runs_once_and_the_first_on_the_caller(self, count):
+        ran = {}
+
+        def fn(lane):
+            ran[lane] = threading.get_ident()
+
+        self.run(list(range(count)), fn)
+        assert sorted(ran) == list(range(count))
+        assert ran[0] == threading.get_ident()
+        assert all(ran[w] != threading.get_ident() for w in range(1, count))
+
+    def test_one_lane_opens_no_pool(self):
+        with lane_pool(1) as pool:
+            assert pool is None
+            run_lanes(lambda lane: None, [0], pool)
+
+    @pytest.mark.parametrize("failing", [[0], [1], [2], [1, 2], [0, 2]])
+    def test_the_first_error_in_lane_order_is_raised_after_every_lane(self, failing):
+        done = []
+
+        def fn(lane):
+            if lane in failing:
+                raise FloatingPointError(f"lane {lane}")
+            done.append(lane)
+
+        with pytest.raises(FloatingPointError, match=f"lane {failing[0]}"):
+            self.run([0, 1, 2], fn)
+        assert sorted(done) == [w for w in range(3) if w not in failing]
