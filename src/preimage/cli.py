@@ -37,6 +37,7 @@ from .evaluation import (
     whitebox_gd_invert,
 )
 from .latent import custom_direction, fit_pca, lerp, percentile_split, slerp
+from .nn import HIDDEN_DIMS, TIME_EMBED_DIM
 from .persistence import (
     Checkpoint,
     load_checkpoint,
@@ -62,8 +63,8 @@ class RunConfig:
 
     dataset: DatasetSpec
     embedder: EmbedderInfo
-    hidden_dims: tuple = (128, 128, 128)
-    time_embed_dim: int = 64
+    hidden_dims: tuple = HIDDEN_DIMS
+    time_embed_dim: int = TIME_EMBED_DIM
     train: TrainConfig | None = None
     output_dir: str = "."
 
@@ -129,8 +130,8 @@ def load_run_config(path: str) -> RunConfig:
     dataset = DatasetSpec(**_section(raw["dataset"], "dataset"))
     embedder_info = EmbedderInfo(**{"output_dim": 1, **_section(raw["embedder"], "embedder")})
     model = _section(raw.get("model", {}), "model")
-    hidden_dims = tuple(model.get("hidden_dims", (128, 128, 128)))
-    time_embed_dim = model.get("time_embed_dim", 64)
+    hidden_dims = tuple(model.get("hidden_dims", HIDDEN_DIMS))
+    time_embed_dim = model.get("time_embed_dim", TIME_EMBED_DIM)
 
     train_cfg = None
     if "train" in raw:

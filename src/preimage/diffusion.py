@@ -22,9 +22,11 @@ from .errors import (
     SamplingError,
     ShapeError,
     StateError,
+    check_finite,
     check_int,
 )
-from .nn import Adam, ConditionalDenoiser, EmaParams, lane_pool, shared_or_rows
+from .nn import (HIDDEN_DIMS, TIME_EMBED_DIM, Adam, ConditionalDenoiser, EmaParams, lane_pool,
+                 shared_or_rows)
 
 BETA_MAX = 0.999
 
@@ -107,12 +109,13 @@ def make_linear_schedule(n_steps: int) -> NoiseSchedule:
     return schedule_from_betas(np.clip(betas, None, BETA_MAX))
 
 
+SCHEDULES = {"cosine": make_cosine_schedule, "linear": make_linear_schedule}
+
+
 def make_schedule(kind: str, n_steps: int) -> NoiseSchedule:
-    if kind == "cosine":
-        return make_cosine_schedule(n_steps)
-    if kind == "linear":
-        return make_linear_schedule(n_steps)
-    raise ConfigurationError(f"unknown schedule kind {kind!r}")
+    if kind not in SCHEDULES:
+        raise ConfigurationError(f"unknown schedule kind {kind!r}")
+    return SCHEDULES[kind](n_steps)
 
 
 def respace(schedule: NoiseSchedule, n_steps: int) -> NoiseSchedule:
@@ -147,7 +150,7 @@ class TrainConfig:
 
     def validate(self) -> None:
         check_int("seed", self.seed, 0, SEED_MAX)
-        if self.schedule not in ("cosine", "linear"):
+        if self.schedule not in SCHEDULES:
             raise ConfigurationError(f"unknown schedule kind {self.schedule!r}")
         for name in ("timesteps", "batch_size", "total_batches"):
             check_int(name, getattr(self, name), 1)
@@ -349,8 +352,8 @@ class TrainResult:
         return self.model.clone(params=self.ema.shadow)
 
 
-def train(x0s, ys, config: TrainConfig, attrs=None, hidden_dims=(128, 128, 128),
-          time_embed_dim: int = 64, log_every: int = 0) -> TrainResult:
+def train(x0s, ys, config: TrainConfig, attrs=None, hidden_dims=HIDDEN_DIMS,
+          time_embed_dim: int = TIME_EMBED_DIM, log_every: int = 0) -> TrainResult:
     """Fit a ConditionalDenoiser to (x, y[, a]) pairs.
 
     Batches are drawn with replacement from the dataset; the whole run is a
@@ -370,8 +373,8 @@ def train(x0s, ys, config: TrainConfig, attrs=None, hidden_dims=(128, 128, 128),
         if attrs.ndim != 2 or len(attrs) != len(x0s):
             raise ShapeError("attrs must be 2-D with one row per sample")
     for name, arr in (("x0s", x0s), ("ys", ys), ("attrs", attrs)):
-        if arr is not None and not np.isfinite(arr).all():
-            raise NumericalDomainError(f"{name} holds non-finite values")
+        if arr is not None:
+            check_finite(name, arr)
 
     schedule = make_schedule(config.schedule, config.timesteps)
     model = ConditionalDenoiser(
@@ -414,7 +417,8 @@ class _SamplerPlan:
     """sample_batch's state for one (schedule, steps, variance mode), its
     key, kept on the frozen model it was built for (see sample_batch). An
     unthresholded step's posterior mean coef_x0 * predict_x0(x, eps) +
-    coef_xt * x is linear in (x, eps): x_coef * x + eps_coef * eps."""
+    coef_xt * x is linear in (x, eps): x_coef * x + eps_coef * eps. tables
+    holds both guidance branches' step tables (model.step_tables)."""
 
     key: tuple
     sub: NoiseSchedule
@@ -422,7 +426,6 @@ class _SamplerPlan:
     x_coef: np.ndarray
     eps_coef: np.ndarray
     tables: list
-    null_tables: list
 
 
 def _sampler_plan(model, schedule: NoiseSchedule, steps: int, variance_mode: str) -> _SamplerPlan:
@@ -434,7 +437,6 @@ def _sampler_plan(model, schedule: NoiseSchedule, steps: int, variance_mode: str
         return plan
     sub = respace(schedule, steps)
     root_bars = np.sqrt(sub.alpha_bars)
-    tables = model.step_tables(sub.timestep_map)
     null = (null_id_token(model.id_dim),
             None if model.attr_dim is None else null_attr_token(model.attr_dim))
     plan = model.sampler_plan = _SamplerPlan(
@@ -443,8 +445,7 @@ def _sampler_plan(model, schedule: NoiseSchedule, steps: int, variance_mode: str
         sigmas=np.sqrt(sub.posterior_variances if variance_mode == "posterior" else sub.betas),
         x_coef=sub.coef_x0 / root_bars + sub.coef_xt,
         eps_coef=-sub.coef_x0 * np.sqrt(1.0 - sub.alpha_bars) / root_bars,
-        tables=tables,
-        null_tables=[steps[:, 0, 0] for steps, _ in model.condition_terms([null], tables)],
+        tables=model.step_tables(sub.timestep_map, null),
     )
     return plan
 
@@ -466,23 +467,24 @@ def sample_batch(model, y, schedule: NoiseSchedule, config: SampleConfig,
 
     What depends only on (model, schedule, steps, variance mode) is the
     model's sampler plan: the respaced schedule, sigma, the two folded
-    coefficients of an unthresholded step, the timestep tables of every
-    hidden layer (model.step_tables) and the unconditional branch's tables.
-    It is built on the first request and kept on the model
-    (model.sampler_plan), so repeated requests (other seeds, guidance scales
-    or targets) skip respace and the tables. The model is frozen, so the plan
-    serves while the schedule, steps and variance mode are equal; any other
-    request builds a new plan, which replaces it.
+    coefficients of an unthresholded step, and every hidden layer's step
+    tables for both guidance branches, the timestep's and the null tokens'
+    (model.step_tables). It is built on the first request and kept on the
+    model (model.sampler_plan), so repeated requests (other seeds, guidance
+    scales or targets) skip respace and the tables. The model is frozen, so
+    the plan serves while the schedule, steps and variance mode are equal;
+    any other request builds a new plan, which replaces it.
 
-    Per request, the conditional branch's condition is added to the tables
-    (model.condition_terms), and each reverse step is one cache-free pass
-    for all branches together (model.denoise_step), block by block over the
-    rows, the blocks split over nn.WORKERS lanes, in buffers the request
-    reuses (model.workspace). The calling thread runs the first lane; a
-    request of more than one lane opens a pool for the others (nn.lane_pool)
-    and closes it before it returns or raises, so no thread outlives it.
-    The calling thread alone draws the noise and combines, thresholds,
-    updates and checks the state. A thresholded step goes through
+    Per request, the request's condition is added to branch 0 of the
+    tables, which a guidance scale of 1 takes alone and any other with the
+    null branch 1 (model.condition_terms), and each reverse step is one
+    cache-free pass for those branches together (model.denoise_step), block
+    by block over the rows, the blocks split over nn.WORKERS lanes, in
+    buffers the request reuses (model.workspace). The calling thread runs
+    the first lane; a request of more than one lane opens a pool for the
+    others (nn.lane_pool) and closes it before it returns or raises, so no
+    thread outlives it. The calling thread alone draws the noise and
+    combines, thresholds, updates and checks the state. A thresholded step goes through
     cfg_combine, predict_x0 and dynamic_threshold; an unthresholded one takes
     x_coef * x + eps_coef * eps. Deterministic for a fixed (model, y, a,
     config) including bitwise reproducibility of the result, whether or not
@@ -505,16 +507,16 @@ def sample_batch(model, y, schedule: NoiseSchedule, config: SampleConfig,
                            model.attr_dim, n, "a")
     elif a is not None:
         raise ConfigurationError("model was built without attribute conditioning")
-    for name, v in (("y", y), ("a", a)):
-        if v is not None and not np.isfinite(v).all():
-            raise NumericalDomainError(f"{name} holds non-finite values")
+    check_finite("y", y)
+    if a is not None:
+        check_finite("a", a)
     plan = _sampler_plan(model, schedule, steps, cfg.variance_mode)
     sub = plan.sub
 
     scale = cfg.guidance_scale
-    null = None if scale == 1.0 else plan.null_tables
-    terms = model.condition_terms([(y, a)], plan.tables, null)
-    work = model.workspace(n, 1 if null is None else 2)
+    branches = 1 if scale == 1.0 else 2
+    terms = model.condition_terms(y, a, plan.tables, branches)
+    work = model.workspace(n, branches)
     rng = np.random.default_rng(cfg.seed)
     x = rng.standard_normal((n, model.data_dim))
     with lane_pool(len(work[0])) as pool:

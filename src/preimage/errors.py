@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the one check of the
-integer counts and seeds it accepts."""
+"""Exception types shared across the package, the one check of the integer
+counts and seeds it accepts and the one refusal of non-finite arrays."""
 
 import numpy as np
 
@@ -63,3 +63,9 @@ def check_int(name: str, value, lo: int = 0, hi: int | None = None) -> int:
         bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
         raise ConfigurationError(f"{name} must be an integer {bound}, got {value!r}")
     return int(value)
+
+
+def check_finite(name: str, array) -> None:
+    """A NumericalDomainError naming array if it holds a NaN or an infinity."""
+    if not np.isfinite(array).all():
+        raise NumericalDomainError(f"{name} holds non-finite values")

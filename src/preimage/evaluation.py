@@ -20,8 +20,8 @@ from .errors import (
     AcceptanceStarvationError,
     ConfigurationError,
     DivergenceError,
-    NumericalDomainError,
     ShapeError,
+    check_finite,
     check_int,
 )
 
@@ -64,13 +64,6 @@ def _distance_sum(a: np.ndarray, b: np.ndarray) -> float:
     return total
 
 
-def _check_finite(name: str, batch: np.ndarray) -> None:
-    """A NumericalDomainError naming batch if it holds a NaN or an infinity,
-    before any distance block runs."""
-    if not np.isfinite(batch).all():
-        raise NumericalDomainError(f"{name} holds non-finite values")
-
-
 def identity_distances(samples, target_y, embedder, metric: str = "euclidean") -> np.ndarray:
     """(n,) distances between the embeddings of the samples and the target,
     Euclidean or angular (over pi); a target whose shape is not the
@@ -102,7 +95,7 @@ def diversity(samples) -> float:
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 2 or samples.shape[0] < 2 or samples.shape[1] == 0:
         raise ShapeError("diversity needs at least two samples of dimension >= 1")
-    _check_finite("samples", samples)
+    check_finite("samples", samples)
     n = samples.shape[0]
     return _distance_sum(samples, samples) / (n * (n - 1))
 
@@ -271,8 +264,8 @@ def whitebox_gd_invert(embedder, target_y, x_init, step_size: float = 0.1,
     target_y = np.asarray(target_y, dtype=np.float64)
     x = np.array(x_init, dtype=np.float64)
     # A NaN loss never rises, so a non-finite start or target would run every step.
-    if not (np.isfinite(x).all() and np.isfinite(target_y).all()):
-        raise NumericalDomainError("x_init and target_y must be finite")
+    check_finite("x_init", x)
+    check_finite("target_y", target_y)
     y = embed(x)
     if y.shape != target_y.shape:
         raise ShapeError(f"expected a target of shape {y.shape}, got {target_y.shape}")
@@ -314,8 +307,9 @@ def energy_distance(batch_a, batch_b) -> float:
         raise ShapeError("expected two nonempty (n, d) batches")
     if a.shape[1] != b.shape[1]:
         raise ShapeError("batches must share a dimension")
-    _check_finite("batch_a", a)
-    _check_finite("batch_b", b)
+    # Before any distance block runs.
+    check_finite("batch_a", a)
+    check_finite("batch_b", b)
     n, m = a.shape[0], b.shape[0]
     return (2.0 * _distance_sum(a, b) / (n * m) - _distance_sum(a, a) / (n * n)
             - _distance_sum(b, b) / (m * m))

@@ -5,12 +5,13 @@ stores and keeps no state; the model's forward caches every layer input in
 reused buffers, so that a single backward pass can accumulate parameter
 gradients without an autograd framework. Sampling takes a separate inference
 path through the denoiser that caches nothing and checks no shapes per layer:
-the timestep tables of every step are built once for a sampler plan, one call
-per request adds every guidance branch's condition to them, and each step
-runs all branches in one pass over blocks of rows. A request of more than one
-block splits its blocks over WORKERS lanes, each with its own block scratch in
-its own core's L2, through run_lanes: the calling thread runs the first lane,
-and threads of a pool the request opens and closes (lane_pool) run the others.
+both guidance branches' tables over every step, the timestep's and the null
+tokens', are built once for a sampler plan, one call per request adds the
+request's condition to them, and each step runs both branches in one pass over
+blocks of rows. A request of more than one block splits its blocks over
+WORKERS lanes, each with its own block scratch in its own core's L2, through
+run_lanes: the calling thread runs the first lane, and threads of a pool the
+request opens and closes (lane_pool) run the others.
 evaluation's distance sums run their row blocks on the same two helpers.
 numpy's matmuls and float64 ufuncs release the GIL, and a block's bits do not
 depend on the thread that computes it.
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import nullcontext
 from functools import partial
@@ -42,18 +44,22 @@ MAX_PERIOD = 10000.0
 # worker thread has its own block scratch, which sits in its own core's L2.
 ROW_BLOCK = 256
 
+# The default denoiser topology.
+HIDDEN_DIMS, TIME_EMBED_DIM = (128, 128, 128), 64
+
 
 def worker_count(environ, cores: int) -> int:
     """Threads for the row blocks of one sampling step or distance sum:
     cores // BLAS threads, at least 1, so that block threads and BLAS threads
-    together do not outnumber the cores. The BLAS thread count is the first of
-    OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS that holds a
-    positive integer, else the core count (OpenBLAS's default); any other
-    value counts as unset."""
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        value = environ.get(var, "")
-        if value.isdecimal() and int(value) > 0:
-            return max(1, cores // int(value))
+    together do not outnumber the cores. The BLAS thread count is read as
+    numpy's OpenBLAS reads it: the first of OPENBLAS_NUM_THREADS,
+    GOTO_NUM_THREADS and OMP_NUM_THREADS whose atoi value (the signed decimal
+    prefix after leading whitespace, else 0) is positive, else the core
+    count."""
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        prefix = re.match(r"[ \t\n\v\f\r]*([+-]?[0-9]+)", environ.get(var, ""))
+        if prefix and int(prefix[1]) > 0:
+            return max(1, cores // int(prefix[1]))
     return 1
 
 
@@ -252,8 +258,8 @@ class ConditionalDenoiser:
         self,
         data_dim: int,
         id_dim: int,
-        hidden_dims=(128, 128, 128),
-        time_embed_dim: int = 64,
+        hidden_dims=HIDDEN_DIMS,
+        time_embed_dim: int = TIME_EMBED_DIM,
         attr_dim: int | None = None,
         seed: int = 0,
         params=None,
@@ -453,59 +459,47 @@ class ConditionalDenoiser:
 
     # -- inference ---------------------------------------------------------
 
-    def step_tables(self, t):
-        """The part of every hidden layer's condition term that depends on
-        the timestep alone: per hidden layer i, the (S, h) table
-        sinusoidal_embed(t) @ W_inject_i.T + c_i over the 1-D array t of S
-        original timesteps, c_i being the bias of the layer's own map
-        (input_proj or hidden_{i-1}), which denoise_step leaves out. Every
-        branch of every request on these timesteps shares it: the inject
-        map is linear, so a branch's condition adds to it (condition_terms).
-        """
+    def step_tables(self, t, null):
+        """Every hidden layer's condition term but a request's own condition,
+        for both guidance branches: per hidden layer i, one (S, 2, 1, h)
+        table over the 1-D array t of S original timesteps. [:, 0, 0] is
+        sinusoidal_embed(t) @ W_inject_i.T + c_i, c_i being the bias of the
+        layer's own map (input_proj or hidden_{i-1}), which denoise_step
+        leaves out. [:, 1, 0] adds the condition of null = (y, a), the null
+        tokens (a None without attributes), as a request for them alone
+        would: the inject map is linear (condition_terms)."""
         temb = sinusoidal_embed(t, self.time_embed_dim)
-        return [np.add(temb @ inject.weight.T, main.bias)
-                for inject, main in zip(self.inject, self.mains)]
+        tables = [np.add(temb @ inject.weight.T, main.bias)[:, None, None].repeat(2, axis=1)
+                  for inject, main in zip(self.inject, self.mains)]
+        for table, (steps, _) in zip(tables, self.condition_terms(*null, tables, 1)):
+            table[:, 1] = steps[:, 0]
+        return tables
 
-    def condition_terms(self, branches, tables, null=None):
+    def condition_terms(self, y, a, tables, branches):
         """What every hidden layer adds to its pre-activation at every step
-        of a request, for every guidance branch: step_tables' tables plus
-        each branch's condition.
+        of a request: step_tables' tables with the request's condition added.
 
-        branches holds the request's (y, a) pairs: y one (k,) vector or
-        (n, k) rows, a likewise or None. tables is step_tables' result for
-        the request's S timesteps. null, if given, is one more branch, the
-        last, given as its per-layer (S, h) tables with its condition already
-        added (the steps[:, 0, 0] of an earlier call on that branch alone),
-        as the sampler plan keeps a guided request's null branch. Returns,
-        per hidden layer, denoise_step's input (steps, rows) for all B
-        branches: steps is one (S, B, 1, h) array, so steps[k] broadcasts
-        over a block's rows, and rows lists (b, (n, h) rows) for each branch
-        b with per-row terms. A shared y and a give branch b the table
-        steps[:, b, 0] = tables[i] + inject_i(id_proj(y) + attr_proj(a)),
-        one (1, emb) row through inject_i. A per-row y or a leaves
-        steps[:, b, 0] = tables[i] and puts inject_i(id_proj(y) +
-        attr_proj(a)) in the rows, so no step multiplies an (n, emb)
-        condition. Nothing is validated or cached: sample_batch checks the
-        inputs once.
+        y is one (k,) vector or (n, k) rows, a likewise or None; tables is
+        step_tables' result for the request's S timesteps; branches is 1 for
+        the request branch alone, 2 for it stacked over the null branch.
+        Returns, per hidden layer, denoise_step's input (steps, rows): steps
+        is a copy of tables[i][:, :branches], so steps[k] broadcasts over a
+        block's rows. A shared y and a add inject_i(id_proj(y) +
+        attr_proj(a)), one (1, emb) row through inject_i, to steps[:, 0, 0],
+        and rows is None. A per-row y or a leaves steps as copied and returns
+        that term as rows, one (n, h) array that denoise_step adds to branch
+        0, so no step multiplies an (n, emb) condition. Nothing is validated
+        or cached: sample_batch checks the inputs once.
         """
-        conds = []
-        for y, a in branches:
-            cond = self.id_proj.forward(np.atleast_2d(y))
-            if a is not None:
-                cond = cond + self.attr_proj.forward(np.atleast_2d(a))
-            conds.append(cond)
+        cond = self.id_proj.forward(np.atleast_2d(y))
+        if a is not None:
+            cond = cond + self.attr_proj.forward(np.atleast_2d(a))
         terms = []
-        for i, (inject, table) in enumerate(zip(self.inject, tables)):
-            steps = np.empty((len(table), len(conds) + (null is not None), 1, inject.out_dim))
-            rows = []
-            for b, cond in enumerate(conds):
-                if len(cond) == 1:
-                    np.add(table, inject.forward(cond), out=steps[:, b, 0])
-                else:
-                    steps[:, b, 0] = table
-                    rows.append((b, inject.forward(cond)))
-            if null is not None:
-                steps[:, -1, 0] = null[i]
+        for inject, table in zip(self.inject, tables):
+            steps, rows = table[:, :branches].copy(), inject.forward(cond)
+            if len(cond) == 1:
+                steps[:, 0, 0] += rows[0]
+                rows = None
             terms.append((steps, rows))
         return terms
 
@@ -541,8 +535,9 @@ class ConditionalDenoiser:
         """Noise predictions of every branch for the (n, d) state x at step k.
 
         terms is condition_terms' result for B branches, work a
-        workspace(n, B). All branches run in one pass over (B, r, h) stacks,
-        r <= ROW_BLOCK rows at a time, so a block stays in cache: its input
+        workspace(n, B): branch 0 is the request's, branch 1 the null one.
+        All branches run in one pass over (B, r, h) stacks, r <= ROW_BLOCK
+        rows at a time, so a block stays in cache: its input
         projection x @ W.T, without the bias the terms carry, is shared by
         every branch, and each hidden layer is one matmul over its B * r
         rows. More than one worker runs through run_lanes: the first
@@ -572,8 +567,8 @@ class ConditionalDenoiser:
                 else:
                     np.matmul(x[rows_of], main.weight.T, out=proj)
                     np.add(proj, steps[k], out=z)
-                for b, row_terms in rows:
-                    z[b] += row_terms[rows_of]
+                if rows is not None:
+                    z[0] += rows[rows_of]
                 silu(z, out=h)
                 h2_prev = h2
             np.matmul(h, self.output.weight.T, out=out_rows)

@@ -610,34 +610,32 @@ class TestSampler:
         model = fitted_toy_model(seed=8, attr_dim=2)
         calls = []
 
-        def recording(branches, tables, null=None):
-            terms = ConditionalDenoiser.condition_terms(model, branches, tables, null)
-            calls.append(([(np.array(y), np.array(a)) for y, a in branches], tables, null, terms))
-            return terms
+        def step_tables(t, null):
+            calls.append((t, [np.array(v) for v in null]))
+            return ConditionalDenoiser.step_tables(model, t, null)
 
-        model.condition_terms = recording
-        sample_batch(model, np.array([0.7]), self.sched,
-                     SampleConfig(seed=0, guidance_scale=2.0, respace_steps=1), 4,
-                     a=np.array([0.1, 0.2]))
-        # The plan conditions the null tokens once; the request its own branch.
-        [(null_branches, plan_tables, _, null_terms), (branches, tables, null, terms)] = calls
-        [(y_null, a_null)], [(y_cond, a_cond)] = null_branches, branches
-        np.testing.assert_array_equal(y_cond, [0.7])
-        np.testing.assert_array_equal(a_cond, [0.1, 0.2])
-        np.testing.assert_array_equal(y_null, null_id_token(1))
-        np.testing.assert_array_equal(a_null, null_attr_token(2))
-        # The tables are the step tables of the request's respaced timesteps.
-        assert plan_tables is tables
-        want_tables = model.step_tables(respace(self.sched, 1).timestep_map)
-        for table, want in zip(tables, want_tables, strict=True):
-            np.testing.assert_array_equal(table, want)
-        expected = ConditionalDenoiser.condition_terms(
-            model, [(null_id_token(1), null_attr_token(2))], tables)
-        for (steps, rows), (want_steps, want_rows), kept, (plan_steps, _) in zip(
-                terms, expected, null, null_terms, strict=True):
-            assert rows == [] and want_rows == []
-            np.testing.assert_array_equal(steps[:, 1:], want_steps)
-            np.testing.assert_array_equal(kept, plan_steps[:, 0, 0])
+        def condition_terms(y, a, tables, branches):
+            calls.append((np.array(y), np.array(a), tables, branches))
+            return ConditionalDenoiser.condition_terms(model, y, a, tables, branches)
+
+        model.step_tables, model.condition_terms = step_tables, condition_terms
+        for guidance in (2.0, 1.0):
+            sample_batch(model, np.array([0.7]), self.sched,
+                         SampleConfig(seed=0, guidance_scale=guidance, respace_steps=1), 4,
+                         a=np.array([0.1, 0.2]))
+        # The plan conditions the null tokens once, on the request's
+        # respaced timesteps, as a request for them alone; each request its
+        # own branch, over the null branch when guided.
+        [(t, null), (*null_request, _, null_branches), *requests] = calls
+        np.testing.assert_array_equal(t, respace(self.sched, 1).timestep_map)
+        for y_null, a_null in (null, null_request):
+            np.testing.assert_array_equal(y_null, null_id_token(1))
+            np.testing.assert_array_equal(a_null, null_attr_token(2))
+        assert [null_branches] + [branches for *_, branches in requests] == [1, 2, 1]
+        for y_cond, a_cond, tables, _ in requests:
+            np.testing.assert_array_equal(y_cond, [0.7])
+            np.testing.assert_array_equal(a_cond, [0.1, 0.2])
+            assert tables is model.sampler_plan.tables
 
     def test_sampling_writes_no_activation_cache(self):
         rng = np.random.default_rng(3)
@@ -779,9 +777,9 @@ class TestSamplerPlan:
         calls = {}
         step_tables = ConditionalDenoiser.step_tables
 
-        def counted(model, t):
+        def counted(model, t, null):
             calls[id(model)] = calls.get(id(model), 0) + 1
-            return step_tables(model, t)
+            return step_tables(model, t, null)
 
         monkeypatch.setattr(ConditionalDenoiser, "step_tables", counted)
         gallery = np.random.default_rng(3).uniform(0.5, 1.5, size=(64, 1))

@@ -463,6 +463,14 @@ class TestWhiteboxGdInvert:
             whitebox_gd_invert(emb, np.array(target), np.array(x_init))
         assert calls == []
 
+    @pytest.mark.parametrize("x_init, target, name", [
+        ([math.nan, 0.0], [1.0], "x_init"), ([math.nan, 0.0], [math.nan], "x_init"),
+        ([2.0, 0.0], [math.inf], "target_y"),
+    ])
+    def test_the_refusal_names_the_non_finite_input(self, x_init, target, name):
+        with pytest.raises(NumericalDomainError, match=f"^{name} holds non-finite values$"):
+            whitebox_gd_invert(RadiusEmbedder(2), np.array(target), np.array(x_init))
+
     @pytest.mark.parametrize("step_size", [0.0, -0.1, math.nan])
     def test_step_size_must_be_positive(self, step_size):
         # A NaN step would run all max_steps and return x = [nan, nan].

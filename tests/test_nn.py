@@ -1,7 +1,11 @@
 """Unit tests for the manually differentiated network core."""
 
+import os
+import subprocess
+import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -674,10 +678,15 @@ class TestInferencePath:
         self.y = rng.normal(size=2)
         self.a = rng.normal(size=2)
 
-    def step(self, x, branches, k):
+    def null(self, a):
+        """The null tokens of a request whose attributes are a."""
+        return np.zeros(2), None if a is None else -np.ones(2)
+
+    def step(self, x, y, a, branches, k, null=None):
         model = self.model
-        work = model.workspace(len(x), len(branches))
-        terms = model.condition_terms(branches, model.step_tables(self.t))
+        tables = model.step_tables(self.t, self.null(a) if null is None else null)
+        work = model.workspace(len(x), branches)
+        terms = model.condition_terms(y, a, tables, branches)
         return model.denoise_step(x, terms, k, work, None).copy()
 
     @pytest.mark.parametrize("y_kind, a_kind", [
@@ -685,28 +694,31 @@ class TestInferencePath:
         ("shared", "rows"), ("rows", "rows"),
     ])
     def test_every_step_matches_forward(self, y_kind, a_kind):
-        # Every row count around the block size, each with the conditional
+        # Every row count around the block size, each with the request
         # branch alone and stacked over the null branch.
         model = self.model
         for n in BLOCK_ROWS:
             x = self.x_all[:n]
             y = self.y if y_kind == "shared" else self.y_all[:n]
             a = {None: None, "shared": self.a, "rows": self.a_all[:n]}[a_kind]
-            conds = [(y, a), (np.zeros(2), None if a is None else -np.ones(2))]
-            for n_branch in (1, 2):
-                terms = model.condition_terms(conds[:n_branch], model.step_tables(self.t))
-                work = model.workspace(n, n_branch)
+            tables = model.step_tables(self.t, self.null(a))
+            for branches in (1, 2):
+                terms = model.condition_terms(y, a, tables, branches)
+                work = model.workspace(n, branches)
                 for k, t in enumerate(self.t):
                     got = model.denoise_step(x, terms, k, work, None)
-                    assert got.shape == (n_branch, n, 3)
-                    for (yb, ab), eps in zip(conds, got):
+                    assert got.shape == (branches, n, 3)
+                    for (yb, ab), eps in zip([(y, a), self.null(a)], got):
                         want = model.forward(x, yb, int(t), a=ab)
                         np.testing.assert_allclose(eps, want, rtol=0, atol=1e-12)
 
     def test_branches_share_the_input_projection_only(self):
-        cond, null = (self.y, self.a), (np.zeros(2), -np.ones(2))
-        both = self.step(self.x, [cond, null], 1)
-        alone = [self.step(self.x, [branch], 1)[0] for branch in (cond, null)]
+        # The null branch stacked under a request has the bits of a request
+        # for the null tokens alone, under any null of the tables.
+        null = self.null(self.a)
+        both = self.step(self.x, self.y, self.a, 2, 1)
+        alone = [self.step(self.x, self.y, self.a, 1, 1)[0],
+                 self.step(self.x, *null, 1, 1, null=(self.y, None))[0]]
         for got, want in zip(both, alone, strict=True):
             np.testing.assert_array_equal(got, want)
 
@@ -714,30 +726,32 @@ class TestInferencePath:
         ("shared", None), ("shared", "shared"), ("rows", None),
         ("shared", "rows"), ("rows", "rows"),
     ])
-    def test_each_branch_is_planned_on_its_own(self, y_kind, a_kind):
-        # A branch's tables and rows do not depend on the branches beside it,
-        # and the step tables they share are not changed by any of them.
+    def test_a_request_leaves_the_tables_unchanged(self, y_kind, a_kind):
+        # A request copies the branches it runs: a shared condition goes
+        # into branch 0 of the copy, a per-row one into its own (n, h) rows,
+        # and the null branch stays as planned.
         model = self.model
         y = self.y if y_kind == "shared" else self.y_rows
         a = {None: None, "shared": self.a, "rows": self.a_rows}[a_kind]
-        branches = [(np.zeros(2), None if a is None else -np.ones(2)), (y, a),
-                    (self.y, self.a)]
-        tables = model.step_tables(self.t)
+        tables = model.step_tables(self.t, self.null(a))
         kept = [table.copy() for table in tables]
-        both = model.condition_terms(branches, tables)
-        for b, branch in enumerate(branches):
-            alone = model.condition_terms([branch], model.step_tables(self.t))
-            for (steps, rows), (one_steps, one_rows) in zip(both, alone, strict=True):
-                assert steps.shape == (len(self.t), len(branches), 1, one_steps.shape[-1])
-                np.testing.assert_array_equal(steps[:, b], one_steps[:, 0])
-                mine = [r for c, r in rows if c == b]
-                for got, (_, want) in zip(mine, one_rows, strict=True):
-                    np.testing.assert_array_equal(got, want)
+        for branches in (1, 2):
+            terms = model.condition_terms(y, a, tables, branches)
+            for (steps, rows), table, h in zip(terms, tables, model.hidden_dims, strict=True):
+                assert table.shape == (len(self.t), 2, 1, h)
+                assert steps.shape == (len(self.t), branches, 1, h)
+                assert not np.shares_memory(steps, table)
+                np.testing.assert_array_equal(steps[:, 1:], table[:, 1:branches])
+                if y_kind == "shared" and a_kind != "rows":
+                    assert rows is None
+                else:
+                    assert rows.shape == (len(self.x), h)
+                    np.testing.assert_array_equal(steps[:, 0], table[:, 0])
         for table, before in zip(tables, kept, strict=True):
             np.testing.assert_array_equal(table, before)
 
     def test_writes_no_cache(self):
-        self.step(self.x, [(self.y_rows, self.a)], 0)
+        self.step(self.x, self.y_rows, self.a, 1, 0)
         assert self.model._cache is None
 
     def test_training_forward_backward_unchanged_after_inference(self):
@@ -748,7 +762,7 @@ class TestInferencePath:
         before = model.grads.copy()
         model.grads.fill(0.0)
         model.forward(self.x, self.y_rows, self.t[0], a=self.a_rows)
-        self.step(self.x, [(self.y, self.a)], 2)
+        self.step(self.x, self.y, self.a, 1, 2)
         model.backward(upstream)
         np.testing.assert_array_equal(model.grads, before)
 
@@ -982,31 +996,81 @@ class TestEma:
 
 
 class TestWorkerCount:
-    """cores // BLAS threads, the BLAS count read from the first variable that
-    holds a positive integer; with none, BLAS takes every core and so one
-    worker runs the blocks."""
+    """cores // BLAS threads, the BLAS count read as OpenBLAS reads it: the
+    first of OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and OMP_NUM_THREADS
+    whose atoi value is positive; with none, BLAS takes every core and so
+    one worker runs the blocks."""
 
     @pytest.mark.parametrize("value, cores, want", [
         ("1", 2, 2), ("2", 2, 1), (None, 2, 1), ("", 2, 1), ("0", 2, 1),
         ("abc", 2, 1), ("4,2", 2, 1), ("1", 1, 1), ("2", 8, 4), ("4", 2, 1),
-        ("-1", 2, 1), ("1.5", 2, 1), (None, 8, 1),
+        ("-1", 2, 1), ("1.5", 2, 2), (None, 8, 1), (" 1", 2, 2), ("+1", 2, 2),
+        ("2x", 8, 4), ("2,4", 8, 4), ("\t 4 ", 8, 2), ("+-1", 2, 1), ("x1", 2, 1),
+        ("-0", 2, 1), ("00002", 8, 4),
     ])
-    @pytest.mark.parametrize("var", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                                     "MKL_NUM_THREADS"])
+    @pytest.mark.parametrize("var", ["OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                                     "OMP_NUM_THREADS"])
     def test_the_rule(self, var, value, cores, want):
         environ = {} if value is None else {var: value}
         assert worker_count(environ, cores) == want
 
-    @pytest.mark.parametrize("first", ["", "0", "abc", "4,2"])
-    def test_a_value_that_is_not_a_positive_integer_counts_as_unset(self, first):
-        environ = {"OPENBLAS_NUM_THREADS": first, "OMP_NUM_THREADS": "1",
-                   "MKL_NUM_THREADS": "2"}
+    @pytest.mark.parametrize("first", ["", "0", "abc", "-3", "+0"])
+    def test_a_value_without_a_positive_prefix_counts_as_unset(self, first):
+        environ = {"OPENBLAS_NUM_THREADS": first, "GOTO_NUM_THREADS": first,
+                   "OMP_NUM_THREADS": "1"}
         assert worker_count(environ, 2) == 2
 
     def test_the_first_set_variable_wins(self):
-        environ = {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}
+        environ = {"OPENBLAS_NUM_THREADS": "2", "GOTO_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}
         assert worker_count(environ, 4) == 2
-        assert worker_count({"OMP_NUM_THREADS": "2", "MKL_NUM_THREADS": "1"}, 4) == 2
+        assert worker_count({"GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 4) == 2
+        # A prefix counts: "4,2" is 4 threads, which OMP's 1 does not undo.
+        assert worker_count({"OPENBLAS_NUM_THREADS": "4,2", "OMP_NUM_THREADS": "1"}, 2) == 1
+
+    def test_mkl_is_not_read(self):
+        # numpy's OpenBLAS ignores MKL_NUM_THREADS and takes every core.
+        assert worker_count({"MKL_NUM_THREADS": "1"}, 2) == 1
+        assert worker_count({"MKL_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 4) == 2
+
+    @pytest.mark.parametrize("environ", [
+        {}, {"OPENBLAS_NUM_THREADS": "1"}, {"MKL_NUM_THREADS": "1"},
+        {"OPENBLAS_NUM_THREADS": "4,2", "OMP_NUM_THREADS": "1"},
+        {"GOTO_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": "1.5"},
+        {"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"},
+    ])
+    def test_workers_and_openblas_threads_fit_the_cores(self, environ):
+        # Asks the OpenBLAS that numpy loaded how many threads it took, and
+        # skips when numpy carries no OpenBLAS with a thread count getter.
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_VARIABLES}
+        env.update(environ, PYTHONPATH=os.pathsep.join(
+            p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-c", _OPENBLAS_THREADS], env=env,
+                              capture_output=True, text=True, timeout=60, check=True)
+        if not proc.stdout.strip():
+            pytest.skip("no OpenBLAS thread count getter in numpy's libraries")
+        workers, blas, cores = map(int, proc.stdout.split())
+        # So more than one worker never puts more than one thread on a core.
+        assert workers == max(1, cores // blas)
+
+
+BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS",
+                  "MKL_NUM_THREADS")
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+_OPENBLAS_THREADS = """
+import ctypes, glob, os
+import numpy
+from preimage import nn
+libs = os.path.join(os.path.dirname(numpy.__file__), os.pardir, "numpy.libs")
+for path in glob.glob(os.path.join(libs, "*openblas*")):
+    lib = ctypes.CDLL(path)
+    for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                 "openblas_get_num_threads"):
+        getter = getattr(lib, name, None)
+        if getter is not None:
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            print(nn.WORKERS, getter(), len(os.sched_getaffinity(0)))
+            raise SystemExit
+"""
 
 
 class TestRunLanes:

@@ -8,11 +8,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from preimage.diffusion import SampleConfig, TrainConfig, sample_batch, train
+from preimage.diffusion import SCHEDULES, SampleConfig, TrainConfig, sample_batch, train
 from preimage.embedders import EmbedderInfo, RadiusEmbedder
-from preimage.errors import CheckpointFormatError, ConfigurationError, ShapeError
+from preimage.errors import CheckpointFormatError, ConfigurationError, PreimageError, ShapeError
 from preimage.nn import ConditionalDenoiser, EmaParams, param_count
 from preimage.persistence import (
+    _SCHEDULE_CODES,
     MAGIC,
     VERSION,
     Checkpoint,
@@ -341,6 +342,54 @@ class TestHostileCheckpoints:
         path.write_bytes(data[:at] + struct.pack("<Q", 3) + data[at + 8:])
         with pytest.raises(CheckpointFormatError, match="^embedder_output_dim 3"):
             load_checkpoint(str(path))
+
+
+def test_schedule_codes_name_every_schedule_kind():
+    # The file keeps its own codes, but for exactly the kinds training runs.
+    assert set(_SCHEDULE_CODES) == set(SCHEDULES)
+    assert sorted(_SCHEDULE_CODES.values()) == list(range(len(SCHEDULES)))
+
+
+class TestMutatedCheckpoints:
+    """Every mutant of a tiny v1 checkpoint loads or raises a PreimageError,
+    and every one that loads samples at guidance 2 or raises one."""
+
+    def mutants(self, data: bytes, payload_floats: int):
+        header = len(data) - 8 * payload_floats
+        for at in range(header):
+            for bits in (0x01, 0x80, 0xFF):
+                yield f"header byte {at} ^ {bits:#04x}", at, bits
+        rng = np.random.default_rng(20)
+        for at, bits in zip(rng.integers(0, len(data), 200), rng.integers(1, 256, 200)):
+            yield f"byte {at} ^ {bits:#04x}", int(at), int(bits)
+
+    def test_every_mutant_loads_and_samples_or_raises_a_preimage_error(self, trained,
+                                                                       tmp_path):
+        path = tmp_path / "mutant.ckpt"
+        save_checkpoint(str(path), trained)
+        data = path.read_bytes()
+        payload_floats = 3 + trained.schedule.n_steps + 2 * trained.model.params.size
+        flipped = ((what, data[:at] + bytes([data[at] ^ bits]) + data[at + 1:])
+                   for what, at, bits in self.mutants(data, payload_floats))
+        cut = ((f"truncated at {end}", data[:end]) for end in range(0, len(data), 7))
+        loaded = 0
+        for what, mutant in (*flipped, *cut):
+            path.write_bytes(mutant)
+            try:
+                ckpt = load_checkpoint(str(path))
+            except PreimageError:
+                continue
+            loaded += 1
+            for model in (ckpt.model, ckpt.ema_model()):
+                try:
+                    with np.errstate(all="ignore"):
+                        out = sample_batch(model, np.array([1.0]), ckpt.schedule,
+                                           SampleConfig(seed=3, guidance_scale=2.0), 8)
+                except PreimageError:
+                    continue
+                assert out.shape == (8, 2) and np.isfinite(out).all(), what
+        # The payload's flips and the header's inert bytes load.
+        assert loaded > 100
 
 
 class TestCsv:
