@@ -418,7 +418,8 @@ class _SamplerPlan:
     key, kept on the frozen model it was built for (see sample_batch). An
     unthresholded step's posterior mean coef_x0 * predict_x0(x, eps) +
     coef_xt * x is linear in (x, eps): x_coef * x + eps_coef * eps. tables
-    holds both guidance branches' step tables (model.step_tables)."""
+    holds both guidance branches' float64 step tables (model.step_tables,
+    which also takes the float32 weights the network runs)."""
 
     key: tuple
     sub: NoiseSchedule
@@ -477,18 +478,25 @@ def sample_batch(model, y, schedule: NoiseSchedule, config: SampleConfig,
 
     Per request, the request's condition is added to branch 0 of the
     tables, which a guidance scale of 1 takes alone and any other with the
-    null branch 1 (model.condition_terms), and each reverse step is one
-    cache-free pass for those branches together (model.denoise_step), block
-    by block over the rows, the blocks split over nn.WORKERS lanes, in
+    null branch 1, and the terms are rounded once to float32
+    (model.condition_terms). Each reverse step is one cache-free float32
+    pass of the network for those branches together (model.denoise_step),
+    block by block over the rows, the blocks split over nn.WORKERS lanes, in
     buffers the request reuses (model.workspace). The calling thread runs
     the first lane; a request of more than one lane opens a pool for the
     others (nn.lane_pool) and closes it before it returns or raises, so no
-    thread outlives it. The calling thread alone draws the noise and
-    combines, thresholds, updates and checks the state. A thresholded step goes through
-    cfg_combine, predict_x0 and dynamic_threshold; an unthresholded one takes
-    x_coef * x + eps_coef * eps. Deterministic for a fixed (model, y, a,
-    config) including bitwise reproducibility of the result, whether or not
-    a plan was kept.
+    thread outlives it. The state, the noise and the returned samples are
+    float64: the network's first matmul rounds the state's rows to float32,
+    and its output bias is added in float64. The calling thread alone draws
+    the noise and combines, thresholds, updates and checks the state, in
+    float64. A parameter or condition term that float32 cannot hold raises
+    NumericalDomainError naming its layer, before any draw. A thresholded
+    step goes through cfg_combine, predict_x0 and dynamic_threshold; an
+    unthresholded one takes x_coef * x + eps_coef * eps. Deterministic for
+    a fixed (model, y, a, config) including bitwise reproducibility of the
+    result, whether or not a plan was kept. The float32 network moves
+    samples from those of the float64 forward the model was trained as by
+    about 1e-6 on the ring model.
     """
     if not model.fitted:
         raise StateError("model has not been fitted; train it, load a checkpoint or freeze it")

@@ -9,6 +9,7 @@ diffusion sampler is judged against both.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -33,17 +34,23 @@ from .errors import (
 DISTANCE_ROWS = 32
 
 
-def _distance_sum(a: np.ndarray, b: np.ndarray) -> float:
+def _lane_count(rows: int) -> int:
+    """W for a _distance_sum over rows rows of a: min(blocks, nn.WORKERS)."""
+    return min(-(-rows // DISTANCE_ROWS), nn.WORKERS)
+
+
+def _distance_sum(a: np.ndarray, b: np.ndarray, pool=None) -> float:
     """Sum of ||a_i - b_j|| over all row pairs of a (n, d) and b (m, d), d >= 1,
     DISTANCE_ROWS rows of a at a time, one coordinate at a time, in
     O(W * DISTANCE_ROWS * m) memory. Block j goes to lane j mod W, W =
-    min(blocks, nn.WORKERS), through nn.run_lanes; each lane has its own
-    buffers and each block its own slot. The squares add in coordinate
-    order, a block's distances by numpy's pairwise sum, and the caller adds
-    the slots in block order, so every W gives the same bits."""
+    _lane_count(n), through nn.run_lanes; each lane has its own buffers and
+    each block its own slot. The squares add in coordinate order, a block's
+    distances by numpy's pairwise sum, and the caller adds the slots in
+    block order, so every W gives the same bits. pool is a caller's
+    nn.lane_pool of at least W lanes; None opens one for this sum."""
     a_cols, b_cols = a.T.copy(), b.T.copy()
     starts = range(0, len(a), DISTANCE_ROWS)
-    lanes = min(len(starts), nn.WORKERS)
+    lanes = _lane_count(len(a))
     sums = [0.0] * len(starts)
 
     def lane(w):
@@ -56,7 +63,7 @@ def _distance_sum(a: np.ndarray, b: np.ndarray) -> float:
                 acc += np.square(np.subtract.outer(ak, bk, out=sq), out=sq)
             sums[j] = float(np.sqrt(acc, out=acc).sum())
 
-    with nn.lane_pool(lanes) as pool:
+    with nn.lane_pool(lanes) if pool is None else nullcontext(pool) as pool:
         nn.run_lanes(lane, range(lanes), pool)
     total = 0.0
     for block_sum in sums:  # not sum(): Python 3.12 compensates a float sum
@@ -298,8 +305,9 @@ def energy_distance(batch_a, batch_b) -> float:
     and (m, d) sample batches, with the expectations taken over all index
     pairs including the diagonal (V-statistics). Each term is a _distance_sum
     through the same code path, in O(W * DISTANCE_ROWS * max(n, m)) memory,
-    so identical batches give exactly zero. A batch holding a NaN or an
-    infinity is a NumericalDomainError that names it.
+    so identical batches give exactly zero; the three share one lane pool. A
+    batch holding a NaN or an infinity is a NumericalDomainError that names
+    it.
     """
     a = np.asarray(batch_a, dtype=np.float64)
     b = np.asarray(batch_b, dtype=np.float64)
@@ -311,5 +319,6 @@ def energy_distance(batch_a, batch_b) -> float:
     check_finite("batch_a", a)
     check_finite("batch_b", b)
     n, m = a.shape[0], b.shape[0]
-    return (2.0 * _distance_sum(a, b) / (n * m) - _distance_sum(a, a) / (n * n)
-            - _distance_sum(b, b) / (m * m))
+    with nn.lane_pool(_lane_count(max(n, m))) as pool:
+        return (2.0 * _distance_sum(a, b, pool) / (n * m) - _distance_sum(a, a, pool) / (n * n)
+                - _distance_sum(b, b, pool) / (m * m))

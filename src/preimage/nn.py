@@ -1,19 +1,23 @@
 """Manually differentiated MLP denoiser and its training machinery.
 
-Everything here is plain float64 numpy. A layer is views of the model's flat
+Training is plain float64 numpy. A layer is views of the model's flat
 stores and keeps no state; the model's forward caches every layer input in
 reused buffers, so that a single backward pass can accumulate parameter
 gradients without an autograd framework. Sampling takes a separate inference
 path through the denoiser that caches nothing and checks no shapes per layer:
-both guidance branches' tables over every step, the timestep's and the null
-tokens', are built once for a sampler plan, one call per request adds the
-request's condition to them, and each step runs both branches in one pass over
-blocks of rows. A request of more than one block splits its blocks over
+both guidance branches' float64 tables over every step, the timestep's and
+the null tokens', and float32 copies of the trunk and output weights are
+built once for a sampler plan, one call per request adds the request's
+condition to the tables and rounds the result to float32, and each step runs
+both branches in one float32 pass over blocks of rows. The sampler's state
+stays float64 (the mixed-precision split of Micikevicius et al. 2018): a
+block reads its rows into float32 and the output bias is added in float64.
+A request of more than one block splits its blocks over
 WORKERS lanes, each with its own block scratch in its own core's L2, through
 run_lanes: the calling thread runs the first lane, and threads of a pool the
 request opens and closes (lane_pool) run the others.
 evaluation's distance sums run their row blocks on the same two helpers.
-numpy's matmuls and float64 ufuncs release the GIL, and a block's bits do not
+numpy's matmuls and ufuncs release the GIL, and a block's bits do not
 depend on the thread that computes it.
 
 A fitted model is a frozen one, its parameters read-only: train and
@@ -34,7 +38,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import ConfigurationError, ShapeError, StateError, check_int
+from .errors import ConfigurationError, NumericalDomainError, ShapeError, StateError, check_int
 
 MAX_PERIOD = 10000.0
 
@@ -112,17 +116,25 @@ def sigmoid(x, out=None):
     return out
 
 
+# silu's constants: exact in any float dtype, and on a float32 array a numpy
+# float32 scalar dispatches about 80 ns faster than a Python float.
+_HALF, _ONE = np.float32(0.5), np.float32(1.0)
+
+
 def silu(x, out=None):
     """SiLU activation x * sigmoid(x), written into out if given.
 
     sigmoid's four ufuncs, inlined, then the product: the same bits as
-    x * sigmoid(x), one Python call fewer per hidden layer and step.
+    x * sigmoid(x), one Python call fewer per hidden layer and step. A float
+    ndarray keeps its dtype, so the sampler's float32 blocks stay float32;
+    anything else is computed in float64.
     """
-    x = np.asarray(x, dtype=np.float64)
-    out = np.multiply(x, 0.5, out=np.empty_like(x) if out is None else out)
+    if not (isinstance(x, np.ndarray) and x.dtype.kind == "f"):
+        x = np.asarray(x, dtype=np.float64)
+    out = np.multiply(x, _HALF, out=np.empty_like(x) if out is None else out)
     np.tanh(out, out=out)
-    out += 1.0
-    out *= 0.5
+    out += _ONE
+    out *= _HALF
     out *= x
     return out
 
@@ -309,7 +321,7 @@ class ConditionalDenoiser:
         if params is not None:
             self.set_params_flat(params)
 
-        self._cache = self._train_work = self.sampler_plan = None
+        self._cache = self._train_work = self.sampler_plan = self._weights32 = None
 
     # -- parameter bookkeeping -------------------------------------------
 
@@ -461,64 +473,93 @@ class ConditionalDenoiser:
 
     def step_tables(self, t, null):
         """Every hidden layer's condition term but a request's own condition,
-        for both guidance branches: per hidden layer i, one (S, 2, 1, h)
-        table over the 1-D array t of S original timesteps. [:, 0, 0] is
+        for both guidance branches: per hidden layer i, one float64 (S, 2, 1,
+        h) table over the 1-D array t of S original timesteps. [:, 0, 0] is
         sinusoidal_embed(t) @ W_inject_i.T + c_i, c_i being the bias of the
         layer's own map (input_proj or hidden_{i-1}), which denoise_step
-        leaves out. [:, 1, 0] adds the condition of null = (y, a), the null
-        tokens (a None without attributes), as a request for them alone
-        would: the inject map is linear (condition_terms)."""
+        leaves out. [:, 1, 0] is the term of a request for null = (y, a),
+        the null tokens (a None without attributes), alone: the inject map is
+        linear, and condition_terms has already rounded it to float32, so a
+        request's casting copy leaves it as it is.
+
+        It also takes the read-only float32 copies of the trunk and output
+        weights that denoise_step runs, kept on the model until the next
+        call, so they are the weights the tables were built from. A weight
+        float32 cannot hold raises NumericalDomainError naming its layer."""
         temb = sinusoidal_embed(t, self.time_embed_dim)
         tables = [np.add(temb @ inject.weight.T, main.bias)[:, None, None].repeat(2, axis=1)
                   for inject, main in zip(self.inject, self.mains)]
         for table, (steps, _) in zip(tables, self.condition_terms(*null, tables, 1)):
             table[:, 1] = steps[:, 0]
+        weights = []
+        try:
+            with np.errstate(over="raise"):
+                for layer in (*self.mains, self.output):
+                    weights.append(_read_only(layer.weight.astype(np.float32)))
+        except FloatingPointError:
+            names = ["input_proj", *(f"hidden_{i}" for i in range(len(self.mains) - 1)), "output"]
+            raise _beyond_float32(f"{names[len(weights)]}.weight") from None
+        self._weights32 = weights[:-1], weights[-1]
         return tables
 
     def condition_terms(self, y, a, tables, branches):
         """What every hidden layer adds to its pre-activation at every step
-        of a request: step_tables' tables with the request's condition added.
+        of a request: step_tables' tables with the request's condition added,
+        rounded once to float32.
 
         y is one (k,) vector or (n, k) rows, a likewise or None; tables is
         step_tables' result for the request's S timesteps; branches is 1 for
         the request branch alone, 2 for it stacked over the null branch.
-        Returns, per hidden layer, denoise_step's input (steps, rows): steps
-        is a copy of tables[i][:, :branches], so steps[k] broadcasts over a
-        block's rows. A shared y and a add inject_i(id_proj(y) +
-        attr_proj(a)), one (1, emb) row through inject_i, to steps[:, 0, 0],
+        Returns, per hidden layer, denoise_step's input (steps, rows), both
+        read-only float32: steps is a casting copy of tables[i][:,
+        :branches], so steps[k] broadcasts over a block's rows. A shared y
+        and a add inject_i(id_proj(y) + attr_proj(a)), one (1, emb) row
+        through inject_i, to steps[:, 0, 0] in float64 before the rounding,
         and rows is None. A per-row y or a leaves steps as copied and returns
         that term as rows, one (n, h) array that denoise_step adds to branch
-        0, so no step multiplies an (n, emb) condition. Nothing is validated
-        or cached: sample_batch checks the inputs once.
+        0, so no step multiplies an (n, emb) condition. A term float32 cannot
+        hold raises NumericalDomainError naming its hidden layer. Nothing
+        else is validated or cached: sample_batch checks the inputs once.
         """
         cond = self.id_proj.forward(np.atleast_2d(y))
         if a is not None:
             cond = cond + self.attr_proj.forward(np.atleast_2d(a))
         terms = []
-        for inject, table in zip(self.inject, tables):
-            steps, rows = table[:, :branches].copy(), inject.forward(cond)
-            if len(cond) == 1:
-                steps[:, 0, 0] += rows[0]
-                rows = None
-            terms.append((steps, rows))
+        try:
+            with np.errstate(over="raise"):
+                for inject, table in zip(self.inject, tables):
+                    steps, rows = table[:, :branches].copy(), None
+                    if len(cond) == 1:
+                        steps[:, 0, 0] += inject.forward(cond)[0]
+                    else:
+                        # A block at a time: no (n, h) float64 term at once.
+                        rows = np.empty((len(cond), inject.out_dim), np.float32)
+                        for r0 in range(0, len(cond), ROW_BLOCK):
+                            block = slice(r0, r0 + ROW_BLOCK)
+                            rows[block] = cond[block] @ inject.weight.T + inject.bias
+                        _read_only(rows)
+                    terms.append((_read_only(steps.astype(np.float32)), rows))
+        except FloatingPointError:
+            raise _beyond_float32(f"hidden layer {len(terms)}'s condition terms") from None
         return terms
 
     def workspace(self, n: int, branches: int):
         """Scratch arrays for denoise_step on n rows and B = branches. Block
         j, rows j * ROW_BLOCK onward, goes to worker j mod W, W = min(WORKERS,
-        blocks). Each worker has three flat buffers, reused by its blocks and
-        hidden layers, for one block's input projection and (B, r, h)
-        pre-activations and activations, r <= ROW_BLOCK; all write one (B, n,
-        d) output. Returns ([per worker, [(rows, output rows, projection, per
-        hidden layer (z, z as (B*r, h), silu(z), that as (B*r, h)))] per
-        block], output): every step reuses these views."""
+        blocks). Each worker has three flat float32 buffers, reused by its
+        blocks and hidden layers, for one block's input projection and (B,
+        r, h) pre-activations and activations, r <= ROW_BLOCK; all write one
+        float32 (B, n, d) output. Returns ([per worker, [(rows, output rows,
+        projection, per hidden layer (z, z as (B*r, h), silu(z), that as
+        (B*r, h)))] per block], output, the float64 (B, n, d) predictions):
+        every step reuses these arrays."""
         h0, wide = self.hidden_dims[0], branches * max(self.hidden_dims)
         rows, starts = min(n, ROW_BLOCK), range(0, n, ROW_BLOCK)
         workers = min(WORKERS, len(starts))
-        out = np.empty((branches, n, self.data_dim))
+        out = np.empty((branches, n, self.data_dim), np.float32)
         lanes = []
         for w in range(workers):
-            proj, z_buf, h_buf = (np.empty(m * rows) for m in (h0, wide, wide))
+            proj, z_buf, h_buf = (np.empty(m * rows, np.float32) for m in (h0, wide, wide))
             views = {}
             for r in {rows, n % ROW_BLOCK or rows}:
                 by_width = {}
@@ -529,13 +570,17 @@ class ConditionalDenoiser:
                 views[r] = (proj[:r * h0].reshape(r, h0), [by_width[h] for h in self.hidden_dims])
             lanes.append([(slice(r0, r0 + ROW_BLOCK), out[:, r0:r0 + ROW_BLOCK],
                            *views[min(ROW_BLOCK, n - r0)]) for r0 in starts[w::workers]])
-        return lanes, out
+        return lanes, out, np.empty(out.shape)
 
     def denoise_step(self, x, terms, k, work, pool):
-        """Noise predictions of every branch for the (n, d) state x at step k.
+        """Noise predictions of every branch for the (n, d) float64 state x
+        at step k, as float64.
 
         terms is condition_terms' result for B branches, work a
         workspace(n, B): branch 0 is the request's, branch 1 the null one.
+        The network runs in float32 on step_tables' float32 weights; its
+        first matmul rounds x's rows to float32 as it reads them, and the
+        output bias is added in float64.
         All branches run in one pass over (B, r, h) stacks, r <= ROW_BLOCK
         rows at a time, so a block stays in cache: its input
         projection x @ W.T, without the bias the terms carry, is shared by
@@ -543,35 +588,47 @@ class ConditionalDenoiser:
         rows. More than one worker runs through run_lanes: the first
         worker's blocks on the calling thread, the others' on pool, the
         caller's lane_pool, and the call returns once all are done, raising
-        the first worker's error if any. Returns work's (B, n, d) output,
-        which the next call overwrites. Like condition_terms, this neither
-        validates nor caches."""
-        lanes, out = work
+        the first worker's error if any. Returns work's float64 (B, n, d)
+        predictions, which the next call overwrites. Like condition_terms,
+        this neither validates nor caches."""
+        lanes, out, eps = work
         if len(lanes) == 1:
             # A partial and a run_lanes call every step made the benchmark's
             # n = 1 requests 1-3 % slower; one worker needs neither.
             self._blocks(x, terms, k, lanes[0])
         else:
             run_lanes(partial(self._blocks, x, terms, k), lanes, pool)
-        out += self.output.bias
-        return out
+        return np.add(out, self.output.bias, out=eps)
 
     def _blocks(self, x, terms, k, blocks):
         """denoise_step on one worker's blocks, without the output bias."""
+        mains, output = self._weights32
         for rows_of, out_rows, proj, layers in blocks:
-            for i, (main, (steps, rows), (z, z2, h, h2)) in enumerate(
-                    zip(self.mains, terms, layers)):
+            for i, (weight, (steps, rows), (z, z2, h, h2)) in enumerate(
+                    zip(mains, terms, layers)):
                 if i:
-                    np.matmul(h2_prev, main.weight.T, out=z2)
+                    np.matmul(h2_prev, weight.T, out=z2)
                     z += steps[k]
                 else:
-                    np.matmul(x[rows_of], main.weight.T, out=proj)
+                    np.matmul(x[rows_of], weight.T, out=proj, dtype=np.float32)
                     np.add(proj, steps[k], out=z)
                 if rows is not None:
                     z[0] += rows[rows_of]
                 silu(z, out=h)
                 h2_prev = h2
-            np.matmul(h, self.output.weight.T, out=out_rows)
+            np.matmul(h, output.T, out=out_rows)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """array, its writeable flag cleared."""
+    array.flags.writeable = False
+    return array
+
+
+def _beyond_float32(what: str) -> NumericalDomainError:
+    """The refusal of a float32 copy, or the float64 sum rounded into it,
+    that overflowed: what, float32 cannot hold."""
+    return NumericalDomainError(f"{what}: values beyond float32's range")
 
 
 class Adam:

@@ -710,7 +710,9 @@ class TestInferencePath:
                     assert got.shape == (branches, n, 3)
                     for (yb, ab), eps in zip([(y, a), self.null(a)], got):
                         want = model.forward(x, yb, int(t), a=ab)
-                        np.testing.assert_allclose(eps, want, rtol=0, atol=1e-12)
+                        # The float32 network against the float64 forward:
+                        # at most 1.9e-6 over every case here.
+                        np.testing.assert_allclose(eps, want, rtol=0, atol=1e-5)
 
     def test_branches_share_the_input_projection_only(self):
         # The null branch stacked under a request has the bits of a request
@@ -727,9 +729,9 @@ class TestInferencePath:
         ("shared", "rows"), ("rows", "rows"),
     ])
     def test_a_request_leaves_the_tables_unchanged(self, y_kind, a_kind):
-        # A request copies the branches it runs: a shared condition goes
-        # into branch 0 of the copy, a per-row one into its own (n, h) rows,
-        # and the null branch stays as planned.
+        # A request copies the branches it runs, rounded to float32: a shared
+        # condition goes into branch 0 of the copy, a per-row one into its
+        # own (n, h) rows, and the null branch stays as planned.
         model = self.model
         y = self.y if y_kind == "shared" else self.y_rows
         a = {None: None, "shared": self.a, "rows": self.a_rows}[a_kind]
@@ -741,12 +743,13 @@ class TestInferencePath:
                 assert table.shape == (len(self.t), 2, 1, h)
                 assert steps.shape == (len(self.t), branches, 1, h)
                 assert not np.shares_memory(steps, table)
-                np.testing.assert_array_equal(steps[:, 1:], table[:, 1:branches])
+                np.testing.assert_array_equal(steps[:, 1:],
+                                              table[:, 1:branches].astype(np.float32))
                 if y_kind == "shared" and a_kind != "rows":
                     assert rows is None
                 else:
                     assert rows.shape == (len(self.x), h)
-                    np.testing.assert_array_equal(steps[:, 0], table[:, 0])
+                    np.testing.assert_array_equal(steps[:, 0], table[:, 0].astype(np.float32))
         for table, before in zip(tables, kept, strict=True):
             np.testing.assert_array_equal(table, before)
 
