@@ -415,11 +415,12 @@ def train(x0s, ys, config: TrainConfig, attrs=None, hidden_dims=HIDDEN_DIMS,
 @dataclass(frozen=True)
 class _SamplerPlan:
     """sample_batch's state for one (schedule, steps, variance mode), its
-    key, kept on the frozen model it was built for (see sample_batch). An
-    unthresholded step's posterior mean coef_x0 * predict_x0(x, eps) +
-    coef_xt * x is linear in (x, eps): x_coef * x + eps_coef * eps. tables
-    holds both guidance branches' float64 step tables (model.step_tables,
-    which also takes the float32 weights the network runs)."""
+    key, kept on the frozen model it was built for (see sample_batch): all
+    that sampling derives from the model. An unthresholded step's posterior
+    mean coef_x0 * predict_x0(x, eps) + coef_xt * x is linear in (x, eps):
+    x_coef * x + eps_coef * eps. tables, nulls and weights are
+    model.step_tables' float64 request-branch tables, the null branch's
+    float32 terms and the float32 weights the network runs."""
 
     key: tuple
     sub: NoiseSchedule
@@ -427,6 +428,8 @@ class _SamplerPlan:
     x_coef: np.ndarray
     eps_coef: np.ndarray
     tables: list
+    nulls: list
+    weights: tuple
 
 
 def _sampler_plan(model, schedule: NoiseSchedule, steps: int, variance_mode: str) -> _SamplerPlan:
@@ -440,13 +443,14 @@ def _sampler_plan(model, schedule: NoiseSchedule, steps: int, variance_mode: str
     root_bars = np.sqrt(sub.alpha_bars)
     null = (null_id_token(model.id_dim),
             None if model.attr_dim is None else null_attr_token(model.attr_dim))
+    tables, nulls, weights = model.step_tables(sub.timestep_map, null)
     plan = model.sampler_plan = _SamplerPlan(
         key=key,
         sub=sub,
         sigmas=np.sqrt(sub.posterior_variances if variance_mode == "posterior" else sub.betas),
         x_coef=sub.coef_x0 / root_bars + sub.coef_xt,
         eps_coef=-sub.coef_x0 * np.sqrt(1.0 - sub.alpha_bars) / root_bars,
-        tables=model.step_tables(sub.timestep_map, null),
+        tables=tables, nulls=nulls, weights=weights,
     )
     return plan
 
@@ -468,30 +472,38 @@ def sample_batch(model, y, schedule: NoiseSchedule, config: SampleConfig,
 
     What depends only on (model, schedule, steps, variance mode) is the
     model's sampler plan: the respaced schedule, sigma, the two folded
-    coefficients of an unthresholded step, and every hidden layer's step
-    tables for both guidance branches, the timestep's and the null tokens'
-    (model.step_tables). It is built on the first request and kept on the
-    model (model.sampler_plan), so repeated requests (other seeds, guidance
+    coefficients of an unthresholded step, every hidden layer's float64
+    timestep tables and float32 null-token terms over the plan's steps, and
+    the network's float32 weights (model.step_tables, which writes nothing
+    onto the model). It is built on the first request and kept on the model
+    (model.sampler_plan), so repeated requests (other seeds, guidance
     scales or targets) skip respace and the tables. The model is frozen, so
     the plan serves while the schedule, steps and variance mode are equal;
-    any other request builds a new plan, which replaces it.
+    any other request builds a new plan, which replaces it. Sampling sets
+    no other attribute of the model, so threads may sample one model at
+    once.
 
-    Per request, the request's condition is added to branch 0 of the
-    tables, which a guidance scale of 1 takes alone and any other with the
-    null branch 1, and the terms are rounded once to float32
-    (model.condition_terms). Each reverse step is one cache-free float32
-    pass of the network for those branches together (model.denoise_step),
-    block by block over the rows, the blocks split over nn.WORKERS lanes, in
-    buffers the request reuses (model.workspace). The calling thread runs
-    the first lane; a request of more than one lane opens a pool for the
-    others (nn.lane_pool) and closes it before it returns or raises, so no
-    thread outlives it. The state, the noise and the returned samples are
-    float64: the network's first matmul rounds the state's rows to float32,
-    and its output bias is added in float64. The calling thread alone draws
-    the noise and combines, thresholds, updates and checks the state, in
+    Per request, the request's condition is added to the tables, which a
+    guidance scale of 1 takes alone and any other over the plan's null
+    branch, and the sum is rounded once to float32 (model.condition_terms).
+    Each reverse step is one cache-free float32 pass of the network for
+    those branches together (model.denoise_step), block by block over the
+    rows, the blocks split over nn.WORKERS lanes, in buffers the request
+    reuses (model.workspace). The calling thread runs the first lane; a
+    request of more than one lane opens a pool for the others
+    (nn.lane_pool) and closes it before it returns or raises, so no thread
+    outlives it. The state, the noise and the returned samples are float64:
+    the network's first matmul rounds the state's rows to float32, and its
+    output bias is added in float64. The calling thread alone draws the
+    noise and combines, thresholds, updates and checks the state, in
     float64. A parameter or condition term that float32 cannot hold raises
-    NumericalDomainError naming its layer, before any draw. A thresholded
-    step goes through cfg_combine, predict_x0 and dynamic_threshold; an
+    NumericalDomainError naming its layer, before any draw. The reverse
+    steps run under np.errstate(over="raise", invalid="raise"), which
+    nn.run_lanes passes to every lane: an activation float32 cannot hold
+    raises NumericalDomainError naming its layer and reverse step, and an
+    overflow or a non-finite state in the float64 tail raises SamplingError
+    naming the step, so no RuntimeWarning escapes. A thresholded step goes
+    through cfg_combine, predict_x0 and dynamic_threshold; an
     unthresholded one takes x_coef * x + eps_coef * eps. Deterministic for
     a fixed (model, y, a, config) including bitwise reproducibility of the
     result, whether or not a plan was kept. The float32 network moves
@@ -523,26 +535,30 @@ def sample_batch(model, y, schedule: NoiseSchedule, config: SampleConfig,
 
     scale = cfg.guidance_scale
     branches = 1 if scale == 1.0 else 2
-    terms = model.condition_terms(y, a, plan.tables, branches)
+    terms = model.condition_terms(y, a, plan.tables, None if scale == 1.0 else plan.nulls)
     work = model.workspace(n, branches)
     rng = np.random.default_rng(cfg.seed)
     x = rng.standard_normal((n, model.data_dim))
-    with lane_pool(len(work[0])) as pool:
-        for i in range(sub.n_steps, 0, -1):
-            eps = model.denoise_step(x, terms, i - 1, work, pool)
-            eps_hat = eps[0] if scale == 1.0 else cfg_combine(eps[1], eps[0], scale)
-            if cfg.threshold:
-                x0_hat = dynamic_threshold(predict_x0(x, eps_hat, i, sub))
-                x = sub.coef_x0[i - 1] * x0_hat + sub.coef_xt[i - 1] * x
-            else:
-                x = plan.x_coef[i - 1] * x + plan.eps_coef[i - 1] * eps_hat
-            if i > 1:
-                x += plan.sigmas[i - 1] * rng.standard_normal((n, model.data_dim))
-            if not np.isfinite(x).all():
-                raise SamplingError(
-                    f"non-finite state at reverse step {i} "
-                    f"(original step {sub.timestep_map[i - 1]}); aborting"
-                )
+    try:
+        with lane_pool(len(work[0])) as pool, np.errstate(over="raise", invalid="raise"):
+            for i in range(sub.n_steps, 0, -1):
+                eps = model.denoise_step(x, plan.weights, terms, i - 1, work, pool)
+                eps_hat = eps[0] if scale == 1.0 else cfg_combine(eps[1], eps[0], scale)
+                if cfg.threshold:
+                    x0_hat = dynamic_threshold(predict_x0(x, eps_hat, i, sub))
+                    x = sub.coef_x0[i - 1] * x0_hat + sub.coef_xt[i - 1] * x
+                else:
+                    x = plan.x_coef[i - 1] * x + plan.eps_coef[i - 1] * eps_hat
+                if i > 1:
+                    x += plan.sigmas[i - 1] * rng.standard_normal((n, model.data_dim))
+                # The backstop where BLAS's own threads hide the overflow flag.
+                if not np.isfinite(x).all():
+                    raise FloatingPointError
+    except FloatingPointError:
+        raise SamplingError(
+            f"non-finite state at reverse step {i} "
+            f"(original step {sub.timestep_map[i - 1]}); aborting"
+        ) from None
     return x
 
 

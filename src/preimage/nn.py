@@ -5,13 +5,15 @@ stores and keeps no state; the model's forward caches every layer input in
 reused buffers, so that a single backward pass can accumulate parameter
 gradients without an autograd framework. Sampling takes a separate inference
 path through the denoiser that caches nothing and checks no shapes per layer:
-both guidance branches' float64 tables over every step, the timestep's and
-the null tokens', and float32 copies of the trunk and output weights are
-built once for a sampler plan, one call per request adds the request's
-condition to the tables and rounds the result to float32, and each step runs
-both branches in one float32 pass over blocks of rows. The sampler's state
-stays float64 (the mixed-precision split of Micikevicius et al. 2018): a
-block reads its rows into float32 and the output bias is added in float64.
+a sampler plan holds what it derives once from a frozen model, the float64
+timestep tables over every step, the null tokens' float32 terms and float32
+copies of the trunk and output weights; one call per request adds the
+request's condition to the tables and rounds the result to float32, and each
+step runs both guidance branches in one float32 pass over blocks of rows.
+The sampler's state stays float64 (the mixed-precision split of
+Micikevicius et al. 2018): a block reads its rows into float32 and the
+output bias is added in float64. An activation that overflows float32 is a
+NumericalDomainError naming its layer and the reverse step.
 A request of more than one block splits its blocks over
 WORKERS lanes, each with its own block scratch in its own core's L2, through
 run_lanes: the calling thread runs the first lane, and threads of a pool the
@@ -83,12 +85,19 @@ def lane_pool(lanes: int):
 
 def run_lanes(fn, lanes, pool) -> None:
     """fn(lane) for every lane: lanes[0] on the calling thread, the others on
-    pool, lane_pool's executor (None for one lane). Returns once every lane
-    is done, raising the first error in lane order if any."""
+    pool, lane_pool's executor (None for one lane), each under the caller's
+    np.errstate, which a pool thread does not inherit. Returns once every
+    lane is done, raising the first error in lane order if any."""
     if len(lanes) == 1:
         fn(lanes[0])
         return
-    futures = [pool.submit(fn, lane) for lane in lanes[1:]]
+    state = np.geterr()
+
+    def in_callers_errstate(lane):
+        with np.errstate(**state):
+            fn(lane)
+
+    futures = [pool.submit(in_callers_errstate, lane) for lane in lanes[1:]]
     try:
         fn(lanes[0])
     finally:
@@ -321,7 +330,7 @@ class ConditionalDenoiser:
         if params is not None:
             self.set_params_flat(params)
 
-        self._cache = self._train_work = self.sampler_plan = self._weights32 = None
+        self._cache = self._train_work = self.sampler_plan = None
 
     # -- parameter bookkeeping -------------------------------------------
 
@@ -472,25 +481,25 @@ class ConditionalDenoiser:
     # -- inference ---------------------------------------------------------
 
     def step_tables(self, t, null):
-        """Every hidden layer's condition term but a request's own condition,
-        for both guidance branches: per hidden layer i, one float64 (S, 2, 1,
-        h) table over the 1-D array t of S original timesteps. [:, 0, 0] is
-        sinusoidal_embed(t) @ W_inject_i.T + c_i, c_i being the bias of the
-        layer's own map (input_proj or hidden_{i-1}), which denoise_step
-        leaves out. [:, 1, 0] is the term of a request for null = (y, a),
-        the null tokens (a None without attributes), alone: the inject map is
-        linear, and condition_terms has already rounded it to float32, so a
-        request's casting copy leaves it as it is.
+        """What a sampler plan derives from this model for the 1-D array t of
+        S original timesteps: (tables, nulls, weights), writing nothing onto
+        the model.
 
-        It also takes the read-only float32 copies of the trunk and output
-        weights that denoise_step runs, kept on the model until the next
-        call, so they are the weights the tables were built from. A weight
-        float32 cannot hold raises NumericalDomainError naming its layer."""
+        tables holds, per hidden layer i, the float64 (S, 1, 1, h) base of
+        the request branch, sinusoidal_embed(t) @ W_inject_i.T + c_i, c_i
+        being the bias of the layer's own map (input_proj or hidden_{i-1}),
+        which denoise_step leaves out. nulls holds, per hidden layer, the
+        read-only float32 (S, 1, 1, h) term of a request for null = (y, a),
+        the null tokens (a None without attributes), alone: condition_terms'
+        own rounding, so the null branch has the bits of such a request.
+        weights is (trunk, output), read-only float32 copies of the trunk
+        (input_proj, hidden_i) and output weights that denoise_step runs. A
+        weight or term float32 cannot hold raises NumericalDomainError
+        naming its layer."""
         temb = sinusoidal_embed(t, self.time_embed_dim)
-        tables = [np.add(temb @ inject.weight.T, main.bias)[:, None, None].repeat(2, axis=1)
+        tables = [np.add(temb @ inject.weight.T, main.bias)[:, None, None]
                   for inject, main in zip(self.inject, self.mains)]
-        for table, (steps, _) in zip(tables, self.condition_terms(*null, tables, 1)):
-            table[:, 1] = steps[:, 0]
+        nulls = [steps for steps, _ in self.condition_terms(*null, tables)]
         weights = []
         try:
             with np.errstate(over="raise"):
@@ -499,27 +508,26 @@ class ConditionalDenoiser:
         except FloatingPointError:
             names = ["input_proj", *(f"hidden_{i}" for i in range(len(self.mains) - 1)), "output"]
             raise _beyond_float32(f"{names[len(weights)]}.weight") from None
-        self._weights32 = weights[:-1], weights[-1]
-        return tables
+        return tables, nulls, (weights[:-1], weights[-1])
 
-    def condition_terms(self, y, a, tables, branches):
+    def condition_terms(self, y, a, tables, nulls=None):
         """What every hidden layer adds to its pre-activation at every step
-        of a request: step_tables' tables with the request's condition added,
-        rounded once to float32.
+        of a request, rounded once to float32.
 
-        y is one (k,) vector or (n, k) rows, a likewise or None; tables is
-        step_tables' result for the request's S timesteps; branches is 1 for
-        the request branch alone, 2 for it stacked over the null branch.
-        Returns, per hidden layer, denoise_step's input (steps, rows), both
-        read-only float32: steps is a casting copy of tables[i][:,
-        :branches], so steps[k] broadcasts over a block's rows. A shared y
+        y is one (k,) vector or (n, k) rows, a likewise or None; tables and
+        nulls are step_tables' for the request's S timesteps, nulls None for
+        the request branch alone. Returns, per hidden layer, denoise_step's
+        input (steps, rows), both read-only float32: steps is (S, B, 1, h),
+        so steps[k] broadcasts over a block's rows, with branch 0 the
+        request's and, given nulls, branch 1 a copy of nulls[i]. A shared y
         and a add inject_i(id_proj(y) + attr_proj(a)), one (1, emb) row
-        through inject_i, to steps[:, 0, 0] in float64 before the rounding,
-        and rows is None. A per-row y or a leaves steps as copied and returns
-        that term as rows, one (n, h) array that denoise_step adds to branch
-        0, so no step multiplies an (n, emb) condition. A term float32 cannot
-        hold raises NumericalDomainError naming its hidden layer. Nothing
-        else is validated or cached: sample_batch checks the inputs once.
+        through inject_i, to tables[i] in float64 before the rounding, and
+        rows is None. A per-row y or a leaves branch 0 as tables[i] and
+        returns that term as rows, one (n, h) array that denoise_step adds
+        to branch 0, so no step multiplies an (n, emb) condition. A term
+        float32 cannot hold raises NumericalDomainError naming its hidden
+        layer. Nothing else is validated or cached: sample_batch checks the
+        inputs once.
         """
         cond = self.id_proj.forward(np.atleast_2d(y))
         if a is not None:
@@ -527,10 +535,9 @@ class ConditionalDenoiser:
         terms = []
         try:
             with np.errstate(over="raise"):
-                for inject, table in zip(self.inject, tables):
-                    steps, rows = table[:, :branches].copy(), None
+                for i, (inject, table) in enumerate(zip(self.inject, tables)):
                     if len(cond) == 1:
-                        steps[:, 0, 0] += inject.forward(cond)[0]
+                        table, rows = table + inject.forward(cond)[0], None
                     else:
                         # A block at a time: no (n, h) float64 term at once.
                         rows = np.empty((len(cond), inject.out_dim), np.float32)
@@ -538,7 +545,9 @@ class ConditionalDenoiser:
                             block = slice(r0, r0 + ROW_BLOCK)
                             rows[block] = cond[block] @ inject.weight.T + inject.bias
                         _read_only(rows)
-                    terms.append((_read_only(steps.astype(np.float32)), rows))
+                    steps = np.concatenate((table,) if nulls is None else (table, nulls[i]),
+                                           axis=1, dtype=np.float32)
+                    terms.append((_read_only(steps), rows))
         except FloatingPointError:
             raise _beyond_float32(f"hidden layer {len(terms)}'s condition terms") from None
         return terms
@@ -572,15 +581,15 @@ class ConditionalDenoiser:
                            *views[min(ROW_BLOCK, n - r0)]) for r0 in starts[w::workers]])
         return lanes, out, np.empty(out.shape)
 
-    def denoise_step(self, x, terms, k, work, pool):
+    def denoise_step(self, x, weights, terms, k, work, pool):
         """Noise predictions of every branch for the (n, d) float64 state x
         at step k, as float64.
 
-        terms is condition_terms' result for B branches, work a
-        workspace(n, B): branch 0 is the request's, branch 1 the null one.
-        The network runs in float32 on step_tables' float32 weights; its
-        first matmul rounds x's rows to float32 as it reads them, and the
-        output bias is added in float64.
+        weights is step_tables' float32 (trunk, output), terms is
+        condition_terms' result for B branches, work a workspace(n, B):
+        branch 0 is the request's, branch 1 the null one. The network runs
+        in float32; its first matmul rounds x's rows to float32 as it reads
+        them, and the output bias is added in float64.
         All branches run in one pass over (B, r, h) stacks, r <= ROW_BLOCK
         rows at a time, so a block stays in cache: its input
         projection x @ W.T, without the bias the terms carry, is shared by
@@ -588,35 +597,43 @@ class ConditionalDenoiser:
         rows. More than one worker runs through run_lanes: the first
         worker's blocks on the calling thread, the others' on pool, the
         caller's lane_pool, and the call returns once all are done, raising
-        the first worker's error if any. Returns work's float64 (B, n, d)
-        predictions, which the next call overwrites. Like condition_terms,
-        this neither validates nor caches."""
+        the first worker's error if any. Under np.errstate(over="raise",
+        invalid="raise"), as sample_batch runs it, an activation float32
+        cannot hold raises NumericalDomainError naming its hidden layer, or
+        the output layer, and reverse step k + 1. Returns work's float64
+        (B, n, d) predictions, which the next call overwrites. Like
+        condition_terms, this neither validates nor caches."""
         lanes, out, eps = work
         if len(lanes) == 1:
             # A partial and a run_lanes call every step made the benchmark's
             # n = 1 requests 1-3 % slower; one worker needs neither.
-            self._blocks(x, terms, k, lanes[0])
+            self._blocks(x, weights, terms, k, lanes[0])
         else:
-            run_lanes(partial(self._blocks, x, terms, k), lanes, pool)
+            run_lanes(partial(self._blocks, x, weights, terms, k), lanes, pool)
         return np.add(out, self.output.bias, out=eps)
 
-    def _blocks(self, x, terms, k, blocks):
+    def _blocks(self, x, weights, terms, k, blocks):
         """denoise_step on one worker's blocks, without the output bias."""
-        mains, output = self._weights32
-        for rows_of, out_rows, proj, layers in blocks:
-            for i, (weight, (steps, rows), (z, z2, h, h2)) in enumerate(
-                    zip(mains, terms, layers)):
-                if i:
-                    np.matmul(h2_prev, weight.T, out=z2)
-                    z += steps[k]
-                else:
-                    np.matmul(x[rows_of], weight.T, out=proj, dtype=np.float32)
-                    np.add(proj, steps[k], out=z)
-                if rows is not None:
-                    z[0] += rows[rows_of]
-                silu(z, out=h)
-                h2_prev = h2
-            np.matmul(h, output.T, out=out_rows)
+        mains, output = weights
+        try:
+            for rows_of, out_rows, proj, layers in blocks:
+                for i, (weight, (steps, rows), (z, z2, h, h2)) in enumerate(
+                        zip(mains, terms, layers)):
+                    if i:
+                        np.matmul(h2_prev, weight.T, out=z2)
+                        z += steps[k]
+                    else:
+                        np.matmul(x[rows_of], weight.T, out=proj, dtype=np.float32)
+                        np.add(proj, steps[k], out=z)
+                    if rows is not None:
+                        z[0] += rows[rows_of]
+                    silu(z, out=h)
+                    h2_prev = h2
+                i += 1  # the output layer, for the error below
+                np.matmul(h, output.T, out=out_rows)
+        except FloatingPointError:
+            layer = "output layer" if i == len(mains) else f"hidden layer {i}"
+            raise _beyond_float32(f"{layer}'s activations at reverse step {k + 1}") from None
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:

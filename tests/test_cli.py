@@ -8,6 +8,8 @@ import json
 import os
 import subprocess
 import sys
+import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,8 +19,8 @@ from preimage.cli import _dataset_columns_from_csv, load_run_config, main
 from preimage.diffusion import SampleConfig, sample_batch
 from preimage.embedders import generate_dataset, make_embedder
 from preimage.evaluation import identity_distances
-from preimage.nn import param_count
-from preimage.persistence import load_checkpoint, read_csv
+from preimage.nn import ConditionalDenoiser, EmaParams, param_count
+from preimage.persistence import load_checkpoint, read_csv, save_checkpoint
 
 TINY_CONFIG = {
     "dataset": {
@@ -369,6 +371,26 @@ class TestSample:
         assert main(["sample", "--checkpoint", str(path),
                      "--target-y", "1.0", "--seed", "1"]) == 2
         assert "unknown embedder 'bogus'" in capsys.readouterr().err
+
+    def test_activations_beyond_float32_exit_2_naming_the_layer_and_step(
+            self, workspace, tmp_path, monkeypatch, capsys):
+        # Weights float32 holds whose activations it does not: both trunk
+        # maps of a fresh (8, 8) model scaled by 1e20, the output by 1e-30.
+        ckpt = load_checkpoint(workspace["checkpoint"])
+        model = ConditionalDenoiser(**ckpt.model.topology(), seed=0)
+        for layer in model.mains:
+            layer.weight[...] *= 1e20
+        model.output.weight[...] = 1e-30
+        path = tmp_path / "overflow.ckpt"
+        save_checkpoint(str(path), replace(ckpt, model=model, ema=EmaParams(model.params)))
+        monkeypatch.setenv("PREIMAGE_OUT", str(tmp_path))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["sample", "--checkpoint", str(path),
+                         "--target-y", "1.0", "--seed", "1"]) == 2
+        assert capsys.readouterr().err == ("error: hidden layer 1's activations at reverse "
+                                           "step 2: values beyond float32's range\n")
+        assert not (tmp_path / "samples.csv").exists()
 
     def test_attr_model_defaults_to_no_preference_token(self, workspace, tmp_path,
                                                         monkeypatch, capsys):

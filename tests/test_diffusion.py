@@ -618,9 +618,9 @@ class TestSampler:
             calls.append((t, [np.array(v) for v in null]))
             return ConditionalDenoiser.step_tables(model, t, null)
 
-        def condition_terms(y, a, tables, branches):
-            calls.append((np.array(y), np.array(a), tables, branches))
-            return ConditionalDenoiser.condition_terms(model, y, a, tables, branches)
+        def condition_terms(y, a, tables, nulls=None):
+            calls.append((np.array(y), np.array(a), tables, nulls))
+            return ConditionalDenoiser.condition_terms(model, y, a, tables, nulls)
 
         model.step_tables, model.condition_terms = step_tables, condition_terms
         for guidance in (2.0, 1.0):
@@ -629,17 +629,20 @@ class TestSampler:
                          a=np.array([0.1, 0.2]))
         # The plan conditions the null tokens once, on the request's
         # respaced timesteps, as a request for them alone; each request its
-        # own branch, over the null branch when guided.
-        [(t, null), (*null_request, _, null_branches), *requests] = calls
+        # own branch, over the plan's null branch when guided.
+        [(t, null), (*null_request, _, null_nulls), *requests] = calls
         np.testing.assert_array_equal(t, respace(self.sched, 1).timestep_map)
         for y_null, a_null in (null, null_request):
             np.testing.assert_array_equal(y_null, null_id_token(1))
             np.testing.assert_array_equal(a_null, null_attr_token(2))
-        assert [null_branches] + [branches for *_, branches in requests] == [1, 2, 1]
+        plan = model.sampler_plan
+        assert null_nulls is None
+        (*_, guided), (*_, alone) = requests
+        assert guided is plan.nulls and alone is None
         for y_cond, a_cond, tables, _ in requests:
             np.testing.assert_array_equal(y_cond, [0.7])
             np.testing.assert_array_equal(a_cond, [0.1, 0.2])
-            assert tables is model.sampler_plan.tables
+            assert tables is plan.tables
 
     def test_sampling_writes_no_activation_cache(self):
         rng = np.random.default_rng(3)
@@ -819,6 +822,52 @@ class TestSamplerPlan:
         assert self.model.sampler_plan is not second
         assert again.tobytes() == self.fresh(base).tobytes()
 
+    def test_sampling_writes_nothing_onto_the_model_but_its_plan(self):
+        model = self.model.clone()
+        before = dict(vars(model))
+        sample_batch(model, self.Y, self.sched, SampleConfig(seed=3, guidance_scale=2.0), 300)
+        after = dict(vars(model))
+        assert before.pop("sampler_plan") is None and after.pop("sampler_plan") is not None
+        assert after.keys() == before.keys()
+        assert all(after[name] is before[name] for name in before)
+
+    def test_concurrent_requests_on_one_model_give_their_serial_bytes(self, monkeypatch):
+        # Four threads on one frozen model, their step counts replacing each
+        # other's plans, with more lanes than cores once n passes a block.
+        monkeypatch.setattr(nn, "WORKERS", 2)
+        model, rng = tiny_model(9, attr_dim=2), np.random.default_rng(34)
+        requests = []
+        for i, (steps, guidance, n) in enumerate(
+                [(5, 2.0, 1), (20, 1.0, 300), (10, 3.0, 64), (5, 1.0, 600), (20, 2.0, 1),
+                 (10, 2.0, 2 * ROW_BLOCK + 3), (5, 2.0, 64), (20, 1.0, 1)]):
+            y = np.array([0.9]) if i % 2 else rng.uniform(0.5, 1.5, size=(n, 1))
+            a = np.array([0.4, -0.6]) if i % 3 else rng.normal(size=(n, 2))
+            cfg = SampleConfig(seed=i, guidance_scale=guidance, respace_steps=steps)
+            requests.append((y, cfg, n, a))
+        serial = [sample_batch(model, y, self.sched, cfg, n, a=a).tobytes()
+                  for y, cfg, n, a in requests]
+        results = {}
+
+        def worker(j):
+            for _ in range(3):
+                for i in range(j, len(requests), 4):
+                    y, cfg, n, a = requests[i]
+                    results.setdefault(i, []).append(
+                        sample_batch(model, y, self.sched, cfg, n, a=a).tobytes())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(j,)) for j in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == {i: [want] * 3 for i, want in enumerate(serial)}
+
     def test_alternating_guidance_is_bitwise_reproducible(self):
         requests = [SampleConfig(seed=s, guidance_scale=g)
                     for s, g in enumerate((1.0, 2.0, 1.0, 3.0, 1.3, 2.0))]
@@ -918,17 +967,18 @@ class TestFloat32Network:
         n = 300
         out = sample_batch(model, np.array([1.0]), sched, SampleConfig(seed=1), n)
         assert out.dtype == np.float64
-        mains, output = model._weights32
+        plan = model.sampler_plan
+        mains, output = plan.weights
         for weight, layer in zip([*mains, output], [*model.mains, model.output], strict=True):
             assert weight.dtype == np.float32 and weight.flags.c_contiguous
             assert not weight.flags.writeable
             np.testing.assert_array_equal(weight, layer.weight.astype(np.float32))
-        tables = model.sampler_plan.tables
-        assert all(table.dtype == np.float64 for table in tables)
+        assert all(table.dtype == np.float64 for table in plan.tables)
+        assert all(null.dtype == np.float32 and not null.flags.writeable for null in plan.nulls)
         rng = np.random.default_rng(2)
         for y, a in ((np.array([1.0]), np.array([0.5, -0.5])),
                      (rng.uniform(0.5, 1.5, size=(n, 1)), rng.normal(size=(n, 2)))):
-            for steps, rows in model.condition_terms(y, a, tables, 2):
+            for steps, rows in model.condition_terms(y, a, plan.tables, plan.nulls):
                 for array in (steps,) if rows is None else (steps, rows):
                     assert array.dtype == np.float32 and not array.flags.writeable
             out = sample_batch(model, y, sched, SampleConfig(seed=1, guidance_scale=2.0), n, a=a)
@@ -966,6 +1016,56 @@ class TestFloat32Network:
                 sample_batch(model, np.array([1.0]), make_cosine_schedule(10),
                              SampleConfig(seed=0, guidance_scale=2.0), 4)
         assert model.sampler_plan is None
+
+
+def overflow_model(hidden_dims=(8, 8, 8)):
+    """A frozen model whose weights float32 holds but whose activations it
+    does not: a fresh model's last two trunk weights scaled by 1e20, the
+    output weights set to 1e-30. The float64 forward stays finite."""
+    model = ConditionalDenoiser(2, 1, hidden_dims=hidden_dims, time_embed_dim=8, seed=0)
+    for layer in model.mains[-2:]:
+        layer.weight[...] *= 1e20
+    model.output.weight[...] = 1e-30
+    model.freeze()
+    return model
+
+
+class TestOverflow:
+    """Every overflow in sampling, in the float32 network or the float64
+    tail, on the calling thread or a lane, is a PreimageError and leaks no
+    RuntimeWarning."""
+
+    @pytest.fixture(autouse=True)
+    def warnings_are_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("n", [1, 600])
+    @pytest.mark.parametrize("guidance", [1.0, 2.0])
+    def test_an_activation_float32_cannot_hold_is_named_with_its_layer_and_step(
+            self, monkeypatch, workers, n, guidance):
+        model = overflow_model()
+        x = np.random.default_rng(0).normal(size=(4, 2))
+        assert np.isfinite(model.forward(x, np.array([1.0]), 100)).all()
+        monkeypatch.setattr(nn, "WORKERS", workers)
+        with pytest.raises(NumericalDomainError, match=re.escape(
+                "hidden layer 2's activations at reverse step 25: "
+                "values beyond float32's range")):
+            sample_batch(model, np.array([1.0]), make_cosine_schedule(100),
+                         SampleConfig(seed=0, guidance_scale=guidance), n)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("n", [1, 600])
+    @pytest.mark.parametrize("threshold", [True, False])
+    def test_an_overflow_in_the_float64_tail_is_a_sampling_error(
+            self, monkeypatch, workers, n, threshold):
+        monkeypatch.setattr(nn, "WORKERS", workers)
+        with pytest.raises(SamplingError, match=re.escape(
+                "non-finite state at reverse step 25 (original step 100)")):
+            sample_batch(tiny_model(3), np.array([1.0]), make_cosine_schedule(100),
+                         SampleConfig(seed=0, guidance_scale=1e308, threshold=threshold), n)
 
 
 def _reverse_step_coeffs(schedule, i: int):
@@ -1221,12 +1321,12 @@ class TestBlockWorkers:
 
             def failing(*args, **kwargs):
                 if threading.get_ident() != caller:
-                    raise FloatingPointError("block failed on a worker")
+                    raise RuntimeError("block failed on a worker")
                 return silu(*args, **kwargs)
 
             monkeypatch.setattr(nn, "silu", failing)
             monkeypatch.setattr(nn, "WORKERS", 3)
-            with pytest.raises(FloatingPointError, match="worker"):
+            with pytest.raises(RuntimeError, match="worker"):
                 sample_batch(model, y, self.sched, cfg, 900)
         else:
             assert self.run(monkeypatch, 3, model, y, cfg, 900)[1] == 3
@@ -1241,11 +1341,11 @@ class TestBlockWorkers:
 
         def failing(*args, **kwargs):
             if (threading.get_ident() == caller) == (where == "caller"):
-                raise FloatingPointError(f"block failed on the {where}")
+                raise RuntimeError(f"block failed on the {where}")
             return silu(*args, **kwargs)
 
         monkeypatch.setattr(nn, "silu", failing)
-        with pytest.raises(FloatingPointError, match=where):
+        with pytest.raises(RuntimeError, match=where):
             sample_batch(model, y, self.sched, cfg, 600)
         monkeypatch.setattr(nn, "silu", silu)
         again, threads = self.run(monkeypatch, 2, model, y, cfg, 600)

@@ -8,6 +8,7 @@ import sys
 import textwrap
 import threading
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -763,6 +764,23 @@ class TestDistanceWorkers:
         assert block_threads() == []
         threads = distance_lanes(monkeypatch, 2)
         assert energy_distance(a, b).hex() == want.hex() and len(threads) == 2
+
+    def test_an_overflow_raises_alike_at_every_worker_count(self, monkeypatch):
+        # The caller's np.errstate reaches every lane, so no pool lane warns
+        # of the overflow that the caller's lane raises.
+        rng = np.random.default_rng(13)
+        a, b = rng.normal(size=(2 * R, 2)), rng.normal(size=(2 * R, 2))
+        a[40:] = 1e200
+        errors = []
+        for workers in (1, 2):
+            threads = distance_lanes(monkeypatch, workers)
+            with warnings.catch_warnings(record=True) as caught, np.errstate(over="raise"):
+                warnings.simplefilter("always")
+                with pytest.raises(FloatingPointError) as error:
+                    energy_distance(a, b)
+            assert [str(w.message) for w in caught] == [] and len(threads) == workers
+            errors.append(str(error.value))
+        assert errors == ["overflow encountered in square"] * 2
 
     def test_no_block_thread_outlives_a_call(self, monkeypatch):
         assert block_threads() == []

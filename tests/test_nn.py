@@ -684,10 +684,10 @@ class TestInferencePath:
 
     def step(self, x, y, a, branches, k, null=None):
         model = self.model
-        tables = model.step_tables(self.t, self.null(a) if null is None else null)
+        tables, nulls, weights = model.step_tables(self.t, self.null(a) if null is None else null)
         work = model.workspace(len(x), branches)
-        terms = model.condition_terms(y, a, tables, branches)
-        return model.denoise_step(x, terms, k, work, None).copy()
+        terms = model.condition_terms(y, a, tables, None if branches == 1 else nulls)
+        return model.denoise_step(x, weights, terms, k, work, None).copy()
 
     @pytest.mark.parametrize("y_kind, a_kind", [
         ("shared", None), ("shared", "shared"), ("rows", None),
@@ -701,12 +701,12 @@ class TestInferencePath:
             x = self.x_all[:n]
             y = self.y if y_kind == "shared" else self.y_all[:n]
             a = {None: None, "shared": self.a, "rows": self.a_all[:n]}[a_kind]
-            tables = model.step_tables(self.t, self.null(a))
+            tables, nulls, weights = model.step_tables(self.t, self.null(a))
             for branches in (1, 2):
-                terms = model.condition_terms(y, a, tables, branches)
+                terms = model.condition_terms(y, a, tables, None if branches == 1 else nulls)
                 work = model.workspace(n, branches)
                 for k, t in enumerate(self.t):
-                    got = model.denoise_step(x, terms, k, work, None)
+                    got = model.denoise_step(x, weights, terms, k, work, None)
                     assert got.shape == (branches, n, 3)
                     for (yb, ab), eps in zip([(y, a), self.null(a)], got):
                         want = model.forward(x, yb, int(t), a=ab)
@@ -731,20 +731,21 @@ class TestInferencePath:
     def test_a_request_leaves_the_tables_unchanged(self, y_kind, a_kind):
         # A request copies the branches it runs, rounded to float32: a shared
         # condition goes into branch 0 of the copy, a per-row one into its
-        # own (n, h) rows, and the null branch stays as planned.
+        # own (n, h) rows, and the null branch is the plan's, bit for bit.
         model = self.model
         y = self.y if y_kind == "shared" else self.y_rows
         a = {None: None, "shared": self.a, "rows": self.a_rows}[a_kind]
-        tables = model.step_tables(self.t, self.null(a))
+        tables, nulls, _ = model.step_tables(self.t, self.null(a))
         kept = [table.copy() for table in tables]
         for branches in (1, 2):
-            terms = model.condition_terms(y, a, tables, branches)
-            for (steps, rows), table, h in zip(terms, tables, model.hidden_dims, strict=True):
-                assert table.shape == (len(self.t), 2, 1, h)
+            terms = model.condition_terms(y, a, tables, None if branches == 1 else nulls)
+            for (steps, rows), table, null, h in zip(terms, tables, nulls, model.hidden_dims,
+                                                     strict=True):
+                assert table.shape == null.shape == (len(self.t), 1, 1, h)
+                assert table.dtype == np.float64 and null.dtype == np.float32
                 assert steps.shape == (len(self.t), branches, 1, h)
-                assert not np.shares_memory(steps, table)
-                np.testing.assert_array_equal(steps[:, 1:],
-                                              table[:, 1:branches].astype(np.float32))
+                assert not np.shares_memory(steps, table) and not np.shares_memory(steps, null)
+                np.testing.assert_array_equal(steps[:, 1:], null[:, :branches - 1])
                 if y_kind == "shared" and a_kind != "rows":
                     assert rows is None
                 else:
@@ -1100,6 +1101,18 @@ class TestRunLanes:
         with lane_pool(1) as pool:
             assert pool is None
             run_lanes(lambda lane: None, [0], pool)
+
+    def test_every_lane_runs_in_the_callers_errstate(self):
+        # A pool thread does not inherit np.errstate by itself.
+        seen = {}
+
+        def fn(lane):
+            seen[lane] = np.geterr()
+
+        with np.errstate(over="raise", invalid="ignore", divide="raise"):
+            want = np.geterr()
+            self.run([0, 1, 2], fn)
+        assert seen == {lane: want for lane in range(3)}
 
     @pytest.mark.parametrize("failing", [[0], [1], [2], [1, 2], [0, 2]])
     def test_the_first_error_in_lane_order_is_raised_after_every_lane(self, failing):
