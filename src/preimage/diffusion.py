@@ -357,10 +357,18 @@ def train(x0s, ys, config: TrainConfig, attrs=None, hidden_dims=HIDDEN_DIMS,
     """Fit a ConditionalDenoiser to (x, y[, a]) pairs.
 
     Batches are drawn with replacement from the dataset; the whole run is a
-    deterministic function of the inputs and config.seed. Non-finite inputs
-    raise NumericalDomainError up front; a loss that goes non-finite raises
-    DivergenceError naming the batch, before the update it would poison.
-    log_every > 0 prints the mean loss of every log_every batches.
+    deterministic function of the inputs and config.seed. Each batch's
+    forward, backward and Adam moments run in float32, on a float32 model
+    around the float64 master params (the master-weights split of
+    Micikevicius et al. 2018): Adam adds its update into the master params,
+    which the EMA shadow follows, and one cast then refreshes the float32
+    params from them. The returned model and EMA shadow are float64.
+    Non-finite inputs raise NumericalDomainError up front. The batches run
+    under np.errstate(over="raise", invalid="raise"): an overflow or invalid
+    value in a batch's loss, backward, update or cast, or a loss that goes
+    non-finite, raises DivergenceError naming the batch, its loss trace
+    ending in a non-finite entry, so no RuntimeWarning escapes. log_every >
+    0 prints the mean loss of every log_every batches.
     """
     config.validate()
     check_int("log_every", log_every)
@@ -385,29 +393,40 @@ def train(x0s, ys, config: TrainConfig, attrs=None, hidden_dims=HIDDEN_DIMS,
         attr_dim=None if attrs is None else attrs.shape[1],
         seed=config.seed,
     )
-    opt = Adam(model.params, lr=config.learning_rate)
+    net = ConditionalDenoiser(**model.topology(), seed=config.seed, params=model.params,
+                              dtype=np.float32)
+    opt = Adam(net.grads, lr=config.learning_rate)
     ema = EmaParams(model.params, rate=config.ema_rate)
 
     rng = np.random.default_rng(config.seed)
     result = TrainResult(model, ema, schedule, config)
-    for step in range(config.total_batches):
-        idx = rng.integers(0, len(x0s), size=config.batch_size)
-        loss = training_loss(
-            model, x0s[idx], ys[idx], schedule, rng,
-            a_batch=None if attrs is None else attrs[idx],
-            dropout_prob=config.cond_dropout,
-        )
-        if not math.isfinite(loss):
-            raise DivergenceError(
-                f"training loss went non-finite at batch {step + 1}/{config.total_batches}",
-                result.loss_history + [loss],
-            )
-        opt.step(model.params, model.grads)
-        ema.update(model.params)
-        result.loss_history.append(loss)
-        if log_every and (step + 1) % log_every == 0:
-            recent = np.mean(result.loss_history[-log_every:])
-            print(f"batch {step + 1}/{config.total_batches}  loss {recent:.5f}")
+    with np.errstate(over="raise", invalid="raise"):
+        for step in range(config.total_batches):
+            idx = rng.integers(0, len(x0s), size=config.batch_size)
+            loss = math.nan
+            try:
+                loss = training_loss(
+                    net, x0s[idx], ys[idx], schedule, rng,
+                    a_batch=None if attrs is None else attrs[idx],
+                    dropout_prob=config.cond_dropout,
+                )
+                # The backstop where BLAS's own threads hide the overflow flag.
+                if not math.isfinite(loss):
+                    raise FloatingPointError
+                opt.step(model.params, net.grads)
+                net.set_params_flat(model.params)
+            except FloatingPointError:
+                # The batch's loss, or NaN where its loss or update faulted.
+                last = math.nan if math.isfinite(loss) else loss
+                raise DivergenceError(
+                    f"training went non-finite at batch {step + 1}/{config.total_batches}",
+                    result.loss_history + [last],
+                ) from None
+            ema.update(model.params)
+            result.loss_history.append(loss)
+            if log_every and (step + 1) % log_every == 0:
+                recent = np.mean(result.loss_history[-log_every:])
+                print(f"batch {step + 1}/{config.total_batches}  loss {recent:.5f}")
     model.freeze()
     return result
 
@@ -507,8 +526,8 @@ def sample_batch(model, y, schedule: NoiseSchedule, config: SampleConfig,
     unthresholded one takes x_coef * x + eps_coef * eps. Deterministic for
     a fixed (model, y, a, config) including bitwise reproducibility of the
     result, whether or not a plan was kept. The float32 network moves
-    samples from those of the float64 forward the model was trained as by
-    about 1e-6 on the ring model.
+    samples from those of the model's float64 forward by about 1e-6 on the
+    ring model.
     """
     if not model.fitted:
         raise StateError("model has not been fitted; train it, load a checkpoint or freeze it")

@@ -21,6 +21,7 @@ from .errors import (
     AcceptanceStarvationError,
     ConfigurationError,
     DivergenceError,
+    NumericalDomainError,
     ShapeError,
     check_finite,
     check_int,
@@ -47,7 +48,10 @@ def _distance_sum(a: np.ndarray, b: np.ndarray, pool=None) -> float:
     each block its own slot. The squares add in coordinate order, a block's
     distances by numpy's pairwise sum, and the caller adds the slots in
     block order, so every W gives the same bits. pool is a caller's
-    nn.lane_pool of at least W lanes; None opens one for this sum."""
+    nn.lane_pool of at least W lanes; None opens one for this sum. The lanes
+    run under np.errstate(over="raise", invalid="raise"): finite rows whose
+    distances float64 cannot hold are a NumericalDomainError, and no
+    RuntimeWarning escapes."""
     a_cols, b_cols = a.T.copy(), b.T.copy()
     starts = range(0, len(a), DISTANCE_ROWS)
     lanes = _lane_count(len(a))
@@ -63,8 +67,12 @@ def _distance_sum(a: np.ndarray, b: np.ndarray, pool=None) -> float:
                 acc += np.square(np.subtract.outer(ak, bk, out=sq), out=sq)
             sums[j] = float(np.sqrt(acc, out=acc).sum())
 
-    with nn.lane_pool(lanes) if pool is None else nullcontext(pool) as pool:
-        nn.run_lanes(lane, range(lanes), pool)
+    try:
+        with (nn.lane_pool(lanes) if pool is None else nullcontext(pool) as pool,
+              np.errstate(over="raise", invalid="raise")):
+            nn.run_lanes(lane, range(lanes), pool)
+    except FloatingPointError:
+        raise NumericalDomainError("pairwise distances: values beyond float64's range") from None
     total = 0.0
     for block_sum in sums:  # not sum(): Python 3.12 compensates a float sum
         total += block_sum
@@ -98,7 +106,8 @@ def diversity(samples) -> float:
     """Mean Euclidean distance over all unordered pairs of samples: the
     _distance_sum over all ordered pairs, whose diagonal is exactly zero, over
     n (n - 1), in O(W * DISTANCE_ROWS * n) memory. Samples holding a NaN or an
-    infinity are a NumericalDomainError."""
+    infinity, or whose distances float64 cannot hold, are a
+    NumericalDomainError."""
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 2 or samples.shape[0] < 2 or samples.shape[1] == 0:
         raise ShapeError("diversity needs at least two samples of dimension >= 1")
@@ -307,7 +316,8 @@ def energy_distance(batch_a, batch_b) -> float:
     through the same code path, in O(W * DISTANCE_ROWS * max(n, m)) memory,
     so identical batches give exactly zero; the three share one lane pool. A
     batch holding a NaN or an infinity is a NumericalDomainError that names
-    it.
+    it, before any distance block; finite batches whose distances float64
+    cannot hold are one too.
     """
     a = np.asarray(batch_a, dtype=np.float64)
     b = np.asarray(batch_b, dtype=np.float64)

@@ -1,9 +1,12 @@
 """Manually differentiated MLP denoiser and its training machinery.
 
-Training is plain float64 numpy. A layer is views of the model's flat
-stores and keeps no state; the model's forward caches every layer input in
-reused buffers, so that a single backward pass can accumulate parameter
-gradients without an autograd framework. Sampling takes a separate inference
+Training splits its precision as Micikevicius et al. 2018 do: the forward,
+the backward and Adam's moments run in float32 on a float32 model around
+float64 master params, which Adam's update, the EMA shadow and the
+checkpoint keep. A layer is views of the model's flat stores and keeps no
+state; the model's forward caches every layer input in reused buffers, so
+that a single backward pass can accumulate parameter gradients without an
+autograd framework. Sampling takes a separate inference
 path through the denoiser that caches nothing and checks no shapes per layer:
 a sampler plan holds what it derives once from a frozen model, the float64
 timestep tables over every step, the null tokens' float32 terms and float32
@@ -110,24 +113,33 @@ def run_lanes(fn, lanes, pool) -> None:
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
+# The activations' constants: exact in any float dtype, and on a float32
+# array a numpy float32 scalar dispatches about 80 ns faster than a Python float.
+_HALF, _ONE = np.float32(0.5), np.float32(1.0)
+
+
+def _float_array(x) -> np.ndarray:
+    """x itself if it is a float ndarray, which keeps its dtype, else x as
+    float64."""
+    if isinstance(x, np.ndarray) and x.dtype.kind == "f":
+        return x
+    return np.asarray(x, dtype=np.float64)
+
+
 def sigmoid(x, out=None):
     """Logistic function 0.5 * (1 + tanh(x / 2)) for scalars or arrays.
 
     The tanh form needs one transcendental per entry and no branch, and it
     saturates to exactly 0 and 1 in the tails instead of overflowing. out, if
-    given, is an array of x's shape to write the result into.
+    given, is an array of x's shape to write the result into. A float ndarray
+    keeps its dtype; anything else is computed in float64.
     """
-    x = np.asarray(x, dtype=np.float64)
-    out = np.multiply(x, 0.5, out=np.empty_like(x) if out is None else out)
+    x = _float_array(x)
+    out = np.multiply(x, _HALF, out=np.empty_like(x) if out is None else out)
     np.tanh(out, out=out)
-    out += 1.0
-    out *= 0.5
+    out += _ONE
+    out *= _HALF
     return out
-
-
-# silu's constants: exact in any float dtype, and on a float32 array a numpy
-# float32 scalar dispatches about 80 ns faster than a Python float.
-_HALF, _ONE = np.float32(0.5), np.float32(1.0)
 
 
 def silu(x, out=None):
@@ -138,8 +150,7 @@ def silu(x, out=None):
     ndarray keeps its dtype, so the sampler's float32 blocks stay float32;
     anything else is computed in float64.
     """
-    if not (isinstance(x, np.ndarray) and x.dtype.kind == "f"):
-        x = np.asarray(x, dtype=np.float64)
+    x = _float_array(x)
     out = np.multiply(x, _HALF, out=np.empty_like(x) if out is None else out)
     np.tanh(out, out=out)
     out += _ONE
@@ -152,14 +163,15 @@ def silu_grad(x, s=None, out=None):
     """Derivative of SiLU: sigmoid(x) * (1 + x * (1 - sigmoid(x))).
 
     s, when given, is sigmoid(x) already computed, as the training forward
-    keeps it; out, if given, is an array of x's shape to write into.
+    keeps it; out, if given, is an array of x's shape to write into. A float
+    ndarray keeps its dtype, as in sigmoid.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = _float_array(x)
     if s is None:
         s = sigmoid(x)
-    out = np.subtract(1.0, s, out=out)
+    out = np.subtract(_ONE, s, out=out)
     out *= x
-    out += 1.0
+    out += _ONE
     out *= s
     return out
 
@@ -265,9 +277,13 @@ class ConditionalDenoiser:
     a flat vector, the model is built around a copy of it instead, drawing no
     initialization.
 
-    params and grads are the flat store, laid out layer by layer as weight
-    then bias. It is allocated first; every layer's weight, bias and their
-    grads are views of it, and the initialization is drawn into those views.
+    params and grads are the flat store, of dtype (float64 unless given),
+    laid out layer by layer as weight then bias. forward and backward run in
+    that dtype: train runs them on a float32 model around its float64 master
+    params, and a float64 model is the reference that the finite-difference
+    checks hold them to. The store is allocated first; every layer's weight,
+    bias and their grads are views of it, and the initialization is drawn
+    into those views.
     Layers run backward one at a time, so every layer's scratch views the
     front of one buffer as large as the largest weight.
     mains holds each hidden layer's own map: input_proj, then hidden_0, ...
@@ -284,6 +300,7 @@ class ConditionalDenoiser:
         attr_dim: int | None = None,
         seed: int = 0,
         params=None,
+        dtype=np.float64,
     ):
         check_int("data_dim", data_dim, 1)
         check_int("id_dim", id_dim, 1)
@@ -302,9 +319,9 @@ class ConditionalDenoiser:
         self.seed = check_int("seed", seed)
 
         dims = _layer_dims(self.topology())
-        self.params = np.zeros(param_count(self.topology()))
+        self.params = np.zeros(param_count(self.topology()), dtype)
         self.grads = np.zeros_like(self.params)
-        self._grad_scratch = np.empty(max(i * o for _, i, o in dims))
+        self._grad_scratch = np.empty(max(i * o for _, i, o in dims), dtype)
         rng = None if params is not None else np.random.default_rng(seed)
         self._layers, offset = [], 0
         for name, in_dim, out_dim in dims:
@@ -373,7 +390,7 @@ class ConditionalDenoiser:
 
     def clone(self, params=None) -> "ConditionalDenoiser":
         """A copy of this model, around params if given, frozen if this is."""
-        other = ConditionalDenoiser(**self.topology(), seed=self.seed,
+        other = ConditionalDenoiser(**self.topology(), seed=self.seed, dtype=self.params.dtype,
                                     params=self.params if params is None else params)
         if self.fitted:
             other.freeze()
@@ -388,21 +405,23 @@ class ConditionalDenoiser:
         every row, or one row per sample; t is a scalar or per-row array of
         timesteps >= 1. A model built with attr_dim set still accepts a=None,
         which leaves the attribute pathway off the compute path entirely.
+        x_t, y and a are cast once to the store's dtype, the network's.
         Caches every layer input backward needs; sampling uses
         step_tables, condition_terms and denoise_step instead.
         """
-        x_t = np.asarray(x_t, dtype=np.float64)
+        dtype = self.params.dtype
+        x_t = np.asarray(x_t, dtype=dtype)
         single = x_t.ndim == 1
         if single:
             x_t = x_t[None, :]
         if x_t.ndim != 2 or x_t.shape[1] != self.data_dim:
             raise ShapeError(f"x_t must have shape (n, {self.data_dim}), got {x_t.shape}")
         n = x_t.shape[0]
-        y = _tiled(shared_or_rows(y, self.id_dim, n, "y"), n)
+        y = _tiled(shared_or_rows(y, self.id_dim, n, "y"), n).astype(dtype, copy=False)
         if a is not None:
             if self.attr_proj is None:
                 raise ConfigurationError("model was built without attribute conditioning")
-            a = _tiled(shared_or_rows(a, self.attr_dim, n, "a"), n)
+            a = _tiled(shared_or_rows(a, self.attr_dim, n, "a"), n).astype(dtype, copy=False)
 
         t_arr = np.asarray(t, dtype=np.float64)
         if t_arr.ndim == 0:
@@ -430,20 +449,24 @@ class ConditionalDenoiser:
         return eps[0] if single else eps
 
     def _training_workspace(self, n: int):
-        """Buffers for n rows, kept while n stays the same: the condition and
-        one projection of it, z, sigmoid(z) and silu(z) per hidden layer, the
-        condition's gradient and one flat buffer for every layer's dz."""
+        """Buffers for n rows in the store's dtype, kept while n stays the
+        same: the condition and one projection of it, z, sigmoid(z) and
+        silu(z) per hidden layer, the condition's gradient and one flat
+        buffer for every layer's dz."""
         if self._train_work is None or len(self._train_work[0]) != n:
-            cond, emb, dcond = (np.empty((n, self.time_embed_dim)) for _ in range(3))
-            layers = [tuple(np.empty((n, h)) for _ in range(3)) for h in self.hidden_dims]
-            self._train_work = (cond, emb, layers, dcond, np.empty(n * max(self.hidden_dims)))
+            dtype = self.params.dtype
+            cond, emb, dcond = (np.empty((n, self.time_embed_dim), dtype) for _ in range(3))
+            layers = [tuple(np.empty((n, h), dtype) for _ in range(3)) for h in self.hidden_dims]
+            self._train_work = (cond, emb, layers, dcond,
+                                np.empty(n * max(self.hidden_dims), dtype))
         return self._train_work
 
     def backward(self, grad_out) -> np.ndarray:
         """Accumulate parameter gradients for the last forward pass.
 
         grad_out is the loss gradient with respect to the predicted noise, of
-        the predicted noise's shape. Returns the gradient with respect to x_t.
+        the predicted noise's shape, cast once to the store's dtype. Returns
+        the gradient with respect to x_t.
         Consumes the forward cache: each layer's input buffer takes the
         gradient with respect to that input.
         """
@@ -453,7 +476,7 @@ class ConditionalDenoiser:
         self._cache = None
         cond, emb, _, dcond, dz_flat = self._train_work
 
-        grad_out = np.asarray(grad_out, dtype=np.float64)
+        grad_out = np.asarray(grad_out, dtype=self.params.dtype)
         if single and grad_out.ndim == 1:
             grad_out = grad_out[None, :]
         n = len(h)
@@ -650,14 +673,19 @@ def _beyond_float32(what: str) -> NumericalDomainError:
 
 class Adam:
     """Adam with bias correction over one flat parameter vector. step runs in
-    place through two scratch buffers, in the textbook per-entry order."""
+    place through two scratch buffers, in the textbook per-entry order.
 
-    def __init__(self, params, lr: float = 1e-4):
+    The moments and scratch take the shape and dtype of grads, the gradient
+    store that step reads (float64 for anything but a float ndarray). train
+    steps a float32 model's gradients, so its moments and the update are
+    float32, and step adds the update into the float64 master params."""
+
+    def __init__(self, grads, lr: float = 1e-4):
         if not 0 < lr < math.inf:  # NaN fails too
             raise ConfigurationError(f"learning rate must be positive and finite, got {lr}")
         self.lr = lr
         self.step_count = 0
-        self.m = np.zeros(np.shape(params))
+        self.m = np.zeros_like(_float_array(grads))
         self.v = np.zeros_like(self.m)
         self._a = np.empty_like(self.m)
         self._b = np.empty_like(self.m)

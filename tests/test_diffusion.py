@@ -1244,6 +1244,45 @@ def test_sampling_bitwise_equal_across_blas_thread_counts():
         assert threads[0] > 1
 
 
+_THREAD_TRAINER = textwrap.dedent("""
+    import hashlib
+    import numpy as np
+    from preimage.diffusion import TrainConfig, train
+    from preimage.embedders import DatasetSpec, EmbedderInfo, generate_dataset, make_embedder
+
+    spec = DatasetSpec(distribution="annulus", input_dim=2, n_samples=2000, seed=0)
+    ds = generate_dataset(spec, make_embedder(EmbedderInfo("radius", 2, 1)))
+    for batch in (64, 256):
+        cfg = TrainConfig(seed=4, timesteps=100, batch_size=batch, learning_rate=1e-3,
+                          ema_rate=0.999, total_batches=200)
+        result = train(ds.x, ds.y, cfg, hidden_dims=(128, 128, 128), time_embed_dim=64)
+        digest = hashlib.sha256(result.model.params.tobytes())
+        digest.update(result.ema.shadow.tobytes())
+        digest.update(np.array(result.loss_history).tobytes())
+        print(batch, digest.hexdigest())
+""")
+
+
+def test_training_bitwise_equal_across_blas_thread_counts():
+    # The ring configuration at batch 64 and 256; the larger batch makes a
+    # threaded BLAS split the float32 matmuls. "" leaves the thread count
+    # unset, so BLAS takes every core.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    digests = []
+    for blas in ("1", "2", ""):
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS",
+                            "MKL_NUM_THREADS")}
+        if blas:
+            env.update(OPENBLAS_NUM_THREADS=blas, OMP_NUM_THREADS=blas, MKL_NUM_THREADS=blas)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", _THREAD_TRAINER], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        digests.append(proc.stdout.splitlines())
+    assert [line.split()[0] for line in digests[0]] == ["64", "256"]
+    assert digests[0] == digests[1] == digests[2]
+
+
 _TINY = dict(hidden_dims=(16, 16), time_embed_dim=8)
 
 
@@ -1416,19 +1455,85 @@ class TestTrainDriver:
             train(data["x0s"], data["ys"], cfg, attrs=data["attrs"],
                   hidden_dims=(8,), time_embed_dim=8)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_non_finite_loss_names_the_batch(self):
-        # A learning rate of 1e200 throws the weights to ~1e200 in one step,
-        # so the second batch's forward pass overflows.
+        # A learning rate of 1e200 does not fit Adam's float32 update, so the
+        # first batch's update overflows: its loss was finite, its trace entry
+        # is not.
         rng = np.random.default_rng(7)
         x = rng.normal(size=(64, 2))
         y = x[:, :1].copy()
         cfg = TrainConfig(seed=1, timesteps=10, total_batches=20, batch_size=8,
                           learning_rate=1e200)
+        with pytest.raises(DivergenceError, match="batch 1/20") as exc:
+            train(x, y, cfg, hidden_dims=(8, 8), time_embed_dim=8)
+        trace = exc.value.loss_trace
+        assert len(trace) == 1 and not math.isfinite(trace[0])
+
+    @pytest.mark.filterwarnings("error")
+    def test_an_update_that_fits_float32_diverges_in_the_next_forward(self, monkeypatch):
+        # A learning rate of 1e30 throws the weights to ~1e30, which float32
+        # holds, so the second batch's forward pass overflows instead.
+        steps = []
+
+        class Recording(Adam):
+            def step(self, params, grads):
+                super().step(params, grads)
+                steps.append(float(np.abs(params).max()))
+
+        monkeypatch.setattr(diffusion, "Adam", Recording)
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=(64, 2))
+        y = x[:, :1].copy()
+        cfg = TrainConfig(seed=1, timesteps=10, total_batches=20, batch_size=8,
+                          learning_rate=1e30)
         with pytest.raises(DivergenceError, match="batch 2/20") as exc:
             train(x, y, cfg, hidden_dims=(8, 8), time_embed_dim=8)
         trace = exc.value.loss_trace
         assert len(trace) == 2 and math.isfinite(trace[0]) and not math.isfinite(trace[1])
+        assert len(steps) == 1 and 1e29 < steps[0] < np.finfo(np.float32).max
+
+    def test_float32_network_and_adam_over_float64_master_params(self, monkeypatch):
+        # train steps a float32 model; after every step, before the EMA reads
+        # the master params, the float32 params are those params cast.
+        nets, opts, checked = [], [], []
+
+        class RecordingAdam(Adam):
+            def __init__(self, grads, lr):
+                super().__init__(grads, lr)
+                opts.append(self)
+
+        class CheckingEma(nn.EmaParams):
+            def update(self, params):
+                (net,) = set(nets)
+                assert params.dtype == np.float64 and net.params.dtype == np.float32
+                assert net.params.tobytes() == params.astype(np.float32).tobytes()
+                checked.append(params.copy())
+                super().update(params)
+
+        def recording_loss(model, *args, **kwargs):
+            nets.append(model)
+            return training_loss(model, *args, **kwargs)
+
+        monkeypatch.setattr(diffusion, "Adam", RecordingAdam)
+        monkeypatch.setattr(diffusion, "EmaParams", CheckingEma)
+        monkeypatch.setattr(diffusion, "training_loss", recording_loss)
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=(64, 2))
+        cfg = TrainConfig(seed=2, timesteps=10, total_batches=12, batch_size=8,
+                          learning_rate=1e-2, ema_rate=0.9)
+        result = train(x, x[:, :1].copy(), cfg, hidden_dims=(8, 8), time_embed_dim=8)
+        assert len(nets) == len(checked) == 12 and len(opts) == 1
+        assert nets[0] is not result.model and nets[0].topology() == result.model.topology()
+        (opt,) = opts
+        assert opt.m.dtype == opt.v.dtype == np.float32 and opt.step_count == 12
+        assert result.model.params.dtype == result.ema.shadow.dtype == np.float64
+        assert result.ema_model().params.dtype == np.float64
+        # The master params moved in float64, below float32's resolution too.
+        assert result.model.params.tobytes() == checked[-1].tobytes()
+        assert not np.array_equal(result.model.params,
+                                  result.model.params.astype(np.float32))
+        assert all(isinstance(v, float) for v in result.loss_history)
 
     def test_negative_log_every_rejected_before_training(self, capsys):
         x = np.random.default_rng(8).normal(size=(32, 2))

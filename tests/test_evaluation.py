@@ -754,20 +754,20 @@ class TestDistanceWorkers:
         def failing(fn, lanes, pool):
             def lane(w):
                 if (threading.get_ident() == caller) == (where == "caller"):
-                    raise FloatingPointError(f"block failed on the {where}")
+                    raise RuntimeError(f"block failed on the {where}")
                 return fn(w)
             return run_lanes(lane, lanes, pool)
 
         monkeypatch.setattr(nn, "run_lanes", failing)
-        with pytest.raises(FloatingPointError, match=where):
+        with pytest.raises(RuntimeError, match=where):
             energy_distance(a, b)
         assert block_threads() == []
         threads = distance_lanes(monkeypatch, 2)
         assert energy_distance(a, b).hex() == want.hex() and len(threads) == 2
 
     def test_an_overflow_raises_alike_at_every_worker_count(self, monkeypatch):
-        # The caller's np.errstate reaches every lane, so no pool lane warns
-        # of the overflow that the caller's lane raises.
+        # The sums' np.errstate reaches every lane, so no pool lane warns of
+        # the overflow that the caller's lane raises.
         rng = np.random.default_rng(13)
         a, b = rng.normal(size=(2 * R, 2)), rng.normal(size=(2 * R, 2))
         a[40:] = 1e200
@@ -776,11 +776,25 @@ class TestDistanceWorkers:
             threads = distance_lanes(monkeypatch, workers)
             with warnings.catch_warnings(record=True) as caught, np.errstate(over="raise"):
                 warnings.simplefilter("always")
-                with pytest.raises(FloatingPointError) as error:
+                with pytest.raises(NumericalDomainError) as error:
                     energy_distance(a, b)
             assert [str(w.message) for w in caught] == [] and len(threads) == workers
             errors.append(str(error.value))
-        assert errors == ["overflow encountered in square"] * 2
+        assert errors == ["pairwise distances: values beyond float64's range"] * 2
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("rows", [4, 2 * R + 3])
+    def test_overflowing_distances_are_refused(self, monkeypatch, workers, rows):
+        # Finite rows whose differences square beyond float64: inf at the
+        # parent's default errstate, after a RuntimeWarning.
+        far = np.full((rows, 2), 1e200)
+        threads = distance_lanes(monkeypatch, workers)
+        with pytest.raises(NumericalDomainError, match="beyond float64"):
+            energy_distance(far, -far)
+        with pytest.raises(NumericalDomainError, match="beyond float64"):
+            diversity(np.concatenate((far, -far)))
+        assert len(threads) == min(workers, -(-2 * rows // R))
 
     def test_no_block_thread_outlives_a_call(self, monkeypatch):
         assert block_threads() == []

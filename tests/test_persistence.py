@@ -50,6 +50,23 @@ def trained_with_attrs():
 
 
 class TestCheckpointRoundtrip:
+    def test_a_trained_checkpoint_keeps_the_v1_layout(self, trained, tmp_path):
+        # Training runs a float32 network, but saves its float64 master
+        # params and EMA shadow: v1's header, then every float as f64.
+        path = tmp_path / "v1.ckpt"
+        save_checkpoint(str(path), trained)
+        cfg, model = trained.train_config, trained.model
+        assert model.params.dtype == trained.ema.shadow.dtype == np.float64
+        head = crafted_header(model.hidden_dims, time_embed_dim=model.time_embed_dim,
+                              n_steps=cfg.timesteps)[:-24]
+        head += struct.pack("<3Q", cfg.total_batches, cfg.batch_size, cfg.seed)
+        floats = np.concatenate([[cfg.cond_dropout, cfg.learning_rate, cfg.ema_rate],
+                                 trained.schedule.betas, model.params, trained.ema.shadow])
+        data = path.read_bytes()
+        assert data[:8] == MAGIC + struct.pack("<I", 1)
+        assert len(data) == len(head) + 8 * (3 + cfg.timesteps + 2 * param_count(model.topology()))
+        assert data == head + floats.astype("<f8").tobytes()
+
     def test_save_load_save_byte_identical(self, trained, tmp_path):
         p1 = str(tmp_path / "a.ckpt")
         p2 = str(tmp_path / "b.ckpt")
