@@ -320,7 +320,7 @@ class ConditionalDenoiser:
 
         dims = _layer_dims(self.topology())
         self.params = np.zeros(param_count(self.topology()), dtype)
-        self.grads = np.zeros_like(self.params)
+        self.grads = np.zeros(self.params.shape, dtype)
         self._grad_scratch = np.empty(max(i * o for _, i, o in dims), dtype)
         rng = None if params is not None else np.random.default_rng(seed)
         self._layers, offset = [], 0

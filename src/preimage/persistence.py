@@ -5,6 +5,13 @@ half-written file at the target path. The checkpoint format is little-endian
 throughout: magic "IDPM", a u32 version, u64 topology and descriptor counts,
 then one f64 payload holding config floats, schedule betas, live parameters,
 and finally the EMA parameters.
+
+Neither direction copies the payload. save_checkpoint builds only the header,
+config floats and betas in memory, then streams the model's parameters and
+EMA shadow into the file from their own arrays. load_checkpoint reads the
+header, checks the file's length against the payload it implies, then reads
+the payload once; the float sections are views of that one buffer until the
+model, the EMA shadow and the schedule copy them out.
 """
 
 from __future__ import annotations
@@ -49,12 +56,17 @@ def _in_bounds(field: str, v: int) -> int:
     return v
 
 
-def _atomic_write_bytes(path: str, data: bytes) -> None:
+def _atomic_write_bytes(path: str, *chunks) -> None:
+    """Write the chunks (bytes-like objects, numpy arrays included) in order
+    to a temp file beside path, then rename it over path. Each chunk goes to
+    the file as it is, so nothing joins them in memory; if any write fails,
+    the temp file is removed and path keeps what it held."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -147,26 +159,22 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
     u64("train_seed", cfg.seed)
     make_embedder(ckpt.embedder_info)  # after the header's bounds, as load_checkpoint
 
-    floats = np.concatenate([
-        [cfg.cond_dropout, cfg.learning_rate, cfg.ema_rate],
-        ckpt.schedule.betas,
-        params,
-        ema_flat,
-    ])
-    buf += np.asarray(floats, dtype="<f8").tobytes()
-    _atomic_write_bytes(path, bytes(buf))
+    buf += struct.pack("<3d", cfg.cond_dropout, cfg.learning_rate, cfg.ema_rate)
+    buf += np.asarray(ckpt.schedule.betas, dtype="<f8").tobytes()
+    _atomic_write_bytes(path, buf, *(np.ascontiguousarray(v, dtype="<f8")
+                                     for v in (params, ema_flat)))
 
 
 class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.off = 0
+    """Reads a checkpoint's header fields from an open file, in order."""
+
+    def __init__(self, fh):
+        self.fh = fh
 
     def take(self, n: int, field: str) -> bytes:
-        if self.off + n > len(self.data):
+        out = self.fh.read(n)
+        if len(out) < n:
             raise CheckpointFormatError(f"file truncated while reading {field}")
-        out = self.data[self.off : self.off + n]
-        self.off += n
         return out
 
     def u32(self, field: str) -> int:
@@ -175,62 +183,65 @@ class _Reader:
     def u64(self, field: str) -> int:
         return _in_bounds(field, struct.unpack("<Q", self.take(8, field))[0])
 
-    def f64s(self, n: int, field: str) -> np.ndarray:
-        raw = self.take(8 * n, field)
-        return np.frombuffer(raw, dtype="<f8").copy()
-
 
 def load_checkpoint(path: str) -> Checkpoint:
     """Parse a checkpoint file, validating layout and every count field; a
     training config TrainConfig.validate refuses, an embedder descriptor
-    make_embedder refuses or a topology the model refuses is a format error."""
+    make_embedder refuses or a topology the model refuses is a format error.
+    A file whose length differs from what its header implies is refused
+    before its payload is read."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    r = _Reader(data)
-    if r.take(4, "magic") != MAGIC:
-        raise CheckpointFormatError("magic bytes do not spell IDPM")
-    version = r.u32("version")
-    if version != VERSION:
-        raise CheckpointFormatError(f"unsupported format version {version}")
+        r = _Reader(fh)
+        if r.take(4, "magic") != MAGIC:
+            raise CheckpointFormatError("magic bytes do not spell IDPM")
+        version = r.u32("version")
+        if version != VERSION:
+            raise CheckpointFormatError(f"unsupported format version {version}")
 
-    data_dim = r.u64("data_dim")
-    id_dim = r.u64("id_dim")
-    attr_dim = r.u64("attr_dim")
-    time_embed_dim = r.u64("time_embed_dim")
-    n_hidden = r.u64("n_hidden")
-    hidden_dims = tuple(r.u64(f"hidden_dims[{i}]") for i in range(n_hidden))
-    n_steps = r.u64("n_steps")
-    sched_code = r.u64("schedule_kind")
-    if min(data_dim, id_dim, time_embed_dim, n_hidden, n_steps) < 1 or 0 in hidden_dims:
-        raise CheckpointFormatError("topology contains a zero count")
+        data_dim = r.u64("data_dim")
+        id_dim = r.u64("id_dim")
+        attr_dim = r.u64("attr_dim")
+        time_embed_dim = r.u64("time_embed_dim")
+        n_hidden = r.u64("n_hidden")
+        hidden_dims = tuple(r.u64(f"hidden_dims[{i}]") for i in range(n_hidden))
+        n_steps = r.u64("n_steps")
+        sched_code = r.u64("schedule_kind")
+        if min(data_dim, id_dim, time_embed_dim, n_hidden, n_steps) < 1 or 0 in hidden_dims:
+            raise CheckpointFormatError("topology contains a zero count")
 
-    name_len = r.u64("embedder_name_len")
-    try:
-        name = r.take(name_len, "embedder_name").decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise CheckpointFormatError("embedder_name is not valid UTF-8") from exc
-    info = EmbedderInfo(name, r.u64("embedder_input_dim"), r.u64("embedder_output_dim"),
-                        r.u64("embedder_seed"))
+        name_len = r.u64("embedder_name_len")
+        try:
+            name = r.take(name_len, "embedder_name").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointFormatError("embedder_name is not valid UTF-8") from exc
+        info = EmbedderInfo(name, r.u64("embedder_input_dim"), r.u64("embedder_output_dim"),
+                            r.u64("embedder_seed"))
 
-    total_batches = r.u64("total_batches")
-    batch_size = r.u64("batch_size")
-    train_seed = r.u64("train_seed")
+        total_batches = r.u64("total_batches")
+        batch_size = r.u64("batch_size")
+        train_seed = r.u64("train_seed")
 
-    topo = {"data_dim": data_dim, "id_dim": id_dim, "attr_dim": attr_dim or None,
-            "time_embed_dim": time_embed_dim, "hidden_dims": hidden_dims}
-    _check_embedder(info, topo)
-    n_params = param_count(topo)
-    expected = 8 * (3 + n_steps + 2 * n_params)
-    remaining = len(data) - r.off
-    if remaining != expected:
+        topo = {"data_dim": data_dim, "id_dim": id_dim, "attr_dim": attr_dim or None,
+                "time_embed_dim": time_embed_dim, "hidden_dims": hidden_dims}
+        _check_embedder(info, topo)
+        n_params = param_count(topo)
+        expected = 8 * (3 + n_steps + 2 * n_params)
+        # The file's length settles the payload's before any of it is read,
+        # so a huge or padded file costs no more memory than a good one; the
+        # extra byte asked for catches a file that grew since.
+        found = os.fstat(fh.fileno()).st_size - fh.tell()
+        if found == expected:
+            payload = fh.read(expected + 1)
+            found = len(payload)
+    if found != expected:
         raise CheckpointFormatError(
             f"payload length mismatch: expected {expected} bytes of floats "
-            f"for this topology, found {remaining}"
+            f"for this topology, found {found}"
         )
-    cond_dropout, learning_rate, ema_rate = r.f64s(3, "config floats")
-    betas = r.f64s(n_steps, "betas")
-    params = r.f64s(n_params, "parameters")
-    ema_flat = r.f64s(n_params, "ema parameters")
+    floats = np.frombuffer(payload, dtype="<f8")
+    cond_dropout, learning_rate, ema_rate = floats[:3]
+    betas = floats[3:3 + n_steps].copy()
+    params, ema_flat = floats[3 + n_steps:].reshape(2, n_params)
     _check_finite(params, ema_flat)
 
     try:

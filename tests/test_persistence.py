@@ -8,7 +8,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from preimage.diffusion import SCHEDULES, SampleConfig, TrainConfig, sample_batch, train
+from preimage import persistence
+from preimage.diffusion import (SCHEDULES, SampleConfig, TrainConfig, make_cosine_schedule,
+                                sample_batch, train)
 from preimage.embedders import EmbedderInfo, RadiusEmbedder
 from preimage.errors import CheckpointFormatError, ConfigurationError, PreimageError, ShapeError
 from preimage.nn import ConditionalDenoiser, EmaParams, param_count
@@ -47,6 +49,25 @@ def trained_with_attrs():
                       schedule="linear")
     result = train(xs, ys, cfg, attrs=attrs, hidden_dims=(6,), time_embed_dim=6)
     return Checkpoint.from_train_result(result, emb.info)
+
+
+@pytest.fixture(scope="module")
+def ring_sized():
+    """An untrained checkpoint of the ring experiment's size: 128x3, T = 100."""
+    model = ConditionalDenoiser(2, 1, hidden_dims=(128, 128, 128), time_embed_dim=64, seed=4)
+    model.freeze()
+    return Checkpoint(model, EmaParams(model.params), make_cosine_schedule(100),
+                      RadiusEmbedder(2).info, TrainConfig(seed=4, timesteps=100))
+
+
+def traced_peak(fn) -> int:
+    """The tracemalloc peak, in bytes, of calling fn."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestCheckpointRoundtrip:
@@ -127,6 +148,53 @@ class TestCheckpointRoundtrip:
         monkeypatch.setattr(np.random, "default_rng", no_draw)
         loaded = load_checkpoint(path)
         np.testing.assert_array_equal(loaded.model.params, trained.model.params)
+
+    def test_a_loaded_checkpoint_owns_its_arrays(self, trained, tmp_path):
+        # Load reads the payload into one buffer; a kept checkpoint must not pin it.
+        path = tmp_path / "own.ckpt"
+        save_checkpoint(str(path), trained)
+        loaded = load_checkpoint(str(path))
+        for vec in (loaded.model.params, loaded.ema.shadow, loaded.schedule.betas):
+            assert vec.base is None or vec.flags.owndata
+        assert loaded.model.grads.shape == loaded.model.params.shape
+        assert not loaded.model.grads.any()
+
+    def test_save_allocates_no_payload_sized_temporary(self, ring_sized, tmp_path):
+        # The params and EMA shadow go to the file from their own arrays.
+        path = tmp_path / "ring.ckpt"
+        save_checkpoint(str(path), ring_sized)
+        peak = traced_peak(lambda: save_checkpoint(str(path), ring_sized))
+        assert peak < path.stat().st_size / 8
+
+    def test_a_failed_write_keeps_the_old_file(self, trained, tmp_path, monkeypatch):
+        # Save writes its header, then the params, then the EMA shadow; a
+        # failure at the params leaves the target as it was and no temp file.
+        path = tmp_path / "kept.ckpt"
+        path.write_bytes(b"the old checkpoint")
+        fdopen = os.fdopen
+
+        class FailingSecondWrite:
+            def __init__(self, fh):
+                self.fh, self.writes = fh, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, chunk):
+                self.writes += 1
+                if self.writes == 2:
+                    raise OSError("no space left on device")
+                return self.fh.write(chunk)
+
+        monkeypatch.setattr(persistence.os, "fdopen",
+                            lambda fd, mode: FailingSecondWrite(fdopen(fd, mode)))
+        with pytest.raises(OSError, match="no space left"):
+            save_checkpoint(str(path), trained)
+        assert path.read_bytes() == b"the old checkpoint"
+        assert [p for p in os.listdir(tmp_path) if p.endswith(".tmp")] == []
 
 class TestCheckpointValidation:
     def write_good(self, trained, tmp_path) -> tuple[str, bytes]:
@@ -215,6 +283,19 @@ class TestHostileCheckpoints:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    def test_trailing_data_is_refused_before_it_is_read(self, trained, tmp_path):
+        # A good checkpoint padded with 32 MiB of zeros was read whole, then refused.
+        path = tmp_path / "padded.ckpt"
+        save_checkpoint(str(path), trained)
+        with open(path, "ab") as fh:
+            fh.truncate(path.stat().st_size + (32 << 20))
+
+        def refused():
+            with pytest.raises(CheckpointFormatError, match="payload length mismatch"):
+                load_checkpoint(str(path))
+
+        assert traced_peak(refused) < 4 << 20
 
     def test_topology_the_model_refuses_is_a_format_error(self, tmp_path):
         # Header and payload agree, so every length check passes, but the
