@@ -375,8 +375,12 @@ def cmd_eval(args) -> int:
             raise ConfigurationError(
                 f"{args.pairs} must have 'distance' and 'is_same' columns"
             ) from None
-        pairs = [(d, bool(int(s))) for d, s in table[:, [d_col, s_col]].tolist()]
-        res = verification_accuracy(pairs)
+        dists, labels = table[:, d_col], table[:, s_col]
+        bad = labels[(labels != 0) & (labels != 1)]
+        if bad.size:
+            raise ConfigurationError(f"{args.pairs}: column 'is_same' must hold 0 or 1, "
+                                     f"got {bad[0]:g}")
+        res = verification_accuracy(zip(dists.tolist(), (labels == 1).tolist()))
         out = _resolve_out(args.out, ".")
         write_csv(out, ["threshold", "accuracy", "n_pairs"],
                   [[res.threshold, res.accuracy, res.n_pairs]])

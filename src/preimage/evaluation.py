@@ -180,12 +180,17 @@ def verification_accuracy(pairs) -> VerificationResult:
     all-different classifiers are always in the running. A pair counts as
     "same" when its distance is strictly below the threshold. Ties prefer the
     smallest threshold.
+
+    The pairs become two typed columns, float(d) as float64 and bool(s) as
+    bool, filled in place with no intermediate lists, and one unstable sort
+    of the distances turns the sweep into cumulative counts.
     """
     pairs = list(pairs)
     if not pairs:
         raise ConfigurationError("at least one pair is required")
-    dists = np.array([float(d) for d, _ in pairs])
-    labels = np.array([bool(s) for _, s in pairs])
+    n = len(pairs)
+    dists = np.fromiter((float(d) for d, _ in pairs), np.float64, n)
+    labels = np.fromiter((bool(s) for _, s in pairs), np.bool_, n)
     uniq = np.unique(dists)
     candidates = np.concatenate((
         [uniq[0] - 1.0],
@@ -195,14 +200,14 @@ def verification_accuracy(pairs) -> VerificationResult:
     # Sorting the distances makes the pairs called "same" at each candidate a
     # prefix, so the correct calls are cumulative counts; argmax takes the
     # first, smallest, of equally good thresholds.
-    order = np.argsort(dists, kind="stable")
+    # Counts are read where a run of equal distances starts (NaNs last): any sort will do.
+    order = np.argsort(dists)
     below = np.searchsorted(dists[order], candidates)
     below[np.isnan(candidates)] = 0  # no distance is below a NaN cut
     same_below = np.concatenate(([0], np.cumsum(labels[order])))[below]
     correct = 2 * same_below - below + np.count_nonzero(~labels)
     best = int(np.argmax(correct))
-    return VerificationResult(float(candidates[best]), int(correct[best]) / len(pairs),
-                              len(pairs))
+    return VerificationResult(float(candidates[best]), int(correct[best]) / n, n)
 
 
 def rejection_oracle(embedder, target_y, epsilon: float, draw, n: int, rng,

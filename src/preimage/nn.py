@@ -47,10 +47,12 @@ from .errors import ConfigurationError, NumericalDomainError, ShapeError, StateE
 
 MAX_PERIOD = 10000.0
 
-# Rows per inference block: a guided block's (2, 256, 128) activations and
-# pre-activations take 1 MiB of a core's 2 MiB L2 on the 2-vCPU Xeon where
-# 128 to 256 rows ran equally fast at n = 4096, 512 took 16 % longer. Each
-# worker thread has its own block scratch, which sits in its own core's L2.
+# Rows per inference block: a guided block's float32 (2, 256, 128)
+# pre-activations and activations take 512 KiB of a core's 2 MiB L2 on the
+# 2-vCPU Xeon. There 512 rows ran 4-10 % faster at n = 4096 on two workers
+# and within 4 % either way on one, but a request of 257-512 rows would lose
+# its second lane (n = 512: 29-36 % slower). Each worker thread has its own
+# block scratch, which sits in its own core's L2.
 ROW_BLOCK = 256
 
 # The default denoiser topology.

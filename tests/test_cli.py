@@ -339,7 +339,7 @@ class TestSample:
     def test_header_bomb_checkpoint_is_runtime_error(self, workspace, tmp_path, capsys):
         # The two hidden dims (bytes 48-64 of the header) set to 2^20 would ask
         # for terabytes if the model were built before the payload was checked.
-        data = open(workspace["checkpoint"], "rb").read()
+        data = Path(workspace["checkpoint"]).read_bytes()
         path = tmp_path / "bomb.ckpt"
         path.write_bytes(data[:48] + (1 << 20).to_bytes(8, "little") * 2 + data[64:])
         assert main(["sample", "--checkpoint", str(path),
@@ -350,7 +350,7 @@ class TestSample:
         # time_embed_dim (bytes 32-40 of the header) set to 7, and the zeroed
         # parameter payload resized to match, passes every length check.
         model = load_checkpoint(workspace["checkpoint"]).model
-        data = open(workspace["checkpoint"], "rb").read()
+        data = Path(workspace["checkpoint"]).read_bytes()
         params_at = len(data) - 16 * model.params.size
         n_params = param_count({**model.topology(), "time_embed_dim": 7})
         path = tmp_path / "odd.ckpt"
@@ -363,7 +363,7 @@ class TestSample:
     def test_an_unknown_embedder_in_the_checkpoint_is_runtime_error(self, workspace,
                                                                      tmp_path, capsys):
         # The file is at fault, not the command line: exit 2, not 1.
-        data = open(workspace["checkpoint"], "rb").read()
+        data = Path(workspace["checkpoint"]).read_bytes()
         old = (6).to_bytes(8, "little") + b"radius"
         assert data.count(old) == 1
         path = tmp_path / "bogus.ckpt"
@@ -619,6 +619,16 @@ class TestEval:
         pairs.write_text(f"distance,is_same\n0.1,{label}\n0.9,0\n")
         assert main(["eval", "--task", "verification", "--pairs", str(pairs)]) == 1
         assert "not a table of numbers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("label", ["0.5", "2", "-1"])
+    def test_verification_with_a_label_other_than_0_or_1_exits_1(
+            self, workspace, tmp_path, monkeypatch, capsys, label):
+        monkeypatch.setenv("PREIMAGE_OUT", str(tmp_path))
+        pairs = tmp_path / "pairs.csv"
+        pairs.write_text(f"distance,is_same\n0.1,1\n0.5,{label}\n0.9,0\n")
+        assert main(["eval", "--task", "verification", "--pairs", str(pairs)]) == 1
+        assert f"column 'is_same' must hold 0 or 1, got {label}" in capsys.readouterr().err
+        assert not (tmp_path / "eval.csv").exists()
 
     @pytest.mark.parametrize("task, flag", [("diversity", "--samples"),
                                             ("verification", "--pairs")])

@@ -297,6 +297,33 @@ class TestVerificationAccuracy:
         res = verification_accuracy(pairs)
         np.testing.assert_equal((res.threshold, res.accuracy), self.loop_reference(pairs))
 
+    def test_the_result_does_not_depend_on_the_order_of_the_pairs(self):
+        # The sort is unstable, so equal distances may come out in any order;
+        # ties, infinities and NaNs included, no order may change the answer.
+        rng = np.random.default_rng(7)
+        for _ in range(100):
+            pairs = self.random_pairs(rng)
+            pairs += [(float(d), bool(s)) for d, s in
+                      zip(rng.choice([pairs[0][0], np.inf, np.nan], 6), rng.random(6) < 0.5)]
+            res = verification_accuracy(pairs)
+            for _ in range(3):
+                shuffled = [pairs[i] for i in rng.permutation(len(pairs))]
+                other = verification_accuracy(shuffled)
+                np.testing.assert_equal((other.threshold, other.accuracy),
+                                        (res.threshold, res.accuracy))
+
+    def test_a_generator_and_numpy_scalars_give_the_python_result(self):
+        rng = np.random.default_rng(11)
+        pairs = self.random_pairs(rng) + [(0.25, True), (0.25, False)]
+        expected = verification_accuracy(pairs)
+        assert verification_accuracy(p for p in pairs) == expected
+        numpy_pairs = [(np.float64(d), np.bool_(s)) for d, s in pairs]
+        assert verification_accuracy(numpy_pairs) == expected
+        # float32 distances: the same as their float64 values.
+        dists32 = np.array([d for d, _ in pairs], np.float32)
+        assert (verification_accuracy([(d, np.bool_(s)) for d, (_, s) in zip(dists32, pairs)])
+                == verification_accuracy([(float(d), s) for d, (_, s) in zip(dists32, pairs)]))
+
     def test_two_equally_good_cuts_take_the_smaller(self):
         # Cutting between 0.2 and 0.4 or between 0.6 and 0.8 both get 5 of 6.
         pairs = [(0.1, True), (0.2, True), (0.4, False),
