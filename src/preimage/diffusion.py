@@ -308,13 +308,21 @@ def training_loss(model, x0_batch, y_batch, schedule: NoiseSchedule, rng,
     rng, and independently replaces each row's conditioning with the null
     tokens (null_id_token for y, null_attr_token for a) with the given
     probability. The loss is the squared error between the true and predicted
-    noise, averaged over both batch and data dimensions.
+    noise, averaged over both batch and data dimensions. An empty batch, or
+    an a_batch whose rank or row count is not x0's, raises ShapeError before
+    any draw.
     """
     x0_batch = np.asarray(x0_batch, dtype=np.float64)
     y_batch = np.asarray(y_batch, dtype=np.float64)
     if x0_batch.ndim != 2 or y_batch.ndim != 2 or len(x0_batch) != len(y_batch):
         raise ShapeError("x0 and y must be 2-D with matching row counts")
     n, d = x0_batch.shape
+    if n == 0:
+        raise ShapeError("the batch must hold at least one row")
+    if a_batch is not None:
+        a_batch = np.asarray(a_batch, dtype=np.float64)
+        if a_batch.ndim != 2 or len(a_batch) != n:
+            raise ShapeError(f"a must be 2-D with {n} rows like x0, got shape {a_batch.shape}")
     if not (0.0 <= dropout_prob <= 1.0):
         raise ConfigurationError(f"dropout_prob must lie in [0, 1], got {dropout_prob}")
 
@@ -326,13 +334,12 @@ def training_loss(model, x0_batch, y_batch, schedule: NoiseSchedule, rng,
     y_in = np.where(drop_y[:, None], null_id_token(y_batch.shape[1]), y_batch)
     a_in = None
     if a_batch is not None:
-        a_batch = np.asarray(a_batch, dtype=np.float64)
         drop_a = rng.random(n) < dropout_prob
         a_in = np.where(drop_a[:, None], null_attr_token(a_batch.shape[1]), a_batch)
 
     eps_pred = model.forward(x_t, y_in, t, a=a_in)
     resid = eps_pred - noise
-    loss = float(np.mean(resid**2))
+    loss = float(np.add.reduce(resid * resid, axis=None) / resid.size)
     model.backward(2.0 * resid / resid.size)
     return loss
 
@@ -362,7 +369,10 @@ def train(x0s, ys, config: TrainConfig, attrs=None, hidden_dims=HIDDEN_DIMS,
     around the float64 master params (the master-weights split of
     Micikevicius et al. 2018): Adam adds its update into the master params,
     which the EMA shadow follows, and one cast then refreshes the float32
-    params from them. The returned model and EMA shadow are float64.
+    params from them. The float32 model keeps the embeddings of the
+    schedule's timesteps in one table (tabulate_timesteps), so a batch looks
+    its timesteps up instead of computing their sines and cosines, with the
+    same bits. The returned model and EMA shadow are float64.
     Non-finite inputs raise NumericalDomainError up front. The batches run
     under np.errstate(over="raise", invalid="raise"): an overflow or invalid
     value in a batch's loss, backward, update or cast, or a loss that goes
@@ -395,6 +405,7 @@ def train(x0s, ys, config: TrainConfig, attrs=None, hidden_dims=HIDDEN_DIMS,
     )
     net = ConditionalDenoiser(**model.topology(), seed=config.seed, params=model.params,
                               dtype=np.float32)
+    net.tabulate_timesteps(schedule.n_steps)
     opt = Adam(net.grads, lr=config.learning_rate)
     ema = EmaParams(model.params, rate=config.ema_rate)
 

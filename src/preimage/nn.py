@@ -224,7 +224,7 @@ class LinearLayer:
 
     def backward(self, x: np.ndarray, grad_out: np.ndarray, out=None) -> np.ndarray:
         self.weight_grad += np.matmul(grad_out.T, x, out=self.scratch)
-        self.bias_grad += grad_out.sum(axis=0)
+        self.bias_grad += np.add.reduce(grad_out, axis=0)
         return np.matmul(grad_out, self.weight, out=out)
 
 
@@ -290,7 +290,8 @@ class ConditionalDenoiser:
     front of one buffer as large as the largest weight.
     mains holds each hidden layer's own map: input_proj, then hidden_0, ...
     sampler_plan is what diffusion.sample_batch keeps on a frozen model for
-    the next request (None until the first); a clone starts without one.
+    the next request (None until the first); a clone starts without one,
+    and without the timestep table of tabulate_timesteps.
     """
 
     def __init__(
@@ -349,7 +350,7 @@ class ConditionalDenoiser:
         if params is not None:
             self.set_params_flat(params)
 
-        self._cache = self._train_work = self.sampler_plan = None
+        self._cache = self._train_work = self._time_table = self.sampler_plan = None
 
     # -- parameter bookkeeping -------------------------------------------
 
@@ -405,9 +406,11 @@ class ConditionalDenoiser:
 
         x_t may be (d,) or (n, d); y and a are one (k,)/(m,) vector, tiled to
         every row, or one row per sample; t is a scalar or per-row array of
-        timesteps >= 1. A model built with attr_dim set still accepts a=None,
-        which leaves the attribute pathway off the compute path entirely.
-        x_t, y and a are cast once to the store's dtype, the network's.
+        nonnegative timesteps, and an integer array inside the model's
+        timestep table (tabulate_timesteps) is looked up in it. A model built
+        with attr_dim set still accepts a=None, which leaves the attribute
+        pathway off the compute path entirely. x_t, y and a are cast once to
+        the store's dtype, the network's.
         Caches every layer input backward needs; sampling uses
         step_tables, condition_terms and denoise_step instead.
         """
@@ -425,16 +428,24 @@ class ConditionalDenoiser:
                 raise ConfigurationError("model was built without attribute conditioning")
             a = _tiled(shared_or_rows(a, self.attr_dim, n, "a"), n).astype(dtype, copy=False)
 
-        t_arr = np.asarray(t, dtype=np.float64)
-        if t_arr.ndim == 0:
-            t_arr = np.full(n, float(t_arr))
-        if t_arr.shape != (n,):
-            raise ShapeError(f"t must be a scalar or shape ({n},), got {t_arr.shape}")
-        if not ((t_arr >= 0) & (t_arr < math.inf)).all():  # NaN fails too
-            raise ConfigurationError("timesteps must be nonnegative and finite")
+        t_arr, table = np.asarray(t), self._time_table
+        tabled = (table is not None and t_arr.dtype.kind in "iu" and t_arr.shape == (n,)
+                  and n > 0 and t_arr.min() >= 0 and t_arr.max() < len(table))
+        if not tabled:
+            t_arr = np.asarray(t, dtype=np.float64)
+            if t_arr.ndim == 0:
+                t_arr = np.full(n, float(t_arr))
+            if t_arr.shape != (n,):
+                raise ShapeError(f"t must be a scalar or shape ({n},), got {t_arr.shape}")
+            if not ((t_arr >= 0) & (t_arr < math.inf)).all():  # NaN fails too
+                raise ConfigurationError("timesteps must be nonnegative and finite")
 
         cond, emb, layers = self._training_workspace(n)[:3]
-        sinusoidal_embed(t_arr, self.time_embed_dim, out=cond)
+        if tabled:
+            # t_arr is inside the table: mode "raise" would stage out in a copy.
+            np.take(table, t_arr, axis=0, out=cond, mode="clip")
+        else:
+            sinusoidal_embed(t_arr, self.time_embed_dim, out=cond)
         cond += self.id_proj.forward(y, out=emb)
         if a is not None:
             cond += self.attr_proj.forward(a, out=emb)
@@ -449,6 +460,16 @@ class ConditionalDenoiser:
 
         self._cache = (y, a, trunk, h, single)
         return eps[0] if single else eps
+
+    def tabulate_timesteps(self, n_steps: int) -> None:
+        """Have forward read the embedding of integer timesteps 0..n_steps
+        from one read-only table, sinusoidal_embed(0..n_steps) rounded once
+        to the store's dtype: the bits forward computes without it, with no
+        sin or cos per call. train tabulates its schedule's steps; any other
+        timestep, and a model without a table, takes sinusoidal_embed."""
+        table = sinusoidal_embed(np.arange(check_int("n_steps", n_steps) + 1),
+                                 self.time_embed_dim)
+        self._time_table = _read_only(table.astype(self.params.dtype))
 
     def _training_workspace(self, n: int):
         """Buffers for n rows in the store's dtype, kept while n stays the

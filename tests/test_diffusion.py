@@ -420,6 +420,26 @@ class TestTrainingLoss:
             training_loss(stub, self.x0, self.y, self.sched,
                           np.random.default_rng(0), dropout_prob=1.5)
 
+    @pytest.mark.filterwarnings("error")
+    def test_an_empty_batch_is_refused_before_any_draw(self):
+        # It once returned NaN after numpy's "Mean of empty slice" warning.
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ShapeError, match="at least one row"):
+            training_loss(toy_model(), np.empty((0, 2)), np.empty((0, 1)), self.sched, rng)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("shape", [(4, 1), (2, 1), (3,), (1,), (3, 1, 1)])
+    def test_attributes_of_another_row_count_or_rank_are_refused_up_front(self, shape):
+        # They once reached np.where and raised numpy's broadcasting ValueError.
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        x0 = np.random.default_rng(1).normal(size=(3, 2))
+        with pytest.raises(ShapeError, match="a must be 2-D with 3 rows"):
+            training_loss(toy_model(attr_dim=1), x0, x0[:, :1], self.sched, rng,
+                          a_batch=np.ones(shape))
+        assert rng.bit_generator.state == state
+
 
 def toy_model(seed=0, attr_dim=None):
     """A tiny randomized denoiser, still writable."""
@@ -1534,6 +1554,38 @@ class TestTrainDriver:
         assert not np.array_equal(result.model.params,
                                   result.model.params.astype(np.float32))
         assert all(isinstance(v, float) for v in result.loss_history)
+
+    @pytest.mark.parametrize("batch_size", [64, 256])
+    @pytest.mark.parametrize("with_attrs", [False, True])
+    def test_the_timestep_table_keeps_the_direct_paths_bytes(self, monkeypatch, batch_size,
+                                                             with_attrs):
+        # forward reads the batch's embeddings from train's timestep table;
+        # with no table it computes them, and the run must not move a bit.
+        rng = np.random.default_rng(10)
+        x = rng.normal(size=(512, 2))
+        attrs = rng.normal(size=(512, 2)) if with_attrs else None
+        cfg = TrainConfig(seed=4, timesteps=30, total_batches=25, batch_size=batch_size,
+                          learning_rate=1e-2, ema_rate=0.9)
+        calls, embed = [], nn.sinusoidal_embed
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return embed(*args, **kwargs)
+
+        def run():
+            calls.clear()
+            with monkeypatch.context() as m:
+                m.setattr(nn, "sinusoidal_embed", counted)
+                result = train(x, x[:, :1].copy(), cfg, attrs=attrs, hidden_dims=(16, 16),
+                               time_embed_dim=8)
+            return len(calls), [np.asarray(v).tobytes() for v in
+                                (result.loss_history, result.model.params, result.ema.shadow)]
+
+        tabled = run()
+        monkeypatch.setattr(ConditionalDenoiser, "tabulate_timesteps", lambda self, n: None)
+        direct = run()
+        assert (tabled[0], direct[0]) == (1, cfg.total_batches)
+        assert tabled[1] == direct[1]
 
     def test_negative_log_every_rejected_before_training(self, capsys):
         x = np.random.default_rng(8).normal(size=(32, 2))

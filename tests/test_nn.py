@@ -632,6 +632,95 @@ class TestFloat32Store:
         assert silu_grad(z, sigmoid(z)).tobytes() == silu_grad(z).tobytes()
 
 
+def counting_embeds(monkeypatch):
+    """Count the sinusoidal_embed calls forward makes from here on."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return sinusoidal_embed(*args, **kwargs)
+
+    monkeypatch.setattr(nn, "sinusoidal_embed", counted)
+    return calls
+
+
+class TestTimestepTable:
+    """forward reads integer timesteps inside the table tabulate_timesteps
+    keeps with the bits of the direct sinusoidal_embed path, and takes that
+    path for every other t."""
+
+    T = 50
+
+    def tabled_model(self, dtype):
+        model = ConditionalDenoiser(3, 2, (6, 5), 8, attr_dim=2, seed=1, dtype=dtype)
+        randomize_params(model, 1)
+        model.tabulate_timesteps(self.T)
+        return model
+
+    @staticmethod
+    def forward_backward(model, t, seed=0):
+        rng = np.random.default_rng(seed)
+        x, y, a, up = (rng.normal(size=(len(t), k)) for k in (3, 2, 2, 3))
+        model.grads.fill(0.0)
+        eps = model.forward(x, y, t, a=a)
+        dx = model.backward(up)
+        return [arr.tobytes() for arr in (eps, dx, model.grads)]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("int_dtype", [np.int64, np.int32, np.uint8])
+    def test_integer_timesteps_give_the_float_timesteps_bits(self, monkeypatch, dtype,
+                                                             int_dtype):
+        model = self.tabled_model(dtype)
+        t = np.array([0, self.T, 1, 17, self.T, 0, 33], dtype=int_dtype)
+        want = self.forward_backward(model, t.astype(float))
+        calls = counting_embeds(monkeypatch)
+        assert self.forward_backward(model, t) == want
+        assert calls == []
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_timesteps_beyond_the_table_take_the_direct_path(self, monkeypatch, dtype):
+        model = self.tabled_model(dtype)
+        t = np.array([3, self.T + 1, 0, 400])
+        want = self.forward_backward(model.clone(), t)
+        calls = counting_embeds(monkeypatch)
+        assert self.forward_backward(model, t) == want
+        assert len(calls) == 1
+        assert model._time_table.shape == (self.T + 1, 8)
+
+    @pytest.mark.parametrize("int_dtype", [np.int64, np.int32, np.int8])
+    def test_a_negative_integer_timestep_is_refused(self, int_dtype):
+        model = self.tabled_model(np.float32)
+        with pytest.raises(ConfigurationError, match="timesteps must be nonnegative"):
+            model.forward(np.ones((3, 3)), np.ones(2), np.array([2, -1, 5], dtype=int_dtype))
+
+    @pytest.mark.parametrize("t", [7, np.int64(7), 7.0, np.full(4, 7.0), np.full(4, True)])
+    def test_scalars_floats_and_bools_take_the_direct_path(self, monkeypatch, t):
+        model = self.tabled_model(np.float32)
+        calls = counting_embeds(monkeypatch)
+        model.forward(np.ones((4, 3)), np.ones(2), t)
+        assert len(calls) == 1
+
+    def test_the_table_is_read_only_in_the_store_dtype_and_not_cloned(self):
+        for dtype in (np.float32, np.float64):
+            model = self.tabled_model(dtype)
+            table = model._time_table
+            assert table.shape == (self.T + 1, 8) and table.dtype == dtype
+            assert not table.flags.writeable
+            assert model.clone()._time_table is None
+
+    def test_rows_equal_the_direct_path_over_random_batches(self):
+        # forward's direct path writes sinusoidal_embed's float64 rows into
+        # its float32 condition buffer.
+        model = ConditionalDenoiser(2, 1, (8,), 64, seed=0, dtype=np.float32)
+        model.tabulate_timesteps(100)
+        rng = np.random.default_rng(13)
+        cond = np.empty((64, 64), np.float32)
+        for _ in range(200):
+            t = rng.integers(1, 101, size=64)
+            sinusoidal_embed(t.astype(float), 64, out=cond)
+            assert model._time_table[t].tobytes() == cond.tobytes()
+
+
 class TestSharedCondition:
     """forward tiles a single y/a vector to every row; with a scalar t it must
     agree with the same condition and timestep given per row."""
