@@ -69,13 +69,21 @@ class RunConfig:
     output_dir: str = "."
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 # What each JSON value of a run config must be: a description for the error
 # message and the test. Every integer of a run config is a count or a
-# dimension, so "int" means a positive integer.
+# dimension, so "int" means a positive integer. A finite number is one that
+# float64 holds: not NaN, not an infinity and no integer beyond its range.
 _KINDS = {
     "int": ("a positive integer", lambda v: is_int(v, 1)),
     "seed": ("an integer in [0, 2**64)", lambda v: is_int(v, 0, SEED_MAX)),
-    "number": ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
+    "number": ("a number", _is_number),
+    "finite": ("a finite number", lambda v: _is_number(v) and abs(v) <= sys.float_info.max),
+    "scale": ("a finite number >= 0",
+              lambda v: _is_number(v) and 0 <= v <= sys.float_info.max),
     "str": ("a string", lambda v: isinstance(v, str)),
     "str?": ("a string or null", lambda v: v is None or isinstance(v, str)),
     "object": ("an object", lambda v: isinstance(v, dict)),
@@ -95,6 +103,12 @@ _SECTIONS = {
     "train": {"seed": "seed!", "schedule": "str", "timesteps": "int", "cond_dropout": "number",
               "batch_size": "int", "learning_rate": "number", "ema_rate": "number",
               "total_batches": "int"},
+    # The knobs of dataset.params, one section per distribution.
+    "annulus params": {"r_min": "scale", "r_max": "scale"},
+    "gaussian-mixture params": {"n_components": "int", "spread": "scale",
+                                "component_std": "scale"},
+    "clustered-identities params": {"n_identities": "int", "cluster_std": "scale",
+                                    "center_scale": "finite"},
 }
 
 
@@ -125,9 +139,15 @@ def load_run_config(path: str) -> RunConfig:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigurationError(f"config is not valid JSON: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigurationError(f"config is not UTF-8 text: {exc}") from exc
 
     raw = _section(raw, "top-level")
     dataset = DatasetSpec(**_section(raw["dataset"], "dataset"))
+    params = f"{dataset.distribution} params"
+    if params not in _SECTIONS:
+        raise ConfigurationError(f"unknown distribution {dataset.distribution!r}")
+    _section(dataset.params, params)
     embedder_info = EmbedderInfo(**{"output_dim": 1, **_section(raw["embedder"], "embedder")})
     model = _section(raw.get("model", {}), "model")
     hidden_dims = tuple(model.get("hidden_dims", HIDDEN_DIMS))
@@ -195,9 +215,31 @@ def _sample_config(args) -> SampleConfig:
 # -- subcommand implementations ----------------------------------------------
 
 
+def _generate(cfg: RunConfig):
+    """generate_dataset of the config's spec and embedder. Points or
+    embeddings beyond float64's range are the config's dataset params at
+    fault: a ConfigurationError, with no RuntimeWarning. With the params
+    checked, the one ValueError of numpy's left is its refusal of an array
+    beyond the address space, a count no machine can hold: a MemoryError."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            ds = generate_dataset(cfg.dataset, make_embedder(cfg.embedder))
+    except FloatingPointError:
+        ds = None
+    except ValueError as exc:
+        if isinstance(exc, PreimageError):
+            raise
+        raise MemoryError from exc
+    if ds is None or not (np.isfinite(ds.x).all() and np.isfinite(ds.y).all()):
+        raise ConfigurationError(
+            f"dataset params {cfg.dataset.params} draw points or embeddings "
+            f"beyond float64's range")
+    return ds
+
+
 def cmd_dataset(args) -> int:
     cfg = load_run_config(args.config)
-    ds = generate_dataset(cfg.dataset, make_embedder(cfg.embedder))
+    ds = _generate(cfg)
     blocks = {name: b for name, b in (("x", ds.x), ("y", ds.y), ("a", ds.a)) if b is not None}
     meta_keys = sorted(ds.metadata)
     header = (["sample_id"]
@@ -218,7 +260,7 @@ def cmd_train(args) -> int:
     train_cfg = cfg.train
     if args.seed is not None:
         train_cfg = replace(train_cfg, seed=args.seed)
-    ds = generate_dataset(cfg.dataset, make_embedder(cfg.embedder))
+    ds = _generate(cfg)
     result = train(ds.x, ds.y, train_cfg, attrs=ds.a, hidden_dims=cfg.hidden_dims,
                    time_embed_dim=cfg.time_embed_dim,
                    log_every=args.log_every)

@@ -47,25 +47,41 @@ def _distance_sum(a: np.ndarray, b: np.ndarray, pool=None) -> float:
     _lane_count(n), through nn.run_lanes; each lane has its own buffers and
     each block its own slot. The squares add in coordinate order, a block's
     distances by numpy's pairwise sum, and the caller adds the slots in
-    block order, so every W gives the same bits. pool is a caller's
-    nn.lane_pool of at least W lanes; None opens one for this sum. The lanes
-    run under np.errstate(over="raise", invalid="raise"): finite rows whose
-    distances float64 cannot hold are a NumericalDomainError, and no
-    RuntimeWarning escapes."""
-    a_cols, b_cols = a.T.copy(), b.T.copy()
+    block order, so every W gives the same bits.
+
+    When a and b hold the same rows (a is b, or equal shape and content) the
+    sum is symmetric and each unordered pair is evaluated once: block j runs
+    against the columns from its own first row on, its diagonal square keeps
+    the strict upper triangle only, and its sum is doubled into its slot.
+    That is half the pair work, and equal batches give the bits of a is b.
+
+    pool is a caller's nn.lane_pool of at least W lanes; None opens one for
+    this sum. The lanes run under np.errstate(over="raise", invalid="raise"):
+    finite rows whose distances float64 cannot hold are a
+    NumericalDomainError, and no RuntimeWarning escapes."""
+    symmetric = a is b or np.array_equal(a, b)
+    a_cols = a.T.copy()
+    b_cols = a_cols if symmetric else b.T.copy()
     starts = range(0, len(a), DISTANCE_ROWS)
     lanes = _lane_count(len(a))
     sums = [0.0] * len(starts)
 
     def lane(w):
-        acc_buf, sq_buf = np.empty((2, min(DISTANCE_ROWS, len(a)), len(b)))
+        acc_buf, sq_buf = np.empty((2, min(DISTANCE_ROWS, len(a)) * len(b)))
+        lower = np.tri(DISTANCE_ROWS, dtype=bool)
         for j in range(w, len(starts), lanes):
             block = a_cols[:, starts[j]:starts[j] + DISTANCE_ROWS]
-            acc, sq = acc_buf[:block.shape[1]], sq_buf[:block.shape[1]]
-            np.square(np.subtract.outer(block[0], b_cols[0], out=acc), out=acc)
-            for ak, bk in zip(block[1:], b_cols[1:]):
+            cols = b_cols[:, starts[j]:] if symmetric else b_cols
+            rows = block.shape[1]
+            acc = acc_buf[:rows * cols.shape[1]].reshape(rows, -1)
+            sq = sq_buf[:acc.size].reshape(acc.shape)
+            np.square(np.subtract.outer(block[0], cols[0], out=acc), out=acc)
+            for ak, bk in zip(block[1:], cols[1:]):
                 acc += np.square(np.subtract.outer(ak, bk, out=sq), out=sq)
-            sums[j] = float(np.sqrt(acc, out=acc).sum())
+            if symmetric:  # the diagonal square keeps its strict upper triangle
+                acc[:, :rows][lower[:rows, :rows]] = 0.0
+            block_sum = float(np.sqrt(acc, out=acc).sum())
+            sums[j] = 2.0 * block_sum if symmetric else block_sum
 
     try:
         with (nn.lane_pool(lanes) if pool is None else nullcontext(pool) as pool,
@@ -104,10 +120,10 @@ def identity_error(samples, target_y, embedder, metric: str = "euclidean") -> fl
 
 def diversity(samples) -> float:
     """Mean Euclidean distance over all unordered pairs of samples: the
-    _distance_sum over all ordered pairs, whose diagonal is exactly zero, over
-    n (n - 1), in O(W * DISTANCE_ROWS * n) memory. Samples holding a NaN or an
-    infinity, or whose distances float64 cannot hold, are a
-    NumericalDomainError."""
+    symmetric _distance_sum of the samples with themselves, which evaluates
+    each unordered pair once and doubles it, over n (n - 1), in
+    O(W * DISTANCE_ROWS * n) memory. Samples holding a NaN or an infinity, or
+    whose distances float64 cannot hold, are a NumericalDomainError."""
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 2 or samples.shape[0] < 2 or samples.shape[1] == 0:
         raise ShapeError("diversity needs at least two samples of dimension >= 1")
@@ -317,12 +333,14 @@ def whitebox_gd_invert(embedder, target_y, x_init, step_size: float = 0.1,
 def energy_distance(batch_a, batch_b) -> float:
     """Energy distance 2 E||a-b|| - E||a-a'|| - E||b-b'|| between two (n, d)
     and (m, d) sample batches, with the expectations taken over all index
-    pairs including the diagonal (V-statistics). Each term is a _distance_sum
-    through the same code path, in O(W * DISTANCE_ROWS * max(n, m)) memory,
-    so identical batches give exactly zero; the three share one lane pool. A
-    batch holding a NaN or an infinity is a NumericalDomainError that names
-    it, before any distance block; finite batches whose distances float64
-    cannot hold are one too.
+    pairs including the diagonal (V-statistics). Each term is a _distance_sum,
+    in O(W * DISTANCE_ROWS * max(n, m)) memory, and the three share one lane
+    pool. The two within-batch terms take the symmetric path, each unordered
+    pair once, so the call does a third less pair work than three full sums.
+    Equal batches send the cross term down that path too, so identical
+    batches give exactly zero. A batch holding a NaN or an infinity is a
+    NumericalDomainError that names it, before any distance block; finite
+    batches whose distances float64 cannot hold are one too.
     """
     a = np.asarray(batch_a, dtype=np.float64)
     b = np.asarray(batch_b, dtype=np.float64)

@@ -5,6 +5,7 @@ stays fast; one subprocess test confirms the module entry point is wired.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,10 +15,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from preimage.cli import _dataset_columns_from_csv, load_run_config, main
+from preimage.cli import _SECTIONS, _dataset_columns_from_csv, load_run_config, main
 from preimage.diffusion import SampleConfig, sample_batch
-from preimage.embedders import generate_dataset, make_embedder
+from preimage.embedders import _DISTRIBUTIONS, generate_dataset, make_embedder
 from preimage.evaluation import identity_distances
 from preimage.nn import ConditionalDenoiser, EmaParams, param_count
 from preimage.persistence import load_checkpoint, read_csv, save_checkpoint
@@ -205,6 +208,187 @@ class TestDataset:
         path.write_text("sample_id,y_0,upper\n0,0.5,1.0\n1,0.7\n")
         assert main(["direction", "--data", str(path), "--mode", "pca"]) == 1
         assert "not a table of numbers" in capsys.readouterr().err
+
+
+def write_config(path, cfg):
+    """cfg as JSON at path, NaN and infinities as json writes them."""
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+class TestRunConfigEncoding:
+    @pytest.mark.parametrize("source", ["latin-1", "checkpoint"])
+    @pytest.mark.parametrize("command", ["dataset", "train", "oracle-compare"])
+    def test_a_config_that_is_not_utf8_exits_1(self, workspace, tmp_path, capsys,
+                                               command, source):
+        if source == "checkpoint":  # a binary file passed as the config
+            path = workspace["checkpoint"]
+        else:
+            path = tmp_path / "latin1.json"
+            path.write_bytes(json.dumps(TINY_CONFIG).replace("annulus", "annulusé")
+                             .encode("latin-1"))
+        out = tmp_path / "out"
+        args = [command, "--config", str(path), "--out", str(out)]
+        if command == "oracle-compare":
+            args += ["--checkpoint", workspace["checkpoint"], "--target-y", "1.0",
+                     "--seed", "13"]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: config is not UTF-8 text")
+        assert not out.exists()
+
+
+class TestDatasetParams:
+    def with_params(self, tmp_path, distribution, params, **dataset):
+        cfg = json.loads(json.dumps(TINY_CONFIG))
+        cfg["dataset"].update({"distribution": distribution, "params": params,
+                               "attribute": None, **dataset})
+        cfg["output_dir"] = str(tmp_path)
+        return write_config(tmp_path / "params.json", cfg)
+
+    def test_every_distribution_has_a_params_schema(self):
+        names = {k.removesuffix(" params") for k in _SECTIONS if k.endswith(" params")}
+        assert names == set(_DISTRIBUTIONS)
+
+    @pytest.mark.parametrize("distribution, params, named", [
+        ("annulus", {"r_min": "a"}, "'r_min'"),
+        ("annulus", {"r_max": math.inf}, "'r_max'"),
+        ("annulus", {"r_max": 10**400}, "'r_max'"),
+        ("annulus", {"r_min": -0.5}, "'r_min'"),
+        ("annulus", {"r_mn": 0.2}, "r_mn"),
+        ("annulus", {"spread": 2.0}, "spread"),
+        ("gaussian-mixture", {"spread": -1}, "'spread'"),
+        ("gaussian-mixture", {"spread": [2.0]}, "'spread'"),
+        ("gaussian-mixture", {"component_std": math.nan}, "'component_std'"),
+        ("gaussian-mixture", {"n_components": 2.5}, "'n_components'"),
+        ("gaussian-mixture", {"n_components": True}, "'n_components'"),
+        ("clustered-identities", {"cluster_std": "wide"}, "'cluster_std'"),
+        ("clustered-identities", {"center_scale": -math.inf}, "'center_scale'"),
+        ("clustered-identities", {"n_identities": 0}, "'n_identities'"),
+    ])
+    @pytest.mark.parametrize("command", ["dataset", "train"])
+    def test_a_bad_knob_exits_1_naming_it_before_any_draw(self, tmp_path, monkeypatch,
+                                                          capsys, command,
+                                                          distribution, params, named):
+        calls = []
+        monkeypatch.setattr("preimage.cli.generate_dataset", lambda *a: calls.append(a))
+        path = self.with_params(tmp_path, distribution, params)
+        assert main([command, "--config", path, "--out", "out"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: unknown {distribution} params config keys"
+                              if named in ("r_mn", "spread") and distribution == "annulus"
+                              else f"configuration error: {distribution} params config")
+        assert named in err and calls == []
+        assert os.listdir(tmp_path) == ["params.json"]
+
+    def test_an_unknown_distribution_exits_1_before_any_draw(self, tmp_path, monkeypatch,
+                                                             capsys):
+        calls = []
+        monkeypatch.setattr("preimage.cli.generate_dataset", lambda *a: calls.append(a))
+        path = self.with_params(tmp_path, "ring", {})
+        assert main(["dataset", "--config", path]) == 1
+        assert "unknown distribution 'ring'" in capsys.readouterr().err and calls == []
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("distribution, params", [
+        ("annulus", {"r_max": 1e308}),  # finite points whose norms overflow
+        ("gaussian-mixture", {"spread": 1e308}),  # centres beyond float64's range
+        ("gaussian-mixture", {"component_std": 1e308}),
+        ("clustered-identities", {"center_scale": 1e300}),
+    ])
+    @pytest.mark.parametrize("command", ["dataset", "train"])
+    def test_points_or_embeddings_beyond_float64_exit_1_before_any_output(
+            self, tmp_path, capsys, command, distribution, params):
+        path = self.with_params(tmp_path, distribution, params)
+        assert main([command, "--config", path, "--out", "out"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: dataset params") and "beyond float64" in err
+        assert os.listdir(tmp_path) == ["params.json"]
+
+    @pytest.mark.parametrize("dataset", [
+        {"n_samples": 10**400}, {"n_samples": 2**63},
+        {"distribution": "gaussian-mixture", "params": {"n_components": 10**400}},
+        {"distribution": "clustered-identities", "params": {"n_identities": 2**63}},
+    ])
+    def test_a_count_beyond_the_address_space_exits_2_with_one_line(self, tmp_path, capsys,
+                                                                    dataset):
+        # numpy refuses such an array with a ValueError before it allocates.
+        path = self.with_params(tmp_path, **{"distribution": "annulus", "params": {},
+                                             **dataset})
+        assert main(["dataset", "--config", path, "--out", "out"]) == 2
+        assert capsys.readouterr().err == "error: dataset: out of memory for this request\n"
+        assert os.listdir(tmp_path) == ["params.json"]
+
+    @pytest.mark.parametrize("distribution, params, attribute", [
+        ("annulus", {"r_min": 0, "r_max": 2}, "radius"),
+        ("gaussian-mixture", {"n_components": 3, "spread": 0, "component_std": 0.25},
+         "component"),
+        ("clustered-identities", {"n_identities": 2, "cluster_std": 0, "center_scale": -1.5},
+         "identity"),
+    ])
+    def test_every_knob_in_range_is_accepted_and_drawn(self, tmp_path, distribution,
+                                                       params, attribute):
+        path = self.with_params(tmp_path, distribution, params, attribute=attribute)
+        assert main(["dataset", "--config", path, "--out", "data.csv"]) == 0
+        cfg = load_run_config(path)
+        assert cfg.dataset.params == params
+        ds = generate_dataset(cfg.dataset, make_embedder(cfg.embedder))
+        ys, metadata = _dataset_columns_from_csv(str(tmp_path / "data.csv"))
+        assert ys.tobytes() == ds.y.tobytes()
+        assert metadata[attribute].tobytes() == ds.metadata[attribute].tobytes()
+
+
+# Values a mutated dataset config may hold where a knob or field belongs. A
+# count of 10**400 is beyond numpy's address space and fails before any
+# allocation; the valid sizes stay small.
+HOSTILE = [0, -1, 0.5, -0.5, 2.5, 1e308, -1e308, 1e-320, 10**400, math.nan, math.inf,
+           -math.inf, "a", "", "2", [], [1.0], {}, None, True, False, "ring", "upper"]
+EMBEDDERS = [{"name": "radius"}, {"name": "frozen-mlp", "output_dim": 3},
+             {"name": "linear", "output_dim": 2, "seed": 4}]
+METADATA = {"annulus": ["radius", "angle", "upper"], "gaussian-mixture": ["component"],
+            "clustered-identities": ["identity"]}
+
+
+@st.composite
+def dataset_configs(draw):
+    """A valid dataset config of a random distribution, mutated: params from
+    its own knobs, another distribution's and a misspelling, each valid or
+    hostile, and sometimes one field of the dataset section set to a hostile
+    value."""
+    distribution = draw(st.sampled_from(sorted(METADATA)))
+    dim = 2 if distribution == "annulus" else draw(st.integers(1, 3))
+    knobs = sorted(_SECTIONS[f"{distribution} params"])
+    value = st.one_of(st.sampled_from(HOSTILE), st.integers(-2, 12),
+                      st.floats(-1e3, 1e3, allow_nan=False))
+    params = draw(st.dictionaries(st.sampled_from(knobs), value, max_size=3))
+    if draw(st.integers(0, 3)) == 0:
+        params[draw(st.sampled_from(["r_mn", "spred", "spread", "n_identities"]))] = draw(value)
+    dataset = {"distribution": distribution, "input_dim": dim,
+               "n_samples": draw(st.integers(1, 24)), "seed": draw(st.integers(0, 2**64 - 1)),
+               "attribute": draw(st.sampled_from([None, *METADATA[distribution]])),
+               "params": params}
+    field = draw(st.sampled_from([None] * 6 + sorted(dataset)))
+    if field is not None:
+        dataset[field] = draw(st.sampled_from(HOSTILE))
+    return {"dataset": dataset, "embedder": {**draw(st.sampled_from(EMBEDDERS)),
+                                             "input_dim": dim}}
+
+
+@settings(max_examples=120, deadline=None)
+@given(cfg=dataset_configs())
+def test_a_mutated_dataset_config_exits_0_1_or_2_with_finite_output(tmp_path_factory, cfg):
+    root = tmp_path_factory.mktemp("mutated")
+    path = write_config(root / "config.json", {**cfg, "output_dir": str(root)})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["dataset", "--config", path, "--out", "data.csv"])
+    assert code in (0, 1, 2)
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    if code == 0:
+        _, table = read_csv(str(root / "data.csv"))
+        assert np.isfinite(np.array(table, dtype=np.float64)).all()
+    else:
+        assert not (root / "data.csv").exists()
 
 
 class TestTrain:

@@ -851,6 +851,65 @@ class TestDistanceWorkers:
         assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0, status
 
 
+def record_squared_distances(monkeypatch):
+    """Record a copy of every array that np.sqrt takes: the squared distances
+    a distance sum adds up, with the pairs it drops zeroed."""
+    seen, sqrt = [], np.sqrt
+
+    def recording(x, *args, **kwargs):
+        seen.append(np.array(x, copy=True))
+        return sqrt(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "sqrt", recording)
+    return seen
+
+
+class TestSymmetricDistanceSums:
+    """A within-batch distance sum evaluates each unordered pair once and
+    doubles it; batches of equal content take the same path as one batch."""
+
+    SIZES = (1, R - 1, R, R + 1, 2 * R + 3, 5 * R + 7)
+
+    @pytest.mark.parametrize("d", [1, 2, 64])
+    def test_equal_batches_give_the_bits_of_one_batch_at_every_worker_count(
+            self, monkeypatch, d):
+        rng = np.random.default_rng(300 + d)
+        for n in self.SIZES:
+            a = rng.normal(size=(n, d))
+            bits = set()
+            for workers in (1, 2, 3):
+                threads = distance_lanes(monkeypatch, workers)
+                same = _distance_sum(a, a)
+                lanes = min(workers, -(-n // R))
+                assert (len(threads) > 1) == (lanes > 1) and len(threads) <= lanes
+                assert _distance_sum(a, a.copy()).hex() == same.hex(), (n, workers)
+                assert _distance_sum(a.copy(), a).hex() == same.hex(), (n, workers)
+                bits.add(same.hex())
+            assert len(bits) == 1, n
+            assert same == pytest.approx(pairwise_reference(a, a).sum(), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [2, R - 1, R + 1, 2 * R + 3, 5 * R + 7])
+    def test_a_within_batch_sum_evaluates_each_unordered_pair_once(self, monkeypatch, n):
+        rng = np.random.default_rng(400 + n)
+        a, b = rng.normal(size=(n, 2)), rng.normal(size=(n + 3, 2))
+        diff = a[:, None, :] - a[None, :, :]
+        # The sums' own order: the coordinates' squares added in turn.
+        want = np.sort((diff[..., 0] ** 2 + diff[..., 1] ** 2)[np.triu_indices(n, k=1)])
+        distance_lanes(monkeypatch, 1)
+        for batch in (a, a.copy()):
+            seen = record_squared_distances(monkeypatch)
+            _distance_sum(a, batch)
+            kept = np.concatenate([s.ravel() for s in seen])
+            assert np.array_equal(np.sort(kept[kept != 0.0]), want)
+        seen = record_squared_distances(monkeypatch)
+        _distance_sum(a, b)
+        assert sum(s.size for s in seen) == n * (n + 3)  # a cross sum: every ordered pair
+        seen = record_squared_distances(monkeypatch)
+        energy_distance(a, b)
+        kept = np.concatenate([s.ravel() for s in seen])
+        assert np.count_nonzero(kept) == n * (n + 3) + n * (n - 1) // 2 + (n + 3) * (n + 2) // 2
+
+
 _THREAD_DISTANCES = textwrap.dedent("""
     import threading
     import numpy as np
