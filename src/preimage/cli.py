@@ -16,15 +16,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .diffusion import SEED_MAX, SampleConfig, TrainConfig, sample_batch, train
+from .diffusion import SampleConfig, TrainConfig, sample_batch, train
 from .embedders import (
     DatasetSpec,
     EmbedderInfo,
+    check_params,
     draw_points,
     generate_dataset,
     make_embedder,
 )
-from .errors import ConfigurationError, PreimageError, check_int, is_int
+from .errors import ConfigurationError, PreimageError, check_int, check_section
 from .evaluation import (
     cell_seed,
     diversity,
@@ -39,6 +40,7 @@ from .evaluation import (
 from .latent import custom_direction, fit_pca, lerp, percentile_split, slerp
 from .nn import HIDDEN_DIMS, TIME_EMBED_DIM
 from .persistence import (
+    _BOUNDS,
     Checkpoint,
     load_checkpoint,
     read_csv,
@@ -69,30 +71,9 @@ class RunConfig:
     output_dir: str = "."
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-# What each JSON value of a run config must be: a description for the error
-# message and the test. Every integer of a run config is a count or a
-# dimension, so "int" means a positive integer. A finite number is one that
-# float64 holds: not NaN, not an infinity and no integer beyond its range.
-_KINDS = {
-    "int": ("a positive integer", lambda v: is_int(v, 1)),
-    "seed": ("an integer in [0, 2**64)", lambda v: is_int(v, 0, SEED_MAX)),
-    "number": ("a number", _is_number),
-    "finite": ("a finite number", lambda v: _is_number(v) and abs(v) <= sys.float_info.max),
-    "scale": ("a finite number >= 0",
-              lambda v: _is_number(v) and 0 <= v <= sys.float_info.max),
-    "str": ("a string", lambda v: isinstance(v, str)),
-    "str?": ("a string or null", lambda v: v is None or isinstance(v, str)),
-    "object": ("an object", lambda v: isinstance(v, dict)),
-    "ints": ("a nonempty list of positive integers",
-             lambda v: isinstance(v, list) and v and all(is_int(h, 1) for h in v)),
-}
-
-# Every key of every section of a run config and the kind of its value; a
-# key whose kind ends in "!" is required.
+# Every key of every section of a run config and the kind of its value
+# (errors.check_section); a key whose kind ends in "!" is required. The
+# dataset's params are embedders.check_params's to check.
 _SECTIONS = {
     "top-level": {"dataset": "object!", "embedder": "object!", "model": "object",
                   "train": "object", "output_dir": "str"},
@@ -103,34 +84,7 @@ _SECTIONS = {
     "train": {"seed": "seed!", "schedule": "str", "timesteps": "int", "cond_dropout": "number",
               "batch_size": "int", "learning_rate": "number", "ema_rate": "number",
               "total_batches": "int"},
-    # The knobs of dataset.params, one section per distribution.
-    "annulus params": {"r_min": "scale", "r_max": "scale"},
-    "gaussian-mixture params": {"n_components": "int", "spread": "scale",
-                                "component_std": "scale"},
-    "clustered-identities params": {"n_identities": "int", "cluster_std": "scale",
-                                    "center_scale": "finite"},
 }
-
-
-def _section(value, name: str) -> dict:
-    """value checked against _SECTIONS[name]: an object with no unknown key,
-    every required key, and every value of its kind."""
-    if not isinstance(value, dict):
-        raise ConfigurationError(f"the {name} config must be a JSON object")
-    keys = _SECTIONS[name]
-    unknown = set(value) - set(keys)
-    if unknown:
-        raise ConfigurationError(f"unknown {name} config keys: {', '.join(sorted(unknown))}")
-    for key, kind in keys.items():
-        if key not in value:
-            if kind.endswith("!"):
-                raise ConfigurationError(f"the {name} config needs {key!r}")
-            continue
-        what, ok = _KINDS[kind.rstrip("!")]
-        if not ok(value[key]):
-            raise ConfigurationError(
-                f"{name} config {key!r} must be {what}, got {value[key]!r}")
-    return value
 
 
 def load_run_config(path: str) -> RunConfig:
@@ -142,20 +96,18 @@ def load_run_config(path: str) -> RunConfig:
         except UnicodeDecodeError as exc:
             raise ConfigurationError(f"config is not UTF-8 text: {exc}") from exc
 
-    raw = _section(raw, "top-level")
-    dataset = DatasetSpec(**_section(raw["dataset"], "dataset"))
-    params = f"{dataset.distribution} params"
-    if params not in _SECTIONS:
-        raise ConfigurationError(f"unknown distribution {dataset.distribution!r}")
-    _section(dataset.params, params)
-    embedder_info = EmbedderInfo(**{"output_dim": 1, **_section(raw["embedder"], "embedder")})
-    model = _section(raw.get("model", {}), "model")
+    raw = check_section(raw, "top-level", _SECTIONS["top-level"])
+    dataset = DatasetSpec(**check_section(raw["dataset"], "dataset", _SECTIONS["dataset"]))
+    check_params(dataset)
+    embedder = check_section(raw["embedder"], "embedder", _SECTIONS["embedder"])
+    embedder_info = EmbedderInfo(**{"output_dim": 1, **embedder})
+    model = check_section(raw.get("model", {}), "model", _SECTIONS["model"])
     hidden_dims = tuple(model.get("hidden_dims", HIDDEN_DIMS))
     time_embed_dim = model.get("time_embed_dim", TIME_EMBED_DIM)
 
     train_cfg = None
     if "train" in raw:
-        train_cfg = TrainConfig(**_section(raw["train"], "train"))
+        train_cfg = TrainConfig(**check_section(raw["train"], "train", _SECTIONS["train"]))
         train_cfg.validate()
 
     cfg = RunConfig(dataset, embedder_info, hidden_dims, time_embed_dim,
@@ -167,6 +119,22 @@ def load_run_config(path: str) -> RunConfig:
             f"embedder input_dim {embedder_info.input_dim} does not match "
             f"dataset input_dim {dataset.input_dim}"
         )
+    # A count the checkpoint format cannot hold is refused before any draw,
+    # not after training; make_embedder would refuse one beyond the address
+    # space with numpy's ValueError.
+    bounded = [("embedder config 'input_dim'", embedder_info.input_dim, "embedder_input_dim"),
+               ("embedder config 'output_dim'", embedder_info.output_dim, "embedder_output_dim"),
+               ("model config 'time_embed_dim'", time_embed_dim, "time_embed_dim"),
+               ("the layer count of model config 'hidden_dims'", len(hidden_dims), "n_hidden"),
+               ("a width in model config 'hidden_dims'", max(hidden_dims), "hidden_dims")]
+    if train_cfg is not None:
+        bounded += [("train config 'timesteps'", train_cfg.timesteps, "n_steps"),
+                    ("train config 'batch_size'", train_cfg.batch_size, "batch_size"),
+                    ("train config 'total_batches'", train_cfg.total_batches, "total_batches")]
+    for what, value, field in bounded:
+        if value > _BOUNDS[field]:
+            raise ConfigurationError(f"{what} is {value}, beyond the checkpoint format's "
+                                     f"bound of {_BOUNDS[field]}")
     make_embedder(embedder_info)  # refuses a descriptor it cannot build
     if time_embed_dim < 2 or time_embed_dim % 2:
         raise ConfigurationError("model time_embed_dim must be even and >= 2")
@@ -216,25 +184,15 @@ def _sample_config(args) -> SampleConfig:
 
 
 def _generate(cfg: RunConfig):
-    """generate_dataset of the config's spec and embedder. Points or
-    embeddings beyond float64's range are the config's dataset params at
-    fault: a ConfigurationError, with no RuntimeWarning. With the params
+    """generate_dataset of the config's spec and embedder. With the params
     checked, the one ValueError of numpy's left is its refusal of an array
     beyond the address space, a count no machine can hold: a MemoryError."""
     try:
-        with np.errstate(over="raise", invalid="raise"):
-            ds = generate_dataset(cfg.dataset, make_embedder(cfg.embedder))
-    except FloatingPointError:
-        ds = None
+        return generate_dataset(cfg.dataset, make_embedder(cfg.embedder))
+    except PreimageError:
+        raise
     except ValueError as exc:
-        if isinstance(exc, PreimageError):
-            raise
         raise MemoryError from exc
-    if ds is None or not (np.isfinite(ds.x).all() and np.isfinite(ds.y).all()):
-        raise ConfigurationError(
-            f"dataset params {cfg.dataset.params} draw points or embeddings "
-            f"beyond float64's range")
-    return ds
 
 
 def cmd_dataset(args) -> int:

@@ -20,6 +20,7 @@ from .errors import (
     DivergenceError,
     NumericalDomainError,
     SamplingError,
+    SEED_MAX,
     ShapeError,
     StateError,
     check_finite,
@@ -29,9 +30,6 @@ from .nn import (HIDDEN_DIMS, TIME_EMBED_DIM, Adam, ConditionalDenoiser, EmaPara
                  shared_or_rows)
 
 BETA_MAX = 0.999
-
-# The largest seed a checkpoint holds: it stores the seed as a u64.
-SEED_MAX = (1 << 64) - 1
 
 
 @dataclass(frozen=True)

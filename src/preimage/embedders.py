@@ -8,12 +8,13 @@ that admit an analytic Jacobian and powers the white-box baseline.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalDomainError, ShapeError, check_int
+from .errors import ConfigurationError, NumericalDomainError, ShapeError, check_int, check_section
 
 
 @dataclass(frozen=True)
@@ -156,7 +157,9 @@ class DatasetSpec:
     distribution is one of "annulus", "gaussian-mixture", or
     "clustered-identities". attribute names a metadata key to export as the
     conditioning attribute a; None disables attribute conditioning. params
-    holds distribution-specific knobs.
+    holds the distribution's knobs, each of the kind _PARAMS gives it; a knob
+    left out takes its default. check_params refuses anything else, and
+    draw_points and generate_dataset call it before they draw.
     """
 
     distribution: str
@@ -198,9 +201,9 @@ def _draw_annulus(spec: DatasetSpec, rng, n: int) -> tuple[np.ndarray, dict]:
 
 
 def _draw_gaussian_mixture(spec: DatasetSpec, rng, n: int) -> tuple[np.ndarray, dict]:
-    k = check_int("n_components", spec.params.get("n_components", 4), 1)
-    spread = float(spec.params.get("spread", 2.0))
-    comp_std = float(spec.params.get("component_std", 0.5))
+    k = spec.params.get("n_components", 4)
+    spread = spec.params.get("spread", 2.0)
+    comp_std = spec.params.get("component_std", 0.5)
     centers = rng.normal(scale=spread, size=(k, spec.input_dim))
     comp = rng.integers(0, k, size=n)
     xs = centers[comp] + comp_std * rng.standard_normal((n, spec.input_dim))
@@ -208,9 +211,9 @@ def _draw_gaussian_mixture(spec: DatasetSpec, rng, n: int) -> tuple[np.ndarray, 
 
 
 def _draw_clustered_identities(spec: DatasetSpec, rng, n: int) -> tuple[np.ndarray, dict]:
-    k = check_int("n_identities", spec.params.get("n_identities", 10), 1)
-    cluster_std = float(spec.params.get("cluster_std", 0.1))
-    center_scale = float(spec.params.get("center_scale", 1.0))
+    k = spec.params.get("n_identities", 10)
+    cluster_std = spec.params.get("cluster_std", 0.1)
+    center_scale = spec.params.get("center_scale", 1.0)
     centers = center_scale * rng.standard_normal((k, spec.input_dim))
     ident = rng.integers(0, k, size=n)
     xs = centers[ident] + cluster_std * rng.standard_normal((n, spec.input_dim))
@@ -223,14 +226,60 @@ _DISTRIBUTIONS = {
     "clustered-identities": _draw_clustered_identities,
 }
 
+# The knobs of each distribution's params and the kind of each
+# (errors.check_section): "scale" is a finite number >= 0, "finite" any
+# finite number and "int" a positive integer.
+_PARAMS = {
+    "annulus": {"r_min": "scale", "r_max": "scale"},
+    "gaussian-mixture": {"n_components": "int", "spread": "scale", "component_std": "scale"},
+    "clustered-identities": {"n_identities": "int", "cluster_std": "scale",
+                             "center_scale": "finite"},
+}
 
-def draw_points(spec: DatasetSpec, rng, n: int) -> np.ndarray:
-    """Draw n unlabeled input points from spec.distribution."""
-    check_int("n", n)
+
+def check_params(spec: DatasetSpec) -> None:
+    """A ConfigurationError unless spec.distribution is known and every knob
+    of spec.params is one of its own, of its kind."""
     if spec.distribution not in _DISTRIBUTIONS:
         raise ConfigurationError(f"unknown distribution {spec.distribution!r}")
-    xs, _ = _DISTRIBUTIONS[spec.distribution](spec, rng, n)
-    return xs
+    check_section(spec.params, f"{spec.distribution} params", _PARAMS[spec.distribution])
+
+
+@contextmanager
+def _within_float64(spec: DatasetSpec):
+    """Runs its block under np.errstate(over="raise", invalid="raise"). A
+    FloatingPointError in it, numpy's or the block's own, means the params
+    draw beyond float64's range: a ConfigurationError, with no RuntimeWarning."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError:
+        raise ConfigurationError(f"dataset params {spec.params} draw points or embeddings "
+                                 f"beyond float64's range") from None
+
+
+def _finite(array: np.ndarray) -> np.ndarray:
+    """array, or a FloatingPointError if it holds a NaN or an infinity."""
+    if not np.isfinite(array).all():
+        raise FloatingPointError
+    return array
+
+
+def _draw(spec: DatasetSpec, rng, n: int) -> tuple[np.ndarray, dict]:
+    """The points and metadata of n draws, the params checked before any
+    draw; points beyond float64's range are a ConfigurationError."""
+    check_params(spec)
+    with _within_float64(spec):
+        xs, meta = _DISTRIBUTIONS[spec.distribution](spec, rng, n)
+        return _finite(xs), meta
+
+
+def draw_points(spec: DatasetSpec, rng, n: int) -> np.ndarray:
+    """Draw n unlabeled input points from spec.distribution. Params that
+    check_params refuses, or that draw points beyond float64's range, are a
+    ConfigurationError."""
+    check_int("n", n)
+    return _draw(spec, rng, n)[0]
 
 
 def generate_dataset(spec: DatasetSpec, embedder) -> Dataset:
@@ -238,7 +287,9 @@ def generate_dataset(spec: DatasetSpec, embedder) -> Dataset:
 
     The stored y is exactly embed(x), bit for bit, and a is the metadata
     column that spec.attribute names. A fixed seed reproduces the dataset
-    exactly.
+    exactly. Params that check_params refuses are a ConfigurationError before
+    any draw, and so are, after it, points or embeddings beyond float64's
+    range.
     """
     check_int("n_samples", spec.n_samples, 1)
     check_int("seed", spec.seed)
@@ -246,10 +297,7 @@ def generate_dataset(spec: DatasetSpec, embedder) -> Dataset:
         raise ConfigurationError(
             f"embedder expects input_dim {embedder.input_dim}, spec has {spec.input_dim}"
         )
-    if spec.distribution not in _DISTRIBUTIONS:
-        raise ConfigurationError(f"unknown distribution {spec.distribution!r}")
-    rng = np.random.default_rng(spec.seed)
-    xs, meta = _DISTRIBUTIONS[spec.distribution](spec, rng, spec.n_samples)
+    xs, meta = _draw(spec, np.random.default_rng(spec.seed), spec.n_samples)
     a = None
     if spec.attribute is not None:
         if spec.attribute not in meta:
@@ -258,7 +306,8 @@ def generate_dataset(spec: DatasetSpec, embedder) -> Dataset:
                 f"{spec.distribution!r}"
             )
         a = meta[spec.attribute][:, None]
-    return Dataset(xs, embedder.embed(xs), a, meta)
+    with _within_float64(spec):
+        return Dataset(xs, _finite(embedder.embed(xs)), a, meta)
 
 
 def stack_samples(ds: Dataset) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:

@@ -235,7 +235,10 @@ def rejection_oracle(embedder, target_y, epsilon: float, draw, n: int, rng,
     budget is exhausted. Raises a starvation diagnostic (with the observed
     acceptance rate) if nothing at all is kept; a nonempty partial result is
     returned as-is. A draw that returns another number of rows than count
-    is a ShapeError.
+    is a ShapeError. Each batch is embedded under np.errstate(over="raise",
+    invalid="raise"): candidates whose embeddings, or their distances to the
+    target, lie beyond float64's range are a ConfigurationError, with no
+    RuntimeWarning and no further draw.
     """
     if not epsilon >= 0:
         raise ConfigurationError(f"epsilon must be nonnegative, got {epsilon}")
@@ -251,7 +254,12 @@ def rejection_oracle(embedder, target_y, epsilon: float, draw, n: int, rng,
             raise ShapeError(f"draw(rng, {count}) must return {count} rows, "
                              f"got {len(xs) if xs.ndim else 0}")
         drawn += count
-        ok = identity_distances(xs, target_y, embedder) <= epsilon
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                ok = identity_distances(xs, target_y, embedder) <= epsilon
+        except FloatingPointError:
+            raise ConfigurationError(f"the distances of draw(rng, {count})'s embeddings to "
+                                     f"the target lie beyond float64's range") from None
         if ok.any():
             kept.append(xs[ok])
             n_kept += int(ok.sum())

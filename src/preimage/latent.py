@@ -63,17 +63,23 @@ def slerp(y1, y2, tau: float) -> np.ndarray:
 
     Falls back to lerp when the endpoints are within angle PARALLEL_EPS of
     each other (the spherical formula degrades to 0/0 there). Antiparallel
-    endpoints leave the arc undefined and are rejected.
+    endpoints leave the arc undefined and are rejected, and so are endpoints
+    whose norms or dot product float64 cannot hold.
     """
     y1 = np.asarray(y1, dtype=np.float64)
     y2 = np.asarray(y2, dtype=np.float64)
     if y1.shape != y2.shape or y1.ndim != 1:
         raise ShapeError("endpoints must be 1-D vectors of equal length")
-    n1 = np.linalg.norm(y1)
-    n2 = np.linalg.norm(y2)
-    if n1 == 0.0 or n2 == 0.0:
-        raise NumericalDomainError("slerp is undefined for zero vectors")
-    cos = np.clip(np.dot(y1, y2) / (n1 * n2), -1.0, 1.0)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            n1 = np.linalg.norm(y1)
+            n2 = np.linalg.norm(y2)
+            if n1 == 0.0 or n2 == 0.0:
+                raise NumericalDomainError("slerp is undefined for zero vectors")
+            cos = np.clip(np.dot(y1, y2) / (n1 * n2), -1.0, 1.0)
+    except FloatingPointError:
+        raise NumericalDomainError("slerp: the endpoints' norms lie beyond float64's "
+                                   "range") from None
     omega = np.arccos(cos)
     if omega < PARALLEL_EPS:
         return lerp(y1, y2, tau)

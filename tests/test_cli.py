@@ -15,15 +15,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from preimage.cli import _SECTIONS, _dataset_columns_from_csv, load_run_config, main
+from preimage.cli import _dataset_columns_from_csv, load_run_config, main
 from preimage.diffusion import SampleConfig, sample_batch
-from preimage.embedders import _DISTRIBUTIONS, generate_dataset, make_embedder
+from preimage.embedders import (_DISTRIBUTIONS, _PARAMS, draw_points, generate_dataset,
+                                make_embedder)
 from preimage.evaluation import identity_distances
 from preimage.nn import ConditionalDenoiser, EmaParams, param_count
-from preimage.persistence import load_checkpoint, read_csv, save_checkpoint
+from preimage.persistence import _BOUNDS, load_checkpoint, read_csv, save_checkpoint
 
 TINY_CONFIG = {
     "dataset": {
@@ -247,8 +248,7 @@ class TestDatasetParams:
         return write_config(tmp_path / "params.json", cfg)
 
     def test_every_distribution_has_a_params_schema(self):
-        names = {k.removesuffix(" params") for k in _SECTIONS if k.endswith(" params")}
-        assert names == set(_DISTRIBUTIONS)
+        assert set(_PARAMS) == set(_DISTRIBUTIONS)
 
     @pytest.mark.parametrize("distribution, params, named", [
         ("annulus", {"r_min": "a"}, "'r_min'"),
@@ -357,7 +357,7 @@ def dataset_configs(draw):
     value."""
     distribution = draw(st.sampled_from(sorted(METADATA)))
     dim = 2 if distribution == "annulus" else draw(st.integers(1, 3))
-    knobs = sorted(_SECTIONS[f"{distribution} params"])
+    knobs = sorted(_PARAMS[distribution])
     value = st.one_of(st.sampled_from(HOSTILE), st.integers(-2, 12),
                       st.floats(-1e3, 1e3, allow_nan=False))
     params = draw(st.dictionaries(st.sampled_from(knobs), value, max_size=3))
@@ -389,6 +389,62 @@ def test_a_mutated_dataset_config_exits_0_1_or_2_with_finite_output(tmp_path_fac
         assert np.isfinite(np.array(table, dtype=np.float64)).all()
     else:
         assert not (root / "data.csv").exists()
+
+
+class TestRunConfigBounds:
+    """A count of a run config that a checkpoint cannot hold (persistence's
+    _BOUNDS) exits 1 for every subcommand that reads the config, before any
+    draw or make_embedder, instead of failing after training or escaping
+    from numpy."""
+
+    @pytest.mark.parametrize("section, values, named, field", [
+        ("train", {"batch_size": _BOUNDS["batch_size"] + 1}, "train config 'batch_size'",
+         "batch_size"),
+        ("train", {"batch_size": 10**11}, "train config 'batch_size'", "batch_size"),
+        ("train", {"timesteps": _BOUNDS["n_steps"] + 1}, "train config 'timesteps'", "n_steps"),
+        ("train", {"timesteps": 10**10}, "train config 'timesteps'", "n_steps"),
+        ("train", {"total_batches": _BOUNDS["total_batches"] + 1},
+         "train config 'total_batches'", "total_batches"),
+        ("model", {"hidden_dims": [2] * (_BOUNDS["n_hidden"] + 1)},
+         "the layer count of model config 'hidden_dims'", "n_hidden"),
+        ("model", {"hidden_dims": [8, 2**63]}, "a width in model config 'hidden_dims'",
+         "hidden_dims"),
+        ("model", {"hidden_dims": [_BOUNDS["hidden_dims"] + 1]},
+         "a width in model config 'hidden_dims'", "hidden_dims"),
+        ("model", {"time_embed_dim": 2**63}, "model config 'time_embed_dim'", "time_embed_dim"),
+        ("embedder", {"name": "frozen-mlp", "output_dim": 2**63},
+         "embedder config 'output_dim'", "embedder_output_dim"),
+        ("embedder", {"name": "linear", "output_dim": _BOUNDS["embedder_output_dim"] + 1},
+         "embedder config 'output_dim'", "embedder_output_dim"),
+    ])
+    @pytest.mark.parametrize("command", ["dataset", "train", "oracle-compare"])
+    def test_a_count_beyond_the_checkpoint_exits_1_before_any_draw(
+            self, workspace, tmp_path, monkeypatch, capsys, command, section, values, named,
+            field):
+        calls = []
+        for name in ("make_embedder", "generate_dataset", "draw_points", "sample_batch"):
+            monkeypatch.setattr(f"preimage.cli.{name}", lambda *a, **k: calls.append(a))
+        cfg = json.loads(json.dumps(TINY_CONFIG))
+        cfg[section].update(values)
+        cfg["output_dir"] = str(tmp_path)
+        path = write_config(tmp_path / "big.json", cfg)
+        args = [command, "--config", path, "--out", "out"]
+        if command == "oracle-compare":
+            args += ["--checkpoint", workspace["checkpoint"], "--target-y", "1.0", "--seed", "1"]
+        assert main(args) == 1 and calls == []
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {named} is ")
+        assert err.endswith(f", beyond the checkpoint format's bound of {_BOUNDS[field]}\n")
+        assert os.listdir(tmp_path) == ["big.json"]
+
+    def test_counts_at_the_checkpoints_bounds_are_accepted(self, tmp_path):
+        cfg = json.loads(json.dumps(TINY_CONFIG))
+        cfg["model"] = {"hidden_dims": [1] * _BOUNDS["n_hidden"],
+                        "time_embed_dim": _BOUNDS["time_embed_dim"]}
+        cfg["train"].update(timesteps=_BOUNDS["n_steps"], batch_size=_BOUNDS["batch_size"],
+                            total_batches=_BOUNDS["total_batches"])
+        run = load_run_config(write_config(tmp_path / "edge.json", cfg))
+        assert (len(run.hidden_dims), run.train.timesteps) == (64, _BOUNDS["n_steps"])
 
 
 class TestTrain:
@@ -900,6 +956,32 @@ class TestOracleCompare:
         assert not (tmp_path / "oracle_compare.csv").exists()
 
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("distribution, params, message", [
+        ("annulus", {"r_max": 1e308}, "the distances of draw(rng, 4096)'s embeddings"),
+        ("gaussian-mixture", {"spread": 1e308, "n_components": 8}, "dataset params"),
+    ])
+    def test_params_beyond_float64_exit_1_after_one_batch(self, workspace, tmp_path,
+                                                          monkeypatch, capsys, distribution,
+                                                          params, message):
+        draws = []
+
+        def counted(spec, rng, n):
+            draws.append(n)
+            return draw_points(spec, rng, n)
+
+        monkeypatch.setattr("preimage.cli.draw_points", counted)
+        cfg = json.loads(json.dumps(TINY_CONFIG))
+        cfg["dataset"].update(distribution=distribution, params=params, attribute=None)
+        path = write_config(tmp_path / "far.json", cfg)
+        assert main(["oracle-compare", "--checkpoint", workspace["checkpoint"], "--config", path,
+                     "--target-y", "1.0", "--seed", "13", "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {message}") and len(err.splitlines()) == 1
+        assert err.endswith("beyond float64's range\n") and draws == [4096]
+        assert os.listdir(tmp_path) == ["far.json"]
+
+
 def child_env(**extra):
     """os.environ plus extra, with this checkout's src first on PYTHONPATH,
     so that a child's python -m preimage runs the code under test."""
@@ -929,8 +1011,7 @@ class TestEntryPoints:
     @pytest.mark.parametrize("command, section, values", [
         ("dataset", "dataset", {"n_samples": 10**12}),
         ("train", "model", {"hidden_dims": [10**6, 10**6]}),
-        ("train", "train", {"timesteps": 10**10}),
-        ("train", "train", {"batch_size": 10**11}),
+        ("train", "model", {"hidden_dims": [1 << 20, 1 << 20]}),  # at the checkpoint's bound
         ("sample", None, ["--target-y", "1.0", "--n", str(10**12)]),
         ("interpolate", None, ["--y1", "0.7", "--y2", "1.3", "--grid", str(10**12)]),
     ])
@@ -957,3 +1038,123 @@ class TestEntryPoints:
                               capture_output=True, text=True, env=child_env())
         assert proc.returncode == 0
         assert "sample" in proc.stdout
+
+
+# Values a flag of a sampling or evaluation subcommand may hold, as (valid,
+# hostile): small counts only, so that no example allocates much, and the
+# hostile values of every numeric flag (zero, negatives, NaN, infinities,
+# 1e308, empty, ragged or not a number).
+HOSTILE_NUMBERS = ["0", "-1", "nan", "inf", "-inf", "1e308", "-1e308", "", "a"]
+NUMBER = (["0.5", "1", "2"], HOSTILE_NUMBERS)
+VECTOR = (["0.9", "1.0", "1.2"], [*HOSTILE_NUMBERS, "1,2", "1,", ",", "1;2", "1.0,nan"])
+COUNT = (["1", "2", "3"], ["0", "-1", "nan", "1e308", ""])
+SEED = (["0", "7"], ["-1", "18446744073709551616", "nan"])
+
+
+@pytest.fixture(scope="module")
+def argv_files(workspace):
+    """(valid, wrong) files for each file flag: wrong ones are a CSV of
+    another kind, the checkpoint read as text, a missing path and the run
+    config whose annulus draws embed beyond float64's range."""
+    root = workspace["root"]
+    assert main(["sample", "--checkpoint", workspace["checkpoint"], "--seed", "1",
+                 "--target-y", "1.0", "--n", "4", "--out", str(root / "samples.csv")]) == 0
+    (root / "pairs.csv").write_text("distance,is_same\n0.1,1\n0.9,0\n0.4,1\n0.7,0\n")
+    cfg = json.loads(json.dumps(TINY_CONFIG))
+    cfg["dataset"]["params"] = {"r_max": 1e308}
+    far = write_config(root / "far.json", cfg)
+    data, samples, pairs, ckpt = (workspace["data"], str(root / "samples.csv"),
+                                  str(root / "pairs.csv"), workspace["checkpoint"])
+    missing = str(root / "missing")
+    return {"--checkpoint": ([ckpt], [workspace["config"], data, missing]),
+            "--config": ([workspace["config"]], [far, ckpt, missing]),
+            "--data": ([data], [samples, pairs, ckpt, missing]),
+            "--samples": ([samples], [data, pairs, ckpt, missing]),
+            "--pairs": ([pairs], [data, samples, ckpt, missing])}
+
+
+# Each subcommand's flags and their (valid, hostile) values; None for a flag
+# that takes no value. A flag in REQUIRED is always passed; the others are
+# passed or left out at random.
+SAMPLING = {"--seed": SEED, "--steps": (["1", "2", "8"], ["9", "0", "-1"]),
+            "--variance": (["posterior", "beta"], ["x"]), "--no-ema": None}
+GRAMMAR = {
+    "sample": {**SAMPLING, "--target-y": VECTOR, "--attr": (["0", "1"], VECTOR[1]),
+               "--n": COUNT, "--guidance": NUMBER,
+               "--threshold": (["auto", "on", "off"], ["x"])},
+    "interpolate": {**SAMPLING, "--y1": VECTOR, "--y2": VECTOR, "--guidance": NUMBER,
+                    "--mode": (["slerp", "lerp"], ["x"]), "--grid": COUNT, "--n-per": COUNT},
+    "direction": {"--mode": (["binary", "percentile", "pca"], ["x"]),
+                  "--feature": (["upper", "radius", "angle"], ["a_0", "x_0", "nope", ""]),
+                  "--n-axes": COUNT},
+    "sweep": {**SAMPLING, "--s": (["1", "0,2", "1,3"], VECTOR[1]),
+              "--target-y": (["1.0", "1;0.5"], [*VECTOR[1], "1;;"]), "--n": COUNT},
+    "eval": {"--task": (["identity", "diversity", "verification"], ["x"]),
+             "--target-y": VECTOR},
+    "oracle-compare": {**SAMPLING, "--target-y": VECTOR, "--guidance": NUMBER,
+                       "--epsilon": (["0.3", "0.05"], HOSTILE_NUMBERS), "--n": COUNT,
+                       "--gd-inits": COUNT},
+}
+FILES = {"sample": ["--checkpoint"], "interpolate": ["--checkpoint"], "direction": ["--data"],
+         "sweep": ["--checkpoint"], "eval": ["--samples", "--pairs", "--checkpoint"],
+         "oracle-compare": ["--checkpoint", "--config"]}
+REQUIRED = {"--checkpoint", "--config", "--seed", "--target-y", "--y1", "--y2", "--s",
+            "--data", "--mode", "--task", "--n", "--gd-inits"}
+
+
+@st.composite
+def hostile_argv(draw, files):
+    """argv of one subcommand: its required flags and a random subset of the
+    rest, each value valid or, one time in four, hostile."""
+    command = draw(st.sampled_from(sorted(GRAMMAR)))
+    argv = [command]
+    flags = {**GRAMMAR[command], **{f: files[f] for f in FILES[command]}}
+    for flag, values in flags.items():
+        if flag not in REQUIRED and not draw(st.booleans()):
+            continue
+        if values is None:
+            argv.append(flag)
+        else:
+            valid, hostile = values
+            argv += [flag, draw(st.sampled_from(hostile if draw(st.integers(0, 3)) == 0
+                                                else valid))]
+    return argv
+
+
+def numbers_in(rows) -> list:
+    """The cells of CSV rows that parse as floats, NaN and infinities included."""
+    numbers = []
+    for cell in (c for row in rows for c in row):
+        try:
+            numbers.append(float(cell))
+        except ValueError:
+            pass
+    return numbers
+
+
+def test_a_hostile_argv_exits_0_1_or_2_with_finite_output(argv_files, tmp_path_factory):
+    ckpt, far = argv_files["--checkpoint"][0][0], argv_files["--config"][1][0]
+
+    # The examples are the defects the grammar found: a slerp endpoint whose
+    # norm overflows, and the run config whose oracle draws embed beyond
+    # float64's range.
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(argv=hostile_argv(argv_files))
+    @example(argv=["interpolate", "--checkpoint", ckpt, "--seed", "0", "--y1", "0.9",
+                   "--y2", "1e308", "--mode", "slerp"])
+    @example(argv=["oracle-compare", "--checkpoint", ckpt, "--config", far, "--seed", "0",
+                   "--target-y", "1.0", "--n", "2", "--gd-inits", "1"])
+    def run(argv):
+        out = tmp_path_factory.mktemp("argv") / "out.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([*argv, "--out", str(out)])
+        assert code in (0, 1, 2), argv
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == [], argv
+        if code == 0:
+            _, rows = read_csv(str(out))
+            assert rows and np.isfinite(numbers_in(rows)).all(), argv
+        else:
+            assert not out.exists(), argv
+
+    run()

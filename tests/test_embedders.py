@@ -304,3 +304,100 @@ class TestAngularDistance:
             y = rng.normal(size=3)
             assert angular_distance(y, y * rng.uniform(0.5, 2.0)) <= 1e-15
             assert angular_distance(y, -y * rng.uniform(0.5, 2.0)) >= 1.0 - 1e-15
+
+
+class NoDraws:
+    """Stands in for a numpy Generator: building it is allowed, any draw from
+    it fails the test."""
+
+    def __init__(self, *args, **kwargs):
+        pass
+
+    def __getattr__(self, name):
+        raise AssertionError(f"drew with {name} before refusing the params")
+
+
+def draw_both(distribution, params, input_dim=2, n=16, seed=0):
+    """The errors of draw_points and of generate_dataset on one spec: [] if
+    both draw, else one ConfigurationError message per call that refused."""
+    spec = DatasetSpec(distribution, input_dim, n, seed, params=params)
+    messages = []
+    for call in (lambda: draw_points(spec, np.random.default_rng(seed), n),
+                 lambda: generate_dataset(spec, RadiusEmbedder(input_dim))):
+        try:
+            call()
+        except ConfigurationError as exc:
+            messages.append(str(exc))
+    return messages
+
+
+class TestDatasetParams:
+    """Every caller of draw_points and generate_dataset gets the one check of
+    the params before any draw, and the one refusal of draws beyond float64's
+    range, with no RuntimeWarning."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("distribution, params, message", [
+        ("annulus", {"r_min": "a"}, "annulus params config 'r_min' must be a finite number >= 0"),
+        ("annulus", {"r_mn": 0.2}, "unknown annulus params config keys: r_mn"),
+        ("annulus", {"r_max": np.inf}, "annulus params config 'r_max' must be"),
+        ("annulus", {"r_max": 10**400}, "annulus params config 'r_max' must be"),
+        ("annulus", {"spread": 2.0}, "unknown annulus params config keys: spread"),
+        ("gaussian-mixture", {"spread": -1}, "gaussian-mixture params config 'spread' must be"),
+        ("gaussian-mixture", {"component_std": np.nan},
+         "gaussian-mixture params config 'component_std' must be"),
+        ("gaussian-mixture", {"n_components": 2.5},
+         "gaussian-mixture params config 'n_components' must be a positive integer"),
+        ("gaussian-mixture", {"n_components": np.int64(0)},
+         "gaussian-mixture params config 'n_components' must be a positive integer"),
+        ("gaussian-mixture", {"spread": np.float32(2.0)},
+         "gaussian-mixture params config 'spread' must be a finite number >= 0"),
+        ("clustered-identities", {"center_scale": -np.inf},
+         "clustered-identities params config 'center_scale' must be a finite number"),
+        ("clustered-identities", {"cluster_std": "wide"},
+         "clustered-identities params config 'cluster_std' must be"),
+        ("clustered-identities", [("n_identities", 2)],
+         "the clustered-identities params config must be a JSON object"),
+        ("ring", {}, "unknown distribution 'ring'"),
+    ])
+    def test_a_bad_knob_is_refused_naming_it_before_any_draw(self, monkeypatch, distribution,
+                                                             params, message):
+        monkeypatch.setattr(np.random, "default_rng", NoDraws)
+        messages = draw_both(distribution, params)
+        assert len(messages) == 2 and all(m.startswith(message) for m in messages), messages
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("distribution, params, input_dim, refused_draws", [
+        ("annulus", {"r_max": 1e308}, 2, False),  # finite points whose norms overflow
+        ("annulus", {"r_max": 1e200}, 2, False),
+        ("gaussian-mixture", {"spread": 1e308, "n_components": 8}, 8, True),
+        ("gaussian-mixture", {"component_std": 1e308}, 8, True),
+        ("clustered-identities", {"center_scale": 1e300}, 2, False),  # its embedding overflows
+        ("clustered-identities", {"cluster_std": 1e308, "n_identities": 8}, 8, True),
+    ])
+    def test_draws_beyond_float64_are_refused(self, distribution, params, input_dim,
+                                              refused_draws):
+        # draw_points refuses points beyond float64's range; generate_dataset
+        # refuses those and also finite points whose embeddings overflow.
+        messages = draw_both(distribution, params, input_dim)
+        assert len(messages) == 1 + refused_draws
+        assert all(m == f"dataset params {params} draw points or embeddings beyond "
+                   f"float64's range" for m in messages)
+
+    @pytest.mark.parametrize("distribution, params, input_dim", [
+        ("annulus", {"r_min": 0, "r_max": 2}, 2),
+        ("annulus", {"r_min": np.float64(0.25), "r_max": np.int64(3)}, 2),
+        ("gaussian-mixture", {"n_components": np.int64(3), "spread": 0, "component_std": 1}, 3),
+        ("clustered-identities", {"n_identities": 2, "cluster_std": 0.0, "center_scale": -1.5},
+         4),
+    ])
+    def test_every_knob_in_range_draws_the_bits_of_a_float(self, distribution, params,
+                                                           input_dim):
+        # An integer or numpy knob draws what its float value draws.
+        as_float = {k: v if k.startswith("n_") else float(v) for k, v in params.items()}
+        specs = [DatasetSpec(distribution, input_dim, 32, 5, params=p) for p in (params, as_float)]
+        emb = LinearEmbedder.from_seed(input_dim, 2)
+        ds, ds_float = (generate_dataset(spec, emb) for spec in specs)
+        pts, pts_float = (draw_points(spec, np.random.default_rng(5), 32) for spec in specs)
+        assert ds.x.tobytes() == ds_float.x.tobytes() == pts.tobytes() == pts_float.tobytes()
+        assert ds.y.tobytes() == ds_float.y.tobytes()

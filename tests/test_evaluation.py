@@ -360,6 +360,23 @@ class TestRejectionOracle:
         out = rejection_oracle(emb, target, 0.0, draw, 5, np.random.default_rng(0))
         np.testing.assert_array_equal(out, np.tile(target, (5, 1)))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("far, target", [(1e200, 1.0), (1.0, 1e200)])
+    def test_embeddings_beyond_float64_are_refused_after_one_batch(self, far, target):
+        # Finite candidates whose norms, or distances to the target, overflow:
+        # a starvation after max_draws, with a RuntimeWarning, at the parent.
+        counts = []
+
+        def draw(rng, count):
+            counts.append(count)
+            return np.full((count, 2), far)
+
+        with pytest.raises(ConfigurationError, match=r"draw\(rng, 64\)'s embeddings to the "
+                           r"target lie beyond float64's range"):
+            rejection_oracle(RadiusEmbedder(2), np.array([target]), 0.1, draw, 10,
+                             np.random.default_rng(0), batch_size=64)
+        assert counts == [64]
+
     def test_starvation_diagnostic(self):
         emb = RadiusEmbedder(2)
         with pytest.raises(AcceptanceStarvationError) as exc:
@@ -714,18 +731,28 @@ class TestEnergyDistance:
 
 def distance_lanes(monkeypatch, workers):
     """Force nn.WORKERS to workers and record the threads that run distance
-    lanes; returns the set, filled as the lanes run."""
+    lanes: returns a list that gets one set of thread idents per run_lanes
+    call, filled as its lanes run. Each call counts its own threads, since
+    a thread of one pool may reuse the ident of an earlier pool's."""
     monkeypatch.setattr(nn, "WORKERS", workers)
-    threads = set()
+    calls = []
 
     def recording(fn, lanes, pool):
+        threads = set()
+        calls.append(threads)
+
         def lane(w):
             threads.add(threading.get_ident())
             return fn(w)
         return run_lanes(lane, lanes, pool)
 
     monkeypatch.setattr(nn, "run_lanes", recording)
-    return threads
+    return calls
+
+
+def threads_per_call(calls):
+    """The distinct thread counts of distance_lanes's calls; set() if none ran."""
+    return {len(threads) for threads in calls}
 
 
 def block_threads():
@@ -741,11 +768,12 @@ class TestDistanceWorkers:
              (3 * R, 2 * R + 5), (5 * R + 7, 3)]
 
     def serial_and_lanes(self, monkeypatch, workers, fn):
-        """fn() at one worker and at workers, with the threads of the latter."""
+        """fn() at one worker and at workers, with the thread count of each
+        run_lanes call of the latter."""
         distance_lanes(monkeypatch, 1)
         serial = fn()
-        threads = distance_lanes(monkeypatch, workers)
-        return serial, fn(), len(threads)
+        calls = distance_lanes(monkeypatch, workers)
+        return serial, fn(), threads_per_call(calls)
 
     @pytest.mark.parametrize("workers", [2, 3])
     @pytest.mark.parametrize("d", [1, 2, 64])
@@ -753,7 +781,7 @@ class TestDistanceWorkers:
         rng = np.random.default_rng(200 + d)
         for n, m in self.SIZES:
             a, b = rng.normal(size=(n, d)), rng.normal(loc=0.2, size=(m, d))
-            serial, threaded, threads = self.serial_and_lanes(
+            serial, threaded, (threads,) = self.serial_and_lanes(
                 monkeypatch, workers, lambda: _distance_sum(a, b))
             # A pool thread may take two lanes, so three lanes may run on two.
             lanes = min(workers, -(-n // R))
@@ -764,11 +792,11 @@ class TestDistanceWorkers:
                 assert threaded.hex() == serial.hex(), (n, m)
 
     def test_identical_batches_still_zero(self, monkeypatch):
-        threads = distance_lanes(monkeypatch, 2)
+        calls = distance_lanes(monkeypatch, 2)
         a = np.random.default_rng(9).normal(size=(3 * R + 5, 64))
         assert energy_distance(a, a) == 0.0
         assert energy_distance(a, a.copy()) == 0.0
-        assert len(threads) == 2
+        assert len(calls) == 6 and threads_per_call(calls) == {2}
 
     @pytest.mark.parametrize("where", ["worker", "caller"])
     def test_an_error_in_a_lane_reaches_the_caller(self, monkeypatch, where):
@@ -789,8 +817,8 @@ class TestDistanceWorkers:
         with pytest.raises(RuntimeError, match=where):
             energy_distance(a, b)
         assert block_threads() == []
-        threads = distance_lanes(monkeypatch, 2)
-        assert energy_distance(a, b).hex() == want.hex() and len(threads) == 2
+        calls = distance_lanes(monkeypatch, 2)
+        assert energy_distance(a, b).hex() == want.hex() and threads_per_call(calls) == {2}
 
     def test_an_overflow_raises_alike_at_every_worker_count(self, monkeypatch):
         # The sums' np.errstate reaches every lane, so no pool lane warns of
@@ -800,12 +828,13 @@ class TestDistanceWorkers:
         a[40:] = 1e200
         errors = []
         for workers in (1, 2):
-            threads = distance_lanes(monkeypatch, workers)
+            calls = distance_lanes(monkeypatch, workers)
             with warnings.catch_warnings(record=True) as caught, np.errstate(over="raise"):
                 warnings.simplefilter("always")
                 with pytest.raises(NumericalDomainError) as error:
                     energy_distance(a, b)
-            assert [str(w.message) for w in caught] == [] and len(threads) == workers
+            assert [str(w.message) for w in caught] == []
+            assert threads_per_call(calls) == {workers}
             errors.append(str(error.value))
         assert errors == ["pairwise distances: values beyond float64's range"] * 2
 
@@ -816,35 +845,37 @@ class TestDistanceWorkers:
         # Finite rows whose differences square beyond float64: inf at the
         # parent's default errstate, after a RuntimeWarning.
         far = np.full((rows, 2), 1e200)
-        threads = distance_lanes(monkeypatch, workers)
+        calls = distance_lanes(monkeypatch, workers)
         with pytest.raises(NumericalDomainError, match="beyond float64"):
             energy_distance(far, -far)
         with pytest.raises(NumericalDomainError, match="beyond float64"):
             diversity(np.concatenate((far, -far)))
-        assert len(threads) == min(workers, -(-2 * rows // R))
+        # Both calls' sums have one block or three and more: each runs on
+        # min(W, blocks) threads.
+        assert len(calls) == 2 and threads_per_call(calls) == {min(workers, -(-2 * rows // R))}
 
     def test_no_block_thread_outlives_a_call(self, monkeypatch):
         assert block_threads() == []
-        threads = distance_lanes(monkeypatch, 3)
+        calls = distance_lanes(monkeypatch, 3)
         rng = np.random.default_rng(11)
         energy_distance(rng.normal(size=(4 * R, 2)), rng.normal(size=(4 * R, 2)))
-        assert len(threads) > 1 and block_threads() == []
+        assert calls and min(threads_per_call(calls)) > 1 and block_threads() == []
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_a_forked_child_runs_a_threaded_energy_distance(self, monkeypatch):
         rng = np.random.default_rng(12)
         a, b = rng.normal(size=(4 * R, 2)), rng.normal(size=(3 * R, 2))
-        threads = distance_lanes(monkeypatch, 2)
+        calls = distance_lanes(monkeypatch, 2)
         want = energy_distance(a, b)
-        assert len(threads) == 2
+        assert threads_per_call(calls) == {2}
         pid = os.fork()
         if pid == 0:
             code = 1
             try:
                 signal.alarm(20)
-                threads.clear()
+                calls.clear()
                 got = energy_distance(a, b)
-                code = 0 if got.hex() == want.hex() and len(threads) == 2 else 3
+                code = 0 if got.hex() == want.hex() and threads_per_call(calls) == {2} else 3
             finally:
                 os._exit(code)
         _, status = os.waitpid(pid, 0)
@@ -878,9 +909,10 @@ class TestSymmetricDistanceSums:
             a = rng.normal(size=(n, d))
             bits = set()
             for workers in (1, 2, 3):
-                threads = distance_lanes(monkeypatch, workers)
+                calls = distance_lanes(monkeypatch, workers)
                 same = _distance_sum(a, a)
                 lanes = min(workers, -(-n // R))
+                (threads,) = calls
                 assert (len(threads) > 1) == (lanes > 1) and len(threads) <= lanes
                 assert _distance_sum(a, a.copy()).hex() == same.hex(), (n, workers)
                 assert _distance_sum(a.copy(), a).hex() == same.hex(), (n, workers)

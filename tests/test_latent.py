@@ -64,6 +64,14 @@ class TestSlerp:
         with pytest.raises(NumericalDomainError):
             slerp(np.zeros(2), np.array([1.0, 0.0]), 0.5)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("y1, y2", [([1e308], [1.0]), ([1e200, 1.0], [1e200, 0.0]),
+                                        ([1e308], [1e308])])
+    def test_endpoints_beyond_float64_rejected(self, y1, y2):
+        # The parent warned of the overflow, then returned lerp's or NaNs.
+        with pytest.raises(NumericalDomainError, match="beyond float64's range"):
+            slerp(np.array(y1), np.array(y2), 0.5)
+
     @given(st.floats(0.0, 1.0), st.integers(0, 500))
     @settings(max_examples=40, deadline=None)
     def test_interpolates_the_angle(self, tau, seed):
