@@ -83,7 +83,6 @@ from .nn import (
     sinusoidal_embed,
 )
 from .persistence import (
-    Checkpoint,
     load_checkpoint,
     read_csv,
     save_checkpoint,

@@ -41,7 +41,6 @@ from .latent import custom_direction, fit_pca, lerp, percentile_split, slerp
 from .nn import HIDDEN_DIMS, TIME_EMBED_DIM
 from .persistence import (
     _BOUNDS,
-    Checkpoint,
     load_checkpoint,
     read_csv,
     save_checkpoint,
@@ -223,7 +222,7 @@ def cmd_train(args) -> int:
                    time_embed_dim=cfg.time_embed_dim,
                    log_every=args.log_every)
     out = _resolve_out(args.out, cfg.output_dir)
-    save_checkpoint(out, Checkpoint.from_train_result(result, cfg.embedder))
+    save_checkpoint(out, replace(result, embedder_info=cfg.embedder))
     print(f"trained {result.config.total_batches} batches; "
           f"final loss {np.mean(result.loss_history[-50:]):.5f}; saved {out}")
     return 0

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .embedders import EmbedderInfo
 from .errors import (
     ConfigurationError,
     DivergenceError,
@@ -344,13 +345,28 @@ def training_loss(model, x0_batch, y_batch, schedule: NoiseSchedule, rng,
 
 @dataclass
 class TrainResult:
-    """A trained denoiser, its EMA shadow, and the schedule it was trained on."""
+    """The one record of a training run: the fitted denoiser, its EMA shadow,
+    the schedule and config it was trained with, its per-batch losses, and
+    the descriptor of the embedder that labelled its data.
+
+    train fills every field but embedder_info, which it cannot know; set it
+    with dataclasses.replace before save_checkpoint, which refuses a record
+    without one. load_checkpoint gives back every field a v1 file holds, so
+    its loss_history is empty. Resuming training would also need Adam's
+    moments, the step count and the training RNG state, which no record
+    holds yet."""
 
     model: ConditionalDenoiser
     ema: EmaParams
     schedule: NoiseSchedule
     config: TrainConfig
     loss_history: list = field(default_factory=list)
+    embedder_info: EmbedderInfo | None = None
+
+    @classmethod
+    def from_train_result(cls, result: TrainResult, embedder_info: EmbedderInfo) -> TrainResult:
+        """result with embedder_info set; the spelling persistence.Checkpoint callers use."""
+        return replace(result, embedder_info=embedder_info)
 
     def ema_model(self) -> ConditionalDenoiser:
         """The model with EMA weights substituted; used for sampling."""
@@ -376,7 +392,8 @@ def train(x0s, ys, config: TrainConfig, attrs=None, hidden_dims=HIDDEN_DIMS,
     value in a batch's loss, backward, update or cast, or a loss that goes
     non-finite, raises DivergenceError naming the batch, its loss trace
     ending in a non-finite entry, so no RuntimeWarning escapes. log_every >
-    0 prints the mean loss of every log_every batches.
+    0 prints the mean loss of every log_every batches. The returned
+    TrainResult holds one loss per batch and no embedder_info.
     """
     config.validate()
     check_int("log_every", log_every)
@@ -488,7 +505,7 @@ def sample_batch(model, y, schedule: NoiseSchedule, config: SampleConfig,
     """Draw n pre-images of y by running the guided reverse process.
 
     The model must be fitted, that is frozen: read-only, as train,
-    load_checkpoint and both ema_model()s leave it, else StateError. A
+    load_checkpoint and ema_model() leave it, else StateError. A
     writable copy of m, to freeze() before it samples, is ConditionalDenoiser(
     **m.topology(), seed=m.seed, params=m.params); setting the store's
     writeable flag back on and editing it is outside the contract. y (and a,

@@ -235,10 +235,11 @@ def rejection_oracle(embedder, target_y, epsilon: float, draw, n: int, rng,
     budget is exhausted. Raises a starvation diagnostic (with the observed
     acceptance rate) if nothing at all is kept; a nonempty partial result is
     returned as-is. A draw that returns another number of rows than count
-    is a ShapeError. Each batch is embedded under np.errstate(over="raise",
-    invalid="raise"): candidates whose embeddings, or their distances to the
-    target, lie beyond float64's range are a ConfigurationError, with no
-    RuntimeWarning and no further draw.
+    is a ShapeError, and one that returns an inf or NaN candidate is a
+    ConfigurationError, with no further draw. Each batch is embedded under
+    np.errstate(over="raise", invalid="raise"): candidates whose embeddings,
+    or their distances to the target, lie beyond float64's range are a
+    ConfigurationError, with no RuntimeWarning and no further draw.
     """
     if not epsilon >= 0:
         raise ConfigurationError(f"epsilon must be nonnegative, got {epsilon}")
@@ -253,6 +254,8 @@ def rejection_oracle(embedder, target_y, epsilon: float, draw, n: int, rng,
         if xs.shape[:1] != (count,):
             raise ShapeError(f"draw(rng, {count}) must return {count} rows, "
                              f"got {len(xs) if xs.ndim else 0}")
+        if not np.isfinite(xs).all():  # inf and NaN rows embed without a flag
+            raise ConfigurationError(f"draw(rng, {count}) returned a non-finite candidate")
         drawn += count
         try:
             with np.errstate(over="raise", invalid="raise"):

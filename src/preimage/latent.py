@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalDomainError, ShapeError, check_int
+from .errors import ConfigurationError, NumericalDomainError, ShapeError, check_finite, check_int
 
 PROVENANCES = ("binary-split", "percentile-split", "pca-axis")
 PARALLEL_EPS = 1e-6
@@ -26,7 +26,7 @@ class Direction:
         vec = np.asarray(self.vector, dtype=np.float64)
         if vec.ndim != 1:
             raise ShapeError(f"direction must be 1-D, got shape {vec.shape}")
-        if abs(np.linalg.norm(vec) - 1.0) > 1e-12:
+        if not abs(np.linalg.norm(vec) - 1.0) <= 1e-12:  # NaN fails too
             raise ConfigurationError("direction vector must have unit norm")
         if self.provenance not in PROVENANCES:
             raise ConfigurationError(
@@ -64,12 +64,15 @@ def slerp(y1, y2, tau: float) -> np.ndarray:
     Falls back to lerp when the endpoints are within angle PARALLEL_EPS of
     each other (the spherical formula degrades to 0/0 there). Antiparallel
     endpoints leave the arc undefined and are rejected, and so are endpoints
-    whose norms or dot product float64 cannot hold.
+    that hold a NaN or an infinity, or whose norms or dot product float64
+    cannot hold.
     """
     y1 = np.asarray(y1, dtype=np.float64)
     y2 = np.asarray(y2, dtype=np.float64)
     if y1.shape != y2.shape or y1.ndim != 1:
         raise ShapeError("endpoints must be 1-D vectors of equal length")
+    check_finite("y1", y1)
+    check_finite("y2", y2)
     try:
         with np.errstate(over="raise", invalid="raise"):
             n1 = np.linalg.norm(y1)
@@ -95,11 +98,13 @@ def fit_pca(ys) -> PcaBasis:
     Uses the sample covariance (ddof 1) so the eigenvalues equal the variance
     of the data projected onto each axis. Axes are ordered by descending
     eigenvalue; each axis's sign is fixed so that its largest-magnitude
-    coordinate is positive, making the basis deterministic.
+    coordinate is positive, making the basis deterministic. A NaN or an
+    infinity in ys raises NumericalDomainError.
     """
     ys = np.asarray(ys, dtype=np.float64)
     if ys.ndim != 2:
         raise ShapeError(f"expected an (n, k) array, got shape {ys.shape}")
+    check_finite("ys", ys)
     if ys.shape[0] < 2:
         raise ConfigurationError("pca needs at least 2 samples")
     mean = ys.mean(axis=0)
@@ -134,11 +139,14 @@ def project_first_k(y, basis: PcaBasis, n: int) -> np.ndarray:
 
 def custom_direction(group_a, group_b, label: str = "custom",
                      provenance: str = "binary-split") -> Direction:
-    """Unit direction from the mean embedding of group_a to that of group_b."""
+    """Unit direction from the mean embedding of group_a to that of group_b;
+    a NaN or an infinity in either group raises NumericalDomainError."""
     group_a = np.asarray(group_a, dtype=np.float64)
     group_b = np.asarray(group_b, dtype=np.float64)
     if group_a.ndim != 2 or group_b.ndim != 2 or group_a.shape[1] != group_b.shape[1]:
         raise ShapeError("groups must be (n, k) arrays over the same embedding space")
+    check_finite("group_a", group_a)
+    check_finite("group_b", group_b)
     if group_a.shape[0] == 0 or group_b.shape[0] == 0:
         raise ConfigurationError("both groups must be nonempty")
     diff = group_b.mean(axis=0) - group_a.mean(axis=0)
@@ -171,7 +179,7 @@ def percentile_split(values):
 def traverse(y, direction: Direction, alpha: float, corpus_norm: float) -> np.ndarray:
     """Move y along a direction by alpha steps of the corpus's typical
     embedding magnitude, so step sizes are comparable across embedders."""
-    if corpus_norm <= 0.0:
+    if not corpus_norm > 0.0:  # NaN fails too
         raise ConfigurationError(f"corpus_norm must be positive, got {corpus_norm}")
     y = np.asarray(y, dtype=np.float64)
     if y.shape != direction.vector.shape:

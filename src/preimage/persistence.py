@@ -21,11 +21,10 @@ import io
 import os
 import struct
 import tempfile
-from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import NoiseSchedule, TrainConfig, TrainResult, schedule_from_betas
+from .diffusion import TrainConfig, TrainResult, schedule_from_betas
 from .embedders import EmbedderInfo, make_embedder
 from .errors import CheckpointFormatError, ConfigurationError, PreimageError, ShapeError
 from .nn import ConditionalDenoiser, EmaParams, param_count
@@ -74,26 +73,8 @@ def _atomic_write_bytes(path: str, *chunks) -> None:
         raise
 
 
-@dataclass
-class Checkpoint:
-    """The live model, its EMA shadow, the training schedule, the embedder
-    descriptor, and the training config: all that sampling needs. Resuming
-    training bit for bit would also need the Adam moments, the step count and
-    the training RNG state, which are not saved."""
-
-    model: ConditionalDenoiser
-    ema: EmaParams
-    schedule: NoiseSchedule
-    embedder_info: EmbedderInfo
-    train_config: TrainConfig
-
-    @classmethod
-    def from_train_result(cls, result, embedder_info: EmbedderInfo) -> "Checkpoint":
-        return cls(result.model, result.ema, result.schedule, embedder_info,
-                   result.config)
-
-    # Same model and ema fields as a TrainResult, so the same definition.
-    ema_model = TrainResult.ema_model
+# The record's old name, kept for callers that still spell it so.
+Checkpoint = TrainResult
 
 
 def _check_finite(params, ema_flat) -> None:
@@ -111,24 +92,29 @@ def _check_embedder(info: EmbedderInfo, topo: dict) -> None:
                                         f"from the model's {dim} {topo[dim]}")
 
 
-def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
-    """Serialize a checkpoint; the write is atomic, and nothing is written
-    unless load_checkpoint would read it back: an invalid training config or
-    an embedder descriptor make_embedder refuses raises ConfigurationError."""
-    model = ckpt.model
-    cfg = ckpt.train_config
+def save_checkpoint(path: str, result: TrainResult) -> None:
+    """Serialize a training record; the write is atomic, and nothing is
+    written unless load_checkpoint would read it back: a record without
+    embedder_info, an invalid training config or an embedder descriptor
+    make_embedder refuses raises ConfigurationError. The loss history is not
+    saved."""
+    if result.embedder_info is None:
+        raise ConfigurationError("embedder_info is None: a checkpoint needs the descriptor "
+                                 "of the embedder that labelled the training data")
+    model = result.model
+    cfg = result.config
     cfg.validate()
-    if ckpt.schedule.n_steps != cfg.timesteps:
+    if result.schedule.n_steps != cfg.timesteps:
         raise ConfigurationError(
-            f"schedule has {ckpt.schedule.n_steps} steps but config says {cfg.timesteps}"
+            f"schedule has {result.schedule.n_steps} steps but config says {cfg.timesteps}"
         )
     params = model.params
-    ema_flat = ckpt.ema.shadow
+    ema_flat = result.ema.shadow
     if ema_flat.shape != params.shape:
         raise ShapeError("EMA payload does not match the model's parameter count")
     _check_finite(params, ema_flat)
     topo = model.topology()
-    _check_embedder(ckpt.embedder_info, topo)
+    _check_embedder(result.embedder_info, topo)
 
     buf = bytearray()
     buf += MAGIC
@@ -144,23 +130,23 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
     u64("n_hidden", len(topo["hidden_dims"]))
     for i, h in enumerate(topo["hidden_dims"]):
         u64(f"hidden_dims[{i}]", h)
-    u64("n_steps", ckpt.schedule.n_steps)
+    u64("n_steps", result.schedule.n_steps)
     u64("schedule_kind", _SCHEDULE_CODES[cfg.schedule])
 
-    name_bytes = ckpt.embedder_info.name.encode("utf-8")
+    name_bytes = result.embedder_info.name.encode("utf-8")
     u64("embedder_name_len", len(name_bytes))
     buf += name_bytes
-    u64("embedder_input_dim", ckpt.embedder_info.input_dim)
-    u64("embedder_output_dim", ckpt.embedder_info.output_dim)
-    u64("embedder_seed", ckpt.embedder_info.seed)
+    u64("embedder_input_dim", result.embedder_info.input_dim)
+    u64("embedder_output_dim", result.embedder_info.output_dim)
+    u64("embedder_seed", result.embedder_info.seed)
 
     u64("total_batches", cfg.total_batches)
     u64("batch_size", cfg.batch_size)
     u64("train_seed", cfg.seed)
-    make_embedder(ckpt.embedder_info)  # after the header's bounds, as load_checkpoint
+    make_embedder(result.embedder_info)  # after the header's bounds, as load_checkpoint
 
     buf += struct.pack("<3d", cfg.cond_dropout, cfg.learning_rate, cfg.ema_rate)
-    buf += np.asarray(ckpt.schedule.betas, dtype="<f8").tobytes()
+    buf += np.asarray(result.schedule.betas, dtype="<f8").tobytes()
     _atomic_write_bytes(path, buf, *(np.ascontiguousarray(v, dtype="<f8")
                                      for v in (params, ema_flat)))
 
@@ -184,12 +170,18 @@ class _Reader:
         return _in_bounds(field, struct.unpack("<Q", self.take(8, field))[0])
 
 
-def load_checkpoint(path: str) -> Checkpoint:
-    """Parse a checkpoint file, validating layout and every count field; a
-    training config TrainConfig.validate refuses, an embedder descriptor
-    make_embedder refuses or a topology the model refuses is a format error.
-    A file whose length differs from what its header implies is refused
-    before its payload is read."""
+def load_checkpoint(path: str) -> TrainResult:
+    """Parse a checkpoint file into a training record: the frozen model, the
+    EMA shadow at the file's rate, the schedule, the training config and the
+    embedder descriptor. v1 stores no loss history, so loss_history is
+    empty; nor does it store Adam's moments, the step count or the training
+    RNG state, so the record can be sampled but not resumed.
+
+    Layout and every count field are validated; a training config
+    TrainConfig.validate refuses, an embedder descriptor make_embedder
+    refuses or a topology the model refuses is a format error. A file whose
+    length differs from what its header implies is refused before its
+    payload is read."""
     with open(path, "rb") as fh:
         r = _Reader(fh)
         if r.take(4, "magic") != MAGIC:
@@ -248,7 +240,7 @@ def load_checkpoint(path: str) -> Checkpoint:
         schedule = schedule_from_betas(betas)
     except PreimageError as exc:
         raise CheckpointFormatError(f"betas are not a valid schedule: {exc}") from exc
-    train_config = TrainConfig(
+    config = TrainConfig(
         seed=train_seed,
         schedule=_SCHEDULE_NAMES[sched_code],
         timesteps=n_steps,
@@ -259,14 +251,14 @@ def load_checkpoint(path: str) -> Checkpoint:
         total_batches=total_batches,
     )
     try:
-        train_config.validate()
+        config.validate()
         make_embedder(info)
         model = ConditionalDenoiser(**topo, params=params)
     except ConfigurationError as exc:
         raise CheckpointFormatError(f"not a valid checkpoint: {exc}") from exc
     model.freeze()
     ema = EmaParams(ema_flat, rate=ema_rate)
-    return Checkpoint(model, ema, schedule, info, train_config)
+    return TrainResult(model, ema, schedule, config, embedder_info=info)
 
 
 # -- CSV tables --------------------------------------------------------------

@@ -460,7 +460,7 @@ class TestTrain:
         ckpt = load_checkpoint(workspace["checkpoint"])
         assert ckpt.model.fitted
         assert ckpt.embedder_info.name == "radius"
-        assert ckpt.train_config.total_batches == 12
+        assert ckpt.config.total_batches == 12
 
     def test_seed_flag_changes_weights(self, workspace, tmp_path, monkeypatch):
         monkeypatch.setenv("PREIMAGE_OUT", str(tmp_path))
@@ -468,7 +468,7 @@ class TestTrain:
                      "--out", "other.ckpt", "--seed", "99"]) == 0
         other = load_checkpoint(str(tmp_path / "other.ckpt"))
         base = load_checkpoint(workspace["checkpoint"])
-        assert other.train_config.seed == 99
+        assert other.config.seed == 99
         assert not np.array_equal(other.model.params_flat(), base.model.params_flat())
 
     def test_negative_log_every_exits_1_before_training(self, workspace, tmp_path,

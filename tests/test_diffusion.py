@@ -50,7 +50,7 @@ from preimage.diffusion import _quantile_last_axis
 from preimage.embedders import RadiusEmbedder
 from preimage.evaluation import guidance_sweep
 from preimage.nn import ROW_BLOCK, Adam, ConditionalDenoiser
-from preimage.persistence import Checkpoint, load_checkpoint, save_checkpoint
+from preimage.persistence import load_checkpoint, save_checkpoint
 
 
 def cosine_bar_closed_form(t: int, n_steps: int) -> float:
@@ -684,14 +684,15 @@ def ring_fit(tmp_path_factory):
                    TrainConfig(seed=1, timesteps=20, total_batches=10, batch_size=8),
                    hidden_dims=(8, 8), time_embed_dim=8)
     path = str(tmp_path_factory.mktemp("ring") / "ring.ckpt")
-    save_checkpoint(path, Checkpoint.from_train_result(result, RadiusEmbedder(2).info))
+    save_checkpoint(path, replace(result, embedder_info=RadiusEmbedder(2).info))
     return result, path
 
 
 def sampled_models(ring_fit):
     """(model, schedule) of each way the benchmark and the CLI get a model to
-    sample, fresh: TrainResult.ema_model(), Checkpoint.ema_model() and the
-    loaded ckpt.model of --no-ema."""
+    sample, fresh: ema_model() of the trained record ("TrainResult") and of
+    the loaded one ("Checkpoint", the record's old name), and the loaded
+    ckpt.model of --no-ema."""
     result, path = ring_fit
     ema_ckpt, live_ckpt = load_checkpoint(path), load_checkpoint(path)
     return {"TrainResult.ema_model()": (result.ema_model(), result.schedule),

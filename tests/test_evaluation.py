@@ -377,6 +377,27 @@ class TestRejectionOracle:
                              np.random.default_rng(0), batch_size=64)
         assert counts == [64]
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("rows", ["all", "one"])
+    def test_non_finite_draws_are_refused_after_one_batch(self, bad, rows):
+        # Such rows embed to inf or NaN distances without a floating-point
+        # flag, so a batch of them once drew the whole budget and starved,
+        # and one among good rows was dropped unseen.
+        counts = []
+
+        def draw(rng, count):
+            counts.append(count)
+            xs = annulus_draw(rng, count)
+            xs[slice(None) if rows == "all" else 5] = bad
+            return xs
+
+        with pytest.raises(ConfigurationError,
+                           match=r"^draw\(rng, 64\) returned a non-finite candidate"):
+            rejection_oracle(RadiusEmbedder(2), np.array([1.0]), 0.1, draw, 10,
+                             np.random.default_rng(0), max_draws=6400, batch_size=64)
+        assert counts == [64]
+
     def test_starvation_diagnostic(self):
         emb = RadiusEmbedder(2)
         with pytest.raises(AcceptanceStarvationError) as exc:

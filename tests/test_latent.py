@@ -72,6 +72,16 @@ class TestSlerp:
         with pytest.raises(NumericalDomainError, match="beyond float64's range"):
             slerp(np.array(y1), np.array(y2), 0.5)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("end", ["y1", "y2"])
+    def test_non_finite_endpoints_rejected(self, bad, end):
+        # A NaN endpoint once returned [nan, nan].
+        ends = {"y1": np.array([1.0, 0.0]), "y2": np.array([0.0, 1.0])}
+        ends[end][1] = bad
+        with pytest.raises(NumericalDomainError, match=f"^{end} holds non-finite values"):
+            slerp(ends["y1"], ends["y2"], 0.5)
+
     @given(st.floats(0.0, 1.0), st.integers(0, 500))
     @settings(max_examples=40, deadline=None)
     def test_interpolates_the_angle(self, tau, seed):
@@ -95,6 +105,12 @@ class TestDirection:
     def test_non_unit_rejected(self):
         with pytest.raises(ConfigurationError):
             Direction(np.array([1.0, 1.0]), "bad", "pca-axis")
+
+    @pytest.mark.parametrize("vector", [[np.nan, 0.0], [np.nan, np.nan], [np.inf, 0.0]])
+    def test_non_finite_rejected(self, vector):
+        # A NaN norm passed the unit-norm check.
+        with pytest.raises(ConfigurationError, match="unit norm"):
+            Direction(np.array(vector), "x", "pca-axis")
 
     def test_bad_provenance_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -144,6 +160,15 @@ class TestFitPca:
         for i in range(3):
             j = np.argmax(np.abs(a.axes[i]))
             assert a.axes[i, j] > 0
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rows_rejected(self, bad):
+        # A NaN row once gave a NaN basis, and an inf row a RuntimeWarning.
+        ys = np.random.default_rng(3).normal(size=(6, 3))
+        ys[2, 1] = bad
+        with pytest.raises(NumericalDomainError, match="^ys holds non-finite values"):
+            fit_pca(ys)
 
     def test_too_few_samples_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -206,6 +231,16 @@ class TestCustomDirection:
         with pytest.raises(ConfigurationError):
             custom_direction(np.zeros((0, 2)), np.ones((3, 2)))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("group", ["group_a", "group_b"])
+    def test_non_finite_group_rejected(self, bad, group):
+        # A NaN once made a Direction of NaNs.
+        groups = {"group_a": np.zeros((3, 2)), "group_b": np.ones((3, 2))}
+        groups[group][1, 0] = bad
+        with pytest.raises(NumericalDomainError, match=f"^{group} holds non-finite values"):
+            custom_direction(groups["group_a"], groups["group_b"])
+
 
 class TestPercentileSplit:
     def test_decile_split_of_one_to_hundred(self):
@@ -245,6 +280,11 @@ class TestTraverse:
         d = Direction(np.array([1.0, 0.0]), "x", "pca-axis")
         with pytest.raises(ConfigurationError):
             traverse(np.zeros(2), d, 1.0, 0.0)
+
+    def test_nan_corpus_norm_rejected(self):
+        d = Direction(np.array([1.0, 0.0]), "x", "pca-axis")
+        with pytest.raises(ConfigurationError, match="corpus_norm"):
+            traverse(np.zeros(2), d, 1.0, np.nan)
 
     def test_mean_norm(self):
         ys = np.array([[3.0, 4.0], [0.0, 1.0]])

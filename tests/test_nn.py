@@ -30,7 +30,6 @@ from preimage.nn import (
     sinusoidal_embed,
     worker_count,
 )
-from preimage.persistence import Checkpoint
 
 
 def finite_difference_grads(model, x, y, t, a, upstream, h=1e-6):
@@ -1151,13 +1150,11 @@ class TestEma:
         model.freeze()
         ema = EmaParams(np.random.default_rng(6).normal(size=model.params.size))
         live = model.params.copy()
-        for holder in (TrainResult(model, ema, None, None),
-                       Checkpoint(model, ema, None, None, None)):
-            shadow = holder.ema_model()
-            np.testing.assert_array_equal(shadow.params, ema.shadow)
-            assert shadow.fitted and shadow.topology() == model.topology()
-            assert not np.shares_memory(shadow.params, ema.shadow)
-            np.testing.assert_array_equal(model.params, live)
+        shadow = TrainResult(model, ema, None, None).ema_model()
+        np.testing.assert_array_equal(shadow.params, ema.shadow)
+        assert shadow.fitted and shadow.topology() == model.topology()
+        assert not np.shares_memory(shadow.params, ema.shadow)
+        np.testing.assert_array_equal(model.params, live)
 
     def test_bad_rate_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from preimage import persistence
-from preimage.diffusion import (SCHEDULES, SampleConfig, TrainConfig, make_cosine_schedule,
-                                sample_batch, train)
+from preimage.diffusion import (SCHEDULES, SampleConfig, TrainConfig, TrainResult,
+                                make_cosine_schedule, sample_batch, train)
 from preimage.embedders import EmbedderInfo, RadiusEmbedder
 from preimage.errors import CheckpointFormatError, ConfigurationError, PreimageError, ShapeError
 from preimage.nn import ConditionalDenoiser, EmaParams, param_count
@@ -18,7 +18,6 @@ from preimage.persistence import (
     _SCHEDULE_CODES,
     MAGIC,
     VERSION,
-    Checkpoint,
     load_checkpoint,
     read_csv,
     save_checkpoint,
@@ -35,7 +34,7 @@ def trained():
     ys = emb.embed(xs)
     cfg = TrainConfig(seed=11, timesteps=12, total_batches=25, batch_size=16)
     result = train(xs, ys, cfg, hidden_dims=(8, 8), time_embed_dim=8)
-    return Checkpoint.from_train_result(result, emb.info)
+    return replace(result, embedder_info=emb.info)
 
 
 @pytest.fixture(scope="module")
@@ -48,7 +47,7 @@ def trained_with_attrs():
     cfg = TrainConfig(seed=5, timesteps=10, total_batches=10, batch_size=8,
                       schedule="linear")
     result = train(xs, ys, cfg, attrs=attrs, hidden_dims=(6,), time_embed_dim=6)
-    return Checkpoint.from_train_result(result, emb.info)
+    return replace(result, embedder_info=emb.info)
 
 
 @pytest.fixture(scope="module")
@@ -56,8 +55,10 @@ def ring_sized():
     """An untrained checkpoint of the ring experiment's size: 128x3, T = 100."""
     model = ConditionalDenoiser(2, 1, hidden_dims=(128, 128, 128), time_embed_dim=64, seed=4)
     model.freeze()
-    return Checkpoint(model, EmaParams(model.params), make_cosine_schedule(100),
-                      RadiusEmbedder(2).info, TrainConfig(seed=4, timesteps=100))
+    return TrainResult(model=model, ema=EmaParams(model.params),
+                       schedule=make_cosine_schedule(100),
+                       config=TrainConfig(seed=4, timesteps=100),
+                       embedder_info=RadiusEmbedder(2).info)
 
 
 def traced_peak(fn) -> int:
@@ -76,7 +77,7 @@ class TestCheckpointRoundtrip:
         # params and EMA shadow: v1's header, then every float as f64.
         path = tmp_path / "v1.ckpt"
         save_checkpoint(str(path), trained)
-        cfg, model = trained.train_config, trained.model
+        cfg, model = trained.config, trained.model
         assert model.params.dtype == trained.ema.shadow.dtype == np.float64
         head = crafted_header(model.hidden_dims, time_embed_dim=model.time_embed_dim,
                               n_steps=cfg.timesteps)[:-24]
@@ -120,7 +121,7 @@ class TestCheckpointRoundtrip:
         path = str(tmp_path / "e.ckpt")
         save_checkpoint(path, trained)
         loaded = load_checkpoint(path)
-        assert loaded.train_config == trained.train_config
+        assert loaded.config == trained.config
         assert loaded.embedder_info == EmbedderInfo("radius", 2, 1)
 
     def test_attr_model_roundtrip(self, trained_with_attrs, tmp_path):
@@ -128,7 +129,7 @@ class TestCheckpointRoundtrip:
         save_checkpoint(path, trained_with_attrs)
         loaded = load_checkpoint(path)
         assert loaded.model.attr_dim == 1
-        assert loaded.train_config.schedule == "linear"
+        assert loaded.config.schedule == "linear"
         np.testing.assert_array_equal(loaded.model.params_flat(),
                                       trained_with_attrs.model.params_flat())
 
@@ -137,6 +138,28 @@ class TestCheckpointRoundtrip:
         save_checkpoint(path, trained)
         assert load_checkpoint(path).model.fitted
 
+    @pytest.mark.parametrize("fixture", ["trained", "trained_with_attrs"])
+    def test_a_trained_record_loads_back_as_the_same_record(self, request, fixture, tmp_path):
+        # train's record is what save takes and load gives: one type, with
+        # the config and descriptor kept and the history v1 does not store.
+        record = request.getfixturevalue(fixture)
+        assert type(record) is TrainResult and len(record.loss_history) > 0
+        first, second = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+        save_checkpoint(str(first), record)
+        loaded = load_checkpoint(str(first))
+        save_checkpoint(str(second), loaded)
+        assert first.read_bytes() == second.read_bytes()
+        assert type(loaded) is TrainResult
+        assert loaded.config == record.config
+        assert loaded.embedder_info == record.embedder_info == EmbedderInfo("radius", 2, 1)
+        assert loaded.loss_history == []
+
+    def test_a_record_without_a_descriptor_is_refused_and_writes_nothing(self, trained,
+                                                                         tmp_path):
+        path = tmp_path / "bare.ckpt"
+        with pytest.raises(ConfigurationError, match="^embedder_info is None"):
+            save_checkpoint(str(path), replace(trained, embedder_info=None))
+        assert os.listdir(tmp_path) == []
 
     def test_load_draws_no_initialization(self, trained, tmp_path, monkeypatch):
         path = str(tmp_path / "h.ckpt")
@@ -314,9 +337,9 @@ class TestHostileCheckpoints:
     def test_save_refuses_non_finite_parameters(self, trained, vector, tmp_path):
         # A trained model is frozen; the NaN goes into a writable copy.
         m = trained.model
-        ckpt = Checkpoint(ConditionalDenoiser(**m.topology(), seed=m.seed, params=m.params),
-                          EmaParams(trained.ema.shadow), trained.schedule,
-                          trained.embedder_info, trained.train_config)
+        ckpt = TrainResult(model=ConditionalDenoiser(**m.topology(), seed=m.seed, params=m.params),
+                           ema=EmaParams(trained.ema.shadow), schedule=trained.schedule,
+                           config=trained.config, embedder_info=trained.embedder_info)
         (ckpt.model.params if vector == "model" else ckpt.ema.shadow)[3] = np.nan
         path = tmp_path / "nan.ckpt"
         with pytest.raises(CheckpointFormatError, match="not finite"):
@@ -338,7 +361,7 @@ class TestHostileCheckpoints:
     @staticmethod
     def with_header(trained, name_len=6, **train_config):
         return replace(trained, embedder_info=replace(trained.embedder_info, name="x" * name_len),
-                       train_config=replace(trained.train_config, **train_config))
+                       config=replace(trained.config, **train_config))
 
     @pytest.mark.parametrize("field, name_len, train_config", [
         ("batch_size", 6, {"batch_size": (1 << 20) + 1}),
@@ -353,13 +376,13 @@ class TestHostileCheckpoints:
         assert not path.exists()
 
     def test_header_fields_at_their_bound_round_trip(self, trained, tmp_path):
-        ckpt = replace(trained, train_config=replace(trained.train_config, batch_size=1 << 20,
+        ckpt = replace(trained, config=replace(trained.config, batch_size=1 << 20,
                                                      total_batches=1 << 48))
         path = tmp_path / "edge.ckpt"
         save_checkpoint(str(path), ckpt)
         loaded = load_checkpoint(str(path))
-        assert (loaded.embedder_info, loaded.train_config) == (ckpt.embedder_info,
-                                                               ckpt.train_config)
+        assert (loaded.embedder_info, loaded.config) == (ckpt.embedder_info,
+                                                               ckpt.config)
         # No embedder has a 4096-byte name: one at the bound passes the
         # reader's bound and is refused by make_embedder.
         path.write_bytes(renamed(path.read_bytes(), b"x" * 4096))
@@ -376,7 +399,7 @@ class TestHostileCheckpoints:
         path = tmp_path / "config.ckpt"
         with pytest.raises(ConfigurationError, match=field):
             save_checkpoint(str(path), replace(
-                trained, train_config=replace(trained.train_config, **{field: value})))
+                trained, config=replace(trained.config, **{field: value})))
         assert not path.exists()
 
     @pytest.mark.parametrize("field, value", BAD_CONFIGS)
